@@ -1,11 +1,11 @@
 """Certified Riesz-basis analysis of asymmetric-oscillation systems on (0, pi).
 
 The package builds the piecewise-sine profiles attached to the spectrum
-curves of -u'' = alpha u+ - beta u-, evaluates their Fourier data in closed
-form, bounds the deviation of a whole system from the sine basis by an
-explicit envelope, and certifies the Riesz-basis property through a
-Paley-Wiener-style perturbation criterion with independent quadrature and
-Gram-matrix cross-checks.
+curves of -u'' = alpha u+ - beta u-, evaluates their Fourier data and
+projection defects in closed form, bounds the deviation of a whole system
+from the sine basis by an explicit envelope, and certifies the Riesz-basis
+property through a Paley-Wiener-style perturbation criterion.  Quadrature
+and Gram matrices are independent cross-checks that certification never runs.
 """
 
 from .certify import (
@@ -21,7 +21,6 @@ from .certify import (
     parse_system,
     projection_defect,
     projection_defect_bound,
-    zeta,
 )
 from .eigenfunction import (
     SUP_NORM,
@@ -42,6 +41,7 @@ from .envelope import (
     envelope_tail_series,
     envelope_value,
     inverse_quadratic_sum,
+    zeta,
 )
 from .fourier import (
     CoefficientQuery,

@@ -6,7 +6,8 @@ over indices kept outside the envelope set, the squared projection defect of
 each profile against its own sine mode, adds the squared envelope of the
 largest even dilation parameter inside the set, and certifies the basis
 property when the total stays below 1.  Passing is meant as a proof; failing
-is not a disproof, because the criterion is sufficient only.
+is not a disproof, because the criterion is sufficient only.  Defects are
+closed forms; defect_details is their quadrature reference for the tests.
 
 Known gap: a pass is not yet a proof when the envelope absorbs a large
 constant-shape set (every even n <= N at one dilation parameter).  Each
@@ -22,12 +23,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .eigenfunction import SUP_NORM, build, evaluate
-from .envelope import envelope_root, envelope_value
+from .eigenfunction import SUP_NORM, build, evaluate, moments
+from .envelope import envelope_root, envelope_value, zeta
 from .quadrature import integrate
 from .spectrum import (
     FucikPoint,
@@ -59,7 +59,8 @@ def defect_details(p: FucikPoint, tol: float = 1e-12) -> dict:
     Returns the squared norm, the inner product with the unit sine mode,
     the squared distance to the mode, and the defect computed both directly
     and through the distance identity.  The two defect routes are
-    algebraically equal; comparing them bounds the quadrature error.
+    algebraically equal; comparing them bounds the quadrature error.  Only
+    tests call it, as the reference for the closed forms below.
     """
     f = build(p)
     nn = float(p.n)
@@ -93,23 +94,16 @@ def defect_details(p: FucikPoint, tol: float = 1e-12) -> dict:
 
 
 def projection_defect(p: FucikPoint) -> float:
-    """1 - <f, mode>^2 / |f|^2 for the profile of p, by quadrature.
+    """1 - <f, mode>^2 / |f|^2 for the profile of p, in closed form.
 
     Exactly zero at index 1 and at symmetric points, where the profile is
-    the mode itself.  The two equivalent quadrature routes are compared and
-    a mismatch beyond 1e-11 raises, as that would mean the integrals are
-    not trustworthy.
+    the mode itself.
     """
     validate_point(p)
     if p.n == 1 or is_diagonal(p):
         return 0.0
-    d = defect_details(p)
-    if abs(d["defect"] - d["defect_alt"]) > 1e-11:
-        raise ArithmeticError(
-            "defect identity violated beyond quadrature accuracy at "
-            f"n={p.n}, alpha={p.alpha!r}"
-        )
-    return d["defect"]
+    norm_sq, inner = moments(build(p), p.n)
+    return 1.0 - inner * inner / norm_sq
 
 
 def projection_defect_bound(p: FucikPoint) -> float:
@@ -138,12 +132,12 @@ def projection_defect_bound(p: FucikPoint) -> float:
 
 
 def optimal_scaling(p: FucikPoint) -> float:
-    """<f, mode> / |f|^2: the factor that moves the profile closest to its mode."""
+    """<f, mode> / |f|^2 in closed form: the best scaling of f onto its mode."""
     validate_point(p)
     if p.n == 1 or is_diagonal(p):
         return 1.0
-    d = defect_details(p)
-    return d["inner"] / d["norm_sq"]
+    norm_sq, inner = moments(build(p), p.n)
+    return inner / norm_sq
 
 
 @dataclass(frozen=True)
@@ -295,9 +289,9 @@ def certify_system(spec: SystemSpec) -> Certificate:
 
     The total is the sum of squared projection defects over entries outside
     the envelope set plus the squared envelope at the largest dilation
-    parameter inside it.  In "exact" mode the defects come from quadrature;
-    in "bound" mode each defect is replaced by its closed-form majorant,
-    which certifies fewer systems but needs no integration.  The envelope
+    parameter inside it.  "exact" mode takes each defect in closed form (the
+    label "quadrature-defect" is kept; nothing is integrated); "bound" mode
+    takes its closed-form majorant, which certifies fewer systems.  The envelope
     term does not grow with the number of absorbed entries, so a pass over a
     large absorbed constant-shape set is not a proof (see the module
     docstring).
@@ -403,26 +397,6 @@ def combined_criterion(residual_defect: float, families) -> tuple[float, bool]:
     return total, total < 1.0
 
 
-@lru_cache(maxsize=None)
-def zeta(s: float) -> float:
-    """Riemann zeta for s > 1: one million direct terms plus the
-    Euler-Maclaurin tail through the third-derivative correction."""
-    s = float(s)
-    if not s > 1.0:
-        raise ValueError("zeta(s) requires s > 1")
-    n = 1_000_000
-    k = np.arange(1.0, float(n) + 1.0)
-    head = float(np.sum(k ** (-s)))
-    nn = float(n)
-    tail = (
-        nn ** (1.0 - s) / (s - 1.0)
-        - 0.5 * nn ** (-s)
-        + s * nn ** (-s - 1.0) / 12.0
-        - s * (s + 1.0) * (s + 2.0) * nn ** (-s - 3.0) / 720.0
-    )
-    return head + tail
-
-
 def deviation_budget(epsilon: float, sup_even_gamma: float) -> float:
     """How much squared relative deviation the odd indices may spend in total.
 
@@ -443,7 +417,10 @@ def deviation_budget(epsilon: float, sup_even_gamma: float) -> float:
             "sup_even_gamma must stay strictly below the envelope root"
         )
     num = 1.0 - envelope_value(sup_even_gamma) ** 2
-    den = 45.0 * ((1.0 - 2.0 ** (-(1.0 + epsilon))) * zeta(1.0 + epsilon) - 1.0)
+    # sum_{odd k>=3} k^(-s) = 2^(-s) zeta(s, 3/2); (1 - 2^(-s)) zeta(s) - 1 cancels
+    den = 45.0 * 2.0 ** -(1.0 + epsilon) * zeta(1.0 + epsilon, 1.5)
+    if not den > 0.0:
+        raise InputError(f"epsilon = {epsilon!r} is too large: the odd sum underflows")
     return num / den
 
 

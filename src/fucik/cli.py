@@ -296,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--mode",
         choices=("exact", "bound"),
-        help="override the file: quadrature defects or closed-form majorants",
+        help="override the file: exact closed-form defects or their majorants",
     )
     c.add_argument(
         "--split",

@@ -124,6 +124,20 @@ def evaluate(f: PiecewiseEigenfunction, x):
     return vals.reshape(arr.shape)
 
 
+def moments(f: PiecewiseEigenfunction, n: int) -> tuple[float, float]:
+    """|f|^2 and <f, sqrt(2/pi) sin(n x)> in closed form.
+
+    The arc A sin(w (x - a)) over its half period pi/w, midpoint m, adds
+    A^2 pi/(2w) and sqrt(2/pi) pi A sin(n m) sinc((w - n)/(2w)) / (w + n);
+    numpy's normalized sinc removes the singularity at w = n.
+    """
+    amps, freqs = f._signed_amps, f._freqs
+    widths = math.pi / freqs
+    mids = f._starts + 0.5 * widths
+    arcs = amps * np.sin(n * mids) * np.sinc((freqs - n) / (2.0 * freqs)) / (freqs + n)
+    return 0.5 * math.fsum(amps * amps * widths), SUP_NORM * math.pi * math.fsum(arcs)
+
+
 def ode_residual(f: PiecewiseEigenfunction, x, junction_tol: float = 1e-9) -> float:
     """-u'' - alpha u_+ + beta u_- at an interior point of some arc.
 

@@ -82,8 +82,8 @@ def inverse_quadratic_sum(a: float) -> float:
 def envelope_tail_series(gamma: float, terms: int) -> float:
     """Direct truncation of the weighted k >= 5 majorant sum.
 
-    Exists as the oracle for the closed-form tail; it is never the default
-    evaluation path.
+    Exists as the test oracle for the closed-form tail; no evaluation path
+    uses it.
     """
     g = float(gamma)
     if not 4.0 < g <= GAMMA_MAX:
@@ -99,20 +99,37 @@ def envelope_tail_series(gamma: float, terms: int) -> float:
     return pref * float(np.sum(body))
 
 
-def _cot_series_coefficients() -> tuple[float, ...]:
-    # 2 zeta(2j) for j = 1..16, each from 2000 direct terms plus an
-    # Euler-Maclaurin remainder good to ~1e-18
-    out = []
-    for j in range(1, 17):
-        p = 2 * j
-        head = math.fsum(k**-p for k in range(1, 2001))
-        n = 2000.0
-        rem = n ** (1 - p) / (p - 1) - 0.5 * n**-p + (p / 12.0) * n ** (-p - 1)
-        out.append(2.0 * (head + rem))
-    return tuple(out)
+# B_2j / (2j)! for j = 1..7, the Euler-Maclaurin correction weights
+_EM_WEIGHTS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+               -691 / 1307674368000, 1 / 74724249600)
 
 
-_COT_COEFFS = _cot_series_coefficients()
+def zeta(s: float, a: float = 1.0) -> float:
+    """Hurwitz zeta sum_{k>=0} (k + a)^(-s) for s > 1 and a > 0.
+
+    Ten direct terms plus the Euler-Maclaurin remainder at x = a + 10
+    through B14, summed by fsum: within 2.2e-16 relative of mpmath for s in
+    (1, 501] and a in {1, 3/2}.  zeta(s) is the Riemann zeta function.
+    """
+    s = float(s)
+    a = float(a)
+    if not (s > 1.0 and a > 0.0):
+        raise ValueError("zeta(s, a) requires s > 1 and a > 0")
+    terms = [(k + a) ** -s for k in range(10)]
+    x = a + 10.0
+    edge = x ** -s
+    if edge == 0.0:  # remainder underflows; the rising factorial could overflow
+        return math.fsum(terms)
+    terms += [x * edge / (s - 1.0), 0.5 * edge]
+    rising = s * edge / x
+    for i, weight in enumerate(_EM_WEIGHTS):
+        terms.append(weight * rising)
+        rising *= (s + 2 * i + 1) * (s + 2 * i + 2) / (x * x)
+    return math.fsum(terms)
+
+
+# 2 zeta(2j) for j = 1..16: the Taylor coefficients of 1/r - pi cot(pi r)
+_COT_COEFFS = tuple(2.0 * zeta(2.0 * j) for j in range(1, 17))
 
 
 def _h_cot(r: float) -> float:
@@ -162,27 +179,18 @@ def _tail_closed_form(g: float) -> float:
     return TAIL_WEIGHT * (2.0 * s / (math.pi * (s - 1.0))) * (sum_s - sum_b)
 
 
-def envelope(gamma: float, tail_terms: int | None = None) -> EnvelopeEval:
-    """Envelope at gamma with the five summands recorded separately.
-
-    The default tail is the exact closed form; passing tail_terms switches
-    to the truncated series (testing hook).
-    """
+def envelope(gamma: float) -> EnvelopeEval:
+    """Envelope at gamma with the five summands recorded separately; the
+    k >= 5 tail is the exact closed form."""
     g = _check_gamma(gamma)
-    if tail_terms is None:
-        tail = _tail_closed_form(g)
-        method = "closed-form"
-    else:
-        tail = 0.0 if g == 4.0 else envelope_tail_series(g, tail_terms)
-        method = "truncated-series"
     summands = (
         dilation_norm_bound(1) * coefficient_bound(1, g),
         dilation_norm_bound(2) * coefficient_bound(2, g),
         dilation_norm_bound(3) * coefficient_bound(3, g),
         dilation_norm_bound(4) * coefficient_bound(4, g),
-        tail,
+        _tail_closed_form(g),
     )
-    return EnvelopeEval(g, summands, math.fsum(summands), method)
+    return EnvelopeEval(g, summands, math.fsum(summands), "closed-form")
 
 
 def envelope_value(gamma: float) -> float:

@@ -4,7 +4,8 @@ The certificate predicts that the rescaled system deviates from an
 orthonormal basis by at most theta = sqrt(total) in the Bessel/frame sense,
 so every truncation's eigenvalues must land inside
 [(1 - theta)^2, (1 + theta)^2].  This module builds those truncations with
-quadrature that shares nothing with the certification integrals.
+Gauss-Legendre quadrature that shares nothing with the closed forms behind
+the certificate.
 
 Known gap: the certificate can pass systems this check falsifies.  When
 the envelope absorbs a large constant-shape family (every even n <= N at

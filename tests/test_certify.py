@@ -1,8 +1,11 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_acceptance import sampled_defects, sampled_points
 
+import fucik.certify
 from fucik.certify import (
     Certificate,
     InputError,
@@ -19,7 +22,14 @@ from fucik.certify import (
     zeta,
 )
 from fucik.envelope import envelope_root, envelope_value
-from fucik.spectrum import FucikPoint, ReflectedCurveError, point_from_gamma, solve_beta
+from fucik.gram import gram_matrix
+from fucik.spectrum import (
+    FucikPoint,
+    ReflectedCurveError,
+    point_from_gamma,
+    solve_alpha,
+    solve_beta,
+)
 
 
 def test_symmetric_entries_have_zero_defect():
@@ -61,6 +71,49 @@ def test_defect_identity_agreement():
     d = defect_details(point_from_gamma(2, 5.0))
     assert d["norm_sq"] == pytest.approx(0.8454915028125262, abs=1e-11)
     assert abs(d["defect"] - d["defect_alt"]) <= 1e-11
+
+
+def test_closed_forms_match_the_quadrature_reference():
+    # the defect and the optimal scaling are closed forms; the adaptive
+    # quadrature of defect_details is their independent reference
+    points = []
+    for n in range(2, 65, 2):
+        points.extend(point_from_gamma(n, g) for g in (4.001, 5.0, 8.99))
+    for n in range(3, 64, 6):
+        for offset in (1e-6, 0.2):
+            major = (n + offset) ** 2
+            points.append(FucikPoint(n, major, solve_beta(n, major)))
+            points.append(FucikPoint(n, solve_alpha(n, major), major))
+    pairs = list(zip(sampled_points(), sampled_defects()))
+    pairs += [(p, defect_details(p)) for p in points]
+    for p, d in pairs:
+        assert projection_defect(p) == pytest.approx(d["defect"], abs=1e-12)
+        assert optimal_scaling(p) == pytest.approx(d["inner"] / d["norm_sq"], abs=1e-12)
+
+
+def test_points_whose_quadrature_drifts_get_exact_defects():
+    # the quadrature's two defect routes differ by 1.4e-10 and 1.2e-11 here;
+    # references from an independent 24-point Gauss-Legendre rule per arc
+    for n, alpha, want in (
+        (13, 173.17302161159537, 7.106512188086445e-4),
+        (26, 984.02589401446, 0.15368483379305198),
+    ):
+        p = FucikPoint(n, alpha, solve_beta(n, alpha))
+        assert projection_defect(p) == pytest.approx(want, abs=1e-13)
+
+
+def test_certification_never_integrates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate called outside defect_details")
+
+    monkeypatch.setattr(fucik.certify, "integrate", refuse)
+    body = {"entries": [{"n": 2, "alpha": 6.6}, {"n": 3, "alpha": 16.0},
+                        {"n": 4, "alpha": 17.0}], "split": [], "mode": "exact"}
+    cert = certify_system(parse_system(body))
+    assert all(rec["method"] == "quadrature-defect" for rec in cert.per_index)
+    assert cert.defect_sum > 0.0
+    m = gram_matrix(parse_system(body), 6, rescale=True)
+    assert m[1, 1] == pytest.approx(1.0 - projection_defect(point_from_gamma(2, 6.6)))
 
 
 def test_frozen_optimal_scaling_exceeds_one():
@@ -222,6 +275,11 @@ def test_combined_criterion_frozen_cases():
 def test_zeta_reference_values():
     assert zeta(4.0) == pytest.approx(math.pi**4 / 90.0, abs=1e-10)
     assert zeta(1.5) == pytest.approx(2.6123753486854877, abs=1e-10)
+    # Hurwitz form, against mpmath from just above the pole to s = 501
+    for s in (1.0 + 1e-9, 1.5, 2.0, 7.25, 32.0, 100.0, 501.0):
+        for a in (1.0, 1.5):
+            want = float(mpmath.zeta(s, a))
+            assert zeta(s, a) == pytest.approx(want, rel=3e-16, abs=0.0)
     with pytest.raises(ValueError):
         zeta(1.0)
 
@@ -240,6 +298,21 @@ def test_deviation_budget_frozen_and_limits():
         deviation_budget(0.5, 3.9)
     with pytest.raises(InputError):
         deviation_budget(0.5, envelope_root())
+
+
+def test_deviation_budget_matches_mpmath():
+    # sum_{odd k>=3} k^(-s) = (1 - 2^(-s)) zeta(s) - 1 at 80 digits, enough
+    # for its cancellation; in doubles that route was 4% off at epsilon = 30
+    # and divided by zero at epsilon = 40
+    num = 1.0 - envelope_value(5.0) ** 2
+    for epsilon in (0.5, 5.0, 20.0, 30.0, 40.0, 100.0):
+        with mpmath.workdps(80):
+            s = mpmath.mpf(1.0 + epsilon)
+            odd_sum = (1 - mpmath.mpf(2) ** -s) * mpmath.zeta(s) - 1
+        want = num / float(45 * odd_sum)
+        assert deviation_budget(epsilon, 5.0) == pytest.approx(want, rel=1e-12)
+    with pytest.raises(InputError, match="epsilon"):
+        deviation_budget(2000.0, 5.0)
 
 
 def test_deviation_cap_frozen_and_degenerate():

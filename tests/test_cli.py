@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +52,25 @@ def test_certify_exit_code_tracks_the_verdict(capsys, write_spec):
     code, out, _ = run(capsys, ["certify", "--spec", bad])
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+def test_readme_example_certifies(capsys, tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```json\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    path = tmp_path / "readme.json"
+    path.write_text(block.group(1), encoding="utf-8")
+    code, out, err = run(capsys, ["certify", "--spec", str(path)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["total"] == 0.956830094922
+
+
+def test_certify_points_whose_quadrature_drifts(capsys, write_spec):
+    path = write_spec({"entries": [{"n": 13, "alpha": 173.17302161159537},
+                                   {"n": 26, "alpha": 984.02589401446}]})
+    for split in ("default", ""):
+        code, out, err = run(capsys, ["certify", "--spec", path, "--split", split])
+        assert code in (0, 1) and err == ""
+        assert json.loads(out)["defect_sum"] > 0.0
 
 
 def test_certify_flag_overrides(capsys, write_spec):
@@ -149,6 +170,13 @@ def test_region_output_is_deterministic_and_on_curve(capsys):
     _, a, b = top.split(",")
     assert float(b) / float(a) == pytest.approx(1.0 / (math.sqrt(5.0) - 1.0) ** 2,
                                                 rel=1e-11)
+
+
+def test_region_with_fast_odd_decay(capsys):
+    # the odd budget used to cancel to zero here and divide by it
+    code, out, err = run(capsys, ["region", "--sup", "5", "--epsilon", "40"])
+    assert (code, err) == (0, "")
+    assert "odd-3-alpha" in out
 
 
 def test_region_degenerates_at_the_diagonal(capsys):

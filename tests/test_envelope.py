@@ -88,12 +88,6 @@ def test_tail_series_matches_closed_form():
         series = envelope_tail_series(gamma, 400_000)
         ev = envelope(gamma)
         assert series == pytest.approx(ev.summands[4], abs=1e-10)
-
-
-def test_series_fallback_is_selectable():
-    ev = envelope(5.0, tail_terms=300_000)
-    assert ev.tail_method == "truncated-series"
-    assert ev.value == pytest.approx(envelope_value(5.0), abs=1e-10)
     with pytest.raises(ValueError):
         envelope_tail_series(5.0, 3)
 
