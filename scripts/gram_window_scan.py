@@ -32,7 +32,7 @@ def unit_constant_component(point) -> float:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--gamma", type=float, default=5.0)
-    parser.add_argument("--top", type=int, default=64)
+    parser.add_argument("--top", type=int, default=256)
     args = parser.parse_args()
 
     spec = parse_system(

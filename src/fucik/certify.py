@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenfunction import SUP_NORM, build, evaluate, moments
+from .eigenfunction import SUP_NORM, PiecewiseEigenfunction, build, evaluate, moments
 from .envelope import envelope_root, envelope_value, zeta
 from .quadrature import integrate
 from .spectrum import (
@@ -131,13 +131,18 @@ def projection_defect_bound(p: FucikPoint) -> float:
     return const * (dev / n) ** 2
 
 
-def optimal_scaling(p: FucikPoint) -> float:
+def profile_scaling(f: PiecewiseEigenfunction) -> float:
     """<f, mode> / |f|^2 in closed form: the best scaling of f onto its mode."""
-    validate_point(p)
+    p = f.point
     if p.n == 1 or is_diagonal(p):
         return 1.0
-    norm_sq, inner = moments(build(p), p.n)
+    norm_sq, inner = moments(f, p.n)
     return inner / norm_sq
+
+
+def optimal_scaling(p: FucikPoint) -> float:
+    """profile_scaling of the profile of p; exactly one where it is the mode."""
+    return profile_scaling(build(p))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 The certificate predicts that the rescaled system deviates from an
 orthonormal basis by at most theta = sqrt(total) in the Bessel/frame sense,
 so every truncation's eigenvalues must land inside
-[(1 - theta)^2, (1 + theta)^2].  This module builds those truncations with
-Gauss-Legendre quadrature that shares nothing with the closed forms behind
-the certificate.
+[(1 - theta)^2, (1 + theta)^2].  This module builds those truncations
+exactly, as sums of closed-form integrals of sine products over the overlaps
+of two profiles' arcs.  The Gauss-Legendre reference in tests/test_gram.py
+and the benchmark oracle (perfbench/oracle.py) check it independently.
 
 Known gap: the certificate can pass systems this check falsifies.  When
 the envelope absorbs a large constant-shape family (every even n <= N at
@@ -25,34 +26,54 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import SystemSpec, certify_system, optimal_scaling
-from .eigenfunction import build, evaluate
-from .spectrum import FucikPoint, is_diagonal
-
-# Panel rule: 16-point Gauss-Legendre between consecutive junctions of the
-# two factors.  Each panel sees at most ~12 radians of phase, far inside
-# the rule's accuracy range, so the product integrals come out to machine
-# precision without adaptivity.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+from .certify import SystemSpec, certify_system, profile_scaling
+from .eigenfunction import build
+from .spectrum import FucikPoint
 
 
-def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    left = edges[:-1]
-    half = 0.5 * (edges[1:] - left)
-    mid = left + half
-    xs = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    ws = half[:, None] * _GL_WEIGHTS[None, :]
-    return xs.ravel(), ws.ravel()
+def _exact_gram(profiles) -> np.ndarray:
+    """Unscaled Gram matrix, summed exactly over arc overlaps, one row at a time.
 
-
-def _member_profiles(spec: SystemSpec, n_trunc: int):
-    members = []
-    for n in range(1, n_trunc + 1):
-        p = spec.point(n)
-        if p is None:
-            p = FucikPoint(n, float(n * n), float(n * n))
-        members.append(build(p))
-    return members
+    Arcs A sin(w (x - s)) and B sin(v (x - t)) overlapping on [m - h, m + h]
+    give AB [h cos(a - b) sinc((w - v) h) - cos(a + b) sin((w + v) h) / (w + v)]
+    with a = w (m - s), b = v (m - t), sinc(y) = sin(y) / y.  Every overlap
+    starts at an arc start of one side, inside one arc of the other side.
+    """
+    count = np.array([len(f.bumps) for f in profiles])
+    size = len(profiles)
+    off = np.concatenate(([0], np.cumsum(count)))
+    starts = np.concatenate([f._starts for f in profiles])
+    ends = np.concatenate([np.append(f._starts[1:], math.pi) for f in profiles])
+    amps = np.concatenate([f._signed_amps for f in profiles])
+    freqs = np.concatenate([f._freqs for f in profiles])
+    owner = np.repeat(np.arange(size), count)
+    later = np.delete(np.arange(off[-1]), off[:-1])  # all starts but each first 0.0
+    g = np.zeros((size, size))
+    for i in range(size):
+        n_i, lo, partners = count[i], off[i], size - i
+        own = starts[lo:off[i + 1]]
+        # partner starts in (0, pi); the arc of i holding one is the last to start below it
+        theirs = later[np.searchsorted(later, lo):]
+        pair_t = owner[theirs] - i
+        below = np.searchsorted(own, starts[theirs])
+        # a start of i lies in the partner arc counted by the partner starts at or before it
+        hist = np.bincount(pair_t * (n_i + 1) + below, minlength=partners * (n_i + 1))
+        holder = off[i:-1, None] + np.cumsum(hist.reshape(partners, -1)[:, :n_i], axis=1)
+        ai = np.concatenate((np.tile(np.arange(lo, lo + n_i), partners), lo + below - 1))
+        aj = np.concatenate((holder.ravel(), theirs))
+        left = np.concatenate((np.tile(own, partners), starts[theirs]))
+        pair = np.concatenate((np.repeat(np.arange(partners), n_i), pair_t))
+        h = 0.5 * (np.minimum(ends[ai], ends[aj]) - left)
+        mid = left + h
+        w, v = freqs[ai], freqs[aj]
+        a = w * (mid - starts[ai])
+        b = v * (mid - starts[aj])
+        vals = amps[ai] * amps[aj] * (
+            h * np.cos(a - b) * np.sinc((w - v) * (h / math.pi))
+            - np.cos(a + b) * np.sin((w + v) * h) / (w + v)
+        )
+        g[i, i:] = np.bincount(pair, weights=vals, minlength=partners)
+    return g + np.triu(g, 1).T
 
 
 def gram_matrix(spec: SystemSpec, n_trunc: int, rescale: bool = True) -> np.ndarray:
@@ -65,25 +86,14 @@ def gram_matrix(spec: SystemSpec, n_trunc: int, rescale: bool = True) -> np.ndar
     """
     if isinstance(n_trunc, bool) or not isinstance(n_trunc, int) or n_trunc < 1:
         raise ValueError("n_trunc must be a positive integer")
-    profiles = _member_profiles(spec, n_trunc)
-    factors = np.ones(n_trunc)
-    if rescale:
-        for i, f in enumerate(profiles):
-            if not is_diagonal(f.point):
-                factors[i] = optimal_scaling(f.point)
-
-    junction_sets = [
-        np.concatenate(([0.0], f.junctions, [math.pi])) for f in profiles
+    profiles = [
+        build(spec.point(n) or FucikPoint(n, float(n * n), float(n * n)))
+        for n in range(1, n_trunc + 1)
     ]
-    g = np.empty((n_trunc, n_trunc))
-    for i in range(n_trunc):
-        for j in range(i, n_trunc):
-            edges = np.union1d(junction_sets[i], junction_sets[j])
-            xs, ws = _panel_nodes(edges)
-            prod = evaluate(profiles[i], xs) * evaluate(profiles[j], xs)
-            val = factors[i] * factors[j] * float(np.dot(ws, prod))
-            g[i, j] = val
-            g[j, i] = val
+    g = _exact_gram(profiles)
+    if rescale:
+        factors = np.array([profile_scaling(f) for f in profiles])
+        g *= np.outer(factors, factors)
     return g
 
 
@@ -142,7 +152,7 @@ def gram_witness(
 
     theta comes from the certificate total; the window is
     [(1 - theta)^2 - cushion, (1 + theta)^2 + cushion], the cushion covering
-    quadrature noise only.  A truncation escaping the window falsifies the
+    rounding noise only.  A truncation escaping the window falsifies the
     certificate, never the other way around (truncations can be tamer than
     the full system).  Large absorbed constant-shape families do escape it
     (see the module docstring), so within_window is False there although

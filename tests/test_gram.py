@@ -3,10 +3,46 @@ import math
 import numpy as np
 import pytest
 
+import fucik.certify
+import fucik.eigenfunction
+import fucik.gram
+import fucik.quadrature
 from fucik.certify import certify_system, optimal_scaling, parse_system
+from fucik.eigenfunction import build, evaluate, moments
 from fucik.fourier import quadrature_coefficient
 from fucik.gram import extremal_eigenvalues, gram_matrix, gram_witness
-from fucik.spectrum import point_from_gamma
+from fucik.spectrum import FucikPoint, is_diagonal, point_from_gamma
+
+# Reference rule: 16-point Gauss-Legendre between consecutive junctions of
+# the two factors.  Each panel sees at most ~12 radians of phase, far inside
+# the rule's accuracy range, so the product integrals come out to machine
+# precision without adaptivity.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def reference_gram(spec, n_trunc, rescale=True):
+    """Gram matrix by Gauss-Legendre quadrature of every pair: the reference
+    that the closed-form engine of fucik.gram is held to."""
+    profiles = []
+    for n in range(1, n_trunc + 1):
+        p = spec.point(n)
+        profiles.append(build(p if p is not None else FucikPoint(n, float(n * n), float(n * n))))
+    factors = np.ones(n_trunc)
+    if rescale:
+        for i, f in enumerate(profiles):
+            if not is_diagonal(f.point):
+                factors[i] = optimal_scaling(f.point)
+    edges = [np.concatenate(([0.0], f.junctions, [math.pi])) for f in profiles]
+    g = np.empty((n_trunc, n_trunc))
+    for i in range(n_trunc):
+        for j in range(i, n_trunc):
+            panel = np.union1d(edges[i], edges[j])
+            half = 0.5 * np.diff(panel)
+            xs = ((panel[:-1] + half)[:, None] + half[:, None] * _GL_NODES).ravel()
+            ws = (half[:, None] * _GL_WEIGHTS).ravel()
+            prod = evaluate(profiles[i], xs) * evaluate(profiles[j], xs)
+            g[i, j] = g[j, i] = factors[i] * factors[j] * float(np.dot(ws, prod))
+    return g
 
 
 def constant_shape_even_family(gamma, top):
@@ -14,6 +50,56 @@ def constant_shape_even_family(gamma, top):
     return parse_system(
         {"entries": [{"n": n, "alpha": gamma * n * n / 4.0} for n in range(2, top + 1, 2)]}
     )
+
+
+REFERENCE_SPECS = {
+    "empty": parse_system({"entries": []}),
+    "one even": parse_system({"entries": [{"n": 2, "alpha": 5.0}]}),
+    "mixed": parse_system(
+        {"entries": [{"n": 2, "alpha": 6.0}, {"n": 3, "alpha": 10.0}, {"n": 4, "alpha": 18.0}]}
+    ),
+    **{f"family {g}": constant_shape_even_family(g, 32) for g in (4.5, 5.3, 6.3)},
+}
+
+
+@pytest.mark.parametrize("rescale", [True, False])
+@pytest.mark.parametrize("size", [12, 32])
+@pytest.mark.parametrize("name", sorted(REFERENCE_SPECS))
+def test_closed_form_matches_the_quadrature_reference(name, size, rescale):
+    spec = REFERENCE_SPECS[name]
+    m = gram_matrix(spec, size, rescale=rescale)
+    assert np.array_equal(m, m.T)
+    assert np.max(np.abs(m - reference_gram(spec, size, rescale))) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["mixed", "family 5.3"])
+def test_unscaled_diagonal_is_the_closed_form_norm(name):
+    spec = REFERENCE_SPECS[name]
+    m = gram_matrix(spec, 32, rescale=False)
+    for n in range(1, 33):
+        p = spec.point(n) or FucikPoint(n, float(n * n), float(n * n))
+        assert abs(m[n - 1, n - 1] - moments(build(p), n)[0]) <= 1e-15
+
+
+def test_gram_matrix_never_evaluates_or_integrates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Gram engine must not evaluate or integrate")
+
+    for module in (fucik.eigenfunction, fucik.certify, fucik.gram):
+        monkeypatch.setattr(module, "evaluate", refuse, raising=False)
+    for module in (fucik.quadrature, fucik.certify, fucik.gram):
+        monkeypatch.setattr(module, "integrate", refuse, raising=False)
+    spec = REFERENCE_SPECS["mixed"]
+    for rescale in (True, False):
+        m = gram_matrix(spec, 12, rescale=rescale)
+        assert np.all(np.isfinite(m))
+
+
+def test_falsifier_at_size_128():
+    # extremes computed once with reference_gram: 0.23607714031669888, 3.7714166822736956
+    lo, hi = extremal_eigenvalues(gram_matrix(constant_shape_even_family(5.0, 128), 128))
+    assert hi == pytest.approx(3.7714166822736956, abs=1e-9)
+    assert lo == pytest.approx(0.23607714031669888, abs=1e-9)
 
 
 def test_unperturbed_system_gives_the_identity():
