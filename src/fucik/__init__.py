@@ -13,8 +13,6 @@ from .certify import (
     InputError,
     SystemSpec,
     certify_system,
-    combined_criterion,
-    defect_details,
     deviation_budget,
     deviation_cap,
     optimal_scaling,
@@ -24,7 +22,6 @@ from .certify import (
 )
 from .eigenfunction import (
     SUP_NORM,
-    Bump,
     JunctionError,
     PiecewiseEigenfunction,
     build,
@@ -38,14 +35,12 @@ from .envelope import (
     coefficient_bound,
     envelope,
     envelope_root,
-    envelope_tail_series,
     envelope_value,
     inverse_quadratic_sum,
     zeta,
 )
 from .fourier import (
     CoefficientQuery,
-    apply_dilation,
     coefficient,
     dilation_norm_bound,
     quadrature_coefficient,
@@ -69,7 +64,6 @@ from .spectrum import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bump",
     "Certificate",
     "CoefficientQuery",
     "EnvelopeEval",
@@ -85,21 +79,17 @@ __all__ = [
     "SUP_NORM",
     "SpectrumError",
     "SystemSpec",
-    "apply_dilation",
     "build",
     "certify_system",
     "coefficient",
     "coefficient_bound",
-    "combined_criterion",
     "curve_residual",
-    "defect_details",
     "deviation_budget",
     "deviation_cap",
     "dilation_norm_bound",
     "dilation_parameter",
     "envelope",
     "envelope_root",
-    "envelope_tail_series",
     "envelope_value",
     "evaluate",
     "extremal_eigenvalues",

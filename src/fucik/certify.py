@@ -7,7 +7,7 @@ each profile against its own sine mode, adds the squared envelope of the
 largest even dilation parameter inside the set, and certifies the basis
 property when the total stays below 1.  Passing is meant as a proof; failing
 is not a disproof, because the criterion is sufficient only.  Defects are
-closed forms; defect_details is their quadrature reference for the tests.
+closed forms; tests/reference.py holds their quadrature reference.
 
 Known gap: a pass is not yet a proof when the envelope absorbs a large
 constant-shape set (every even n <= N at one dilation parameter).  Each
@@ -24,11 +24,8 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .eigenfunction import SUP_NORM, PiecewiseEigenfunction, build, evaluate, moments
+from .eigenfunction import PiecewiseEigenfunction, build, moments
 from .envelope import envelope_root, envelope_value, zeta
-from .quadrature import integrate
 from .spectrum import (
     FucikPoint,
     SpectrumError,
@@ -51,46 +48,6 @@ _NOTE = (
 
 class InputError(ValueError):
     """Malformed system description."""
-
-
-def defect_details(p: FucikPoint, tol: float = 1e-12) -> dict:
-    """Quadrature ingredients of the projection defect of one profile.
-
-    Returns the squared norm, the inner product with the unit sine mode,
-    the squared distance to the mode, and the defect computed both directly
-    and through the distance identity.  The two defect routes are
-    algebraically equal; comparing them bounds the quadrature error.  Only
-    tests call it, as the reference for the closed forms below.
-    """
-    f = build(p)
-    nn = float(p.n)
-
-    def mode(x):
-        return SUP_NORM * np.sin(nn * x)
-
-    def f_sq(x):
-        return evaluate(f, x) ** 2
-
-    def f_mode(x):
-        return evaluate(f, x) * mode(x)
-
-    def diff_sq(x):
-        d = evaluate(f, x) - mode(x)
-        return d * d
-
-    brk = f.junctions
-    norm_sq = integrate(f_sq, 0.0, math.pi, tol=tol, breakpoints=brk)
-    inner = integrate(f_mode, 0.0, math.pi, tol=tol, breakpoints=brk)
-    distance_sq = integrate(diff_sq, 0.0, math.pi, tol=tol, breakpoints=brk)
-    defect = 1.0 - inner * inner / norm_sq
-    defect_alt = distance_sq - (norm_sq - inner) ** 2 / norm_sq
-    return {
-        "norm_sq": norm_sq,
-        "inner": inner,
-        "distance_sq": distance_sq,
-        "defect": defect,
-        "defect_alt": defect_alt,
-    }
 
 
 def projection_defect(p: FucikPoint) -> float:
@@ -376,30 +333,6 @@ def certify_system(spec: SystemSpec) -> Certificate:
         per_index=tuple(per_index),
         note=_NOTE,
     )
-
-
-def combined_criterion(residual_defect: float, families) -> tuple[float, bool]:
-    """Abstract two-budget test: residual_defect^2 + sum of squared family sums.
-
-    families is a list of families, each a list of (coefficient_bound,
-    operator_norm) pairs; the family budget is the sum of the products.
-    Returns the total and whether it is strictly below 1.
-    """
-    residual_defect = float(residual_defect)
-    if not math.isfinite(residual_defect) or residual_defect < 0.0:
-        raise InputError("residual defect must be finite and nonnegative")
-    budgets = []
-    for family in families:
-        terms = []
-        for c, t in family:
-            c = float(c)
-            t = float(t)
-            if not (math.isfinite(c) and math.isfinite(t)) or c < 0.0 or t < 0.0:
-                raise InputError("family pairs must be finite and nonnegative")
-            terms.append(c * t)
-        budgets.append(math.fsum(terms))
-    total = residual_defect ** 2 + math.fsum(b * b for b in budgets)
-    return total, total < 1.0
 
 
 def deviation_budget(epsilon: float, sup_even_gamma: float) -> float:

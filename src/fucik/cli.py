@@ -33,6 +33,13 @@ from .spectrum import (
     solve_alpha,
 )
 
+# Caps on the inputs that set the output size, so that an oversized request
+# exits 2 instead of running out of memory or time.  Profiles are capped by
+# fucik.eigenfunction.MAX_ARCS.
+MAX_GRAM_N = 1024
+MAX_KMAX = 1000
+MAX_RESOLUTION = 100_000
+
 
 def _fmt(value: float) -> str:
     return format(float(value), ".12g")
@@ -52,7 +59,9 @@ def _round12(obj):
 
 
 def _print_json(data: dict) -> None:
-    print(json.dumps(_round12(data), sort_keys=True, indent=2))
+    # streamed: a large dump never holds its whole text in memory
+    json.dump(_round12(data), sys.stdout, sort_keys=True, indent=2)
+    sys.stdout.write("\n")
 
 
 def _write_rows(rows, path: str | None) -> None:
@@ -107,8 +116,8 @@ def _cmd_root(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
-    if args.kmax < 1:
-        raise InputError("kmax must be at least 1")
+    if not 1 <= args.kmax <= MAX_KMAX:
+        raise InputError(f"kmax must lie in [1, {MAX_KMAX}]")
     p = point_from_gamma(2, args.gamma)
     rows = [("k", "coefficient", "reflected_coefficient", "quadrature", "abs_error")]
     for k in range(1, args.kmax + 1):
@@ -123,6 +132,8 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_gram(args) -> int:
+    if args.n > MAX_GRAM_N:
+        raise InputError(f"n must be at most {MAX_GRAM_N}")
     spec = _load_system(args.spec, None, None)
     rescale = not args.no_rescale
     matrix = gram_matrix(spec, args.n, rescale=rescale)
@@ -178,8 +189,12 @@ def region_rows(
         )
     if isinstance(nmax, bool) or not isinstance(nmax, int) or nmax < 2:
         raise InputError("nmax must be an integer >= 2")
-    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 2:
-        raise InputError("resolution must be an integer >= 2")
+    if (
+        isinstance(resolution, bool)
+        or not isinstance(resolution, int)
+        or not 2 <= resolution <= MAX_RESOLUTION
+    ):
+        raise InputError(f"resolution must be an integer in [2, {MAX_RESOLUTION}]")
 
     arcs: list[tuple[str, list]] = []
     for n in range(2, nmax + 1, 2):

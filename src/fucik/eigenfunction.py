@@ -1,8 +1,9 @@
 """Piecewise-sine profiles attached to asymmetric-oscillation curve points.
 
-A profile is a chain of half-period sine arcs ("bumps") that alternate in
-sign, starting positive, slope-matched at their shared zeros, with the
-larger amplitude normalized to sqrt(2/pi).  Construction refits the
+A profile is a chain of half-period sine arcs that alternate in sign,
+starting positive, slope-matched at their shared zeros, with the larger
+amplitude normalized to sqrt(2/pi), stored as three arrays: arc edges,
+signed amplitudes and frequencies.  Construction refits the
 negative-arc width so the chain tiles (0, pi) exactly in floating point,
 which keeps the boundary zeros at machine accuracy for any admissible index.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -19,59 +19,50 @@ from .spectrum import FucikPoint, SpectrumError, validate_point
 
 SUP_NORM = math.sqrt(2.0 / math.pi)
 
+# Largest index build accepts, so that an oversized index fails with
+# SpectrumError: at the cap a profile holds 24 MB of arrays, and `dump`
+# peaks at about 670 MB of resident memory.
+MAX_ARCS = 1_000_000
+
 
 class JunctionError(ValueError):
     """The query point sits too close to an arc boundary."""
 
 
-@dataclass(frozen=True)
-class Bump:
-    """One half-period sine arc: sign * amplitude * sin(frequency (x - start))."""
-
-    sign: int
-    start: float
-    end: float
-    frequency: float
-    amplitude: float
-
-    @property
-    def width(self) -> float:
-        return self.end - self.start
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseEigenfunction:
+    """Arc j is amps[j] sin(freqs[j] (x - edges[j])) on [edges[j], edges[j + 1]].
+
+    edges runs from 0.0 to exactly pi; amps carries the sign, positive on
+    even j.
+    """
+
     point: FucikPoint
-    bumps: tuple[Bump, ...]
-
-    @cached_property
-    def _starts(self) -> np.ndarray:
-        return np.asarray([b.start for b in self.bumps])
-
-    @cached_property
-    def _signed_amps(self) -> np.ndarray:
-        return np.asarray([b.sign * b.amplitude for b in self.bumps])
-
-    @cached_property
-    def _freqs(self) -> np.ndarray:
-        return np.asarray([b.frequency for b in self.bumps])
+    edges: np.ndarray
+    amps: np.ndarray
+    freqs: np.ndarray
 
     @property
-    def junctions(self) -> tuple[float, ...]:
+    def junctions(self) -> np.ndarray:
         """Interior arc boundaries, where curvature jumps."""
-        return tuple(b.start for b in self.bumps[1:])
+        return self.edges[1:-1]
 
 
 def build(p: FucikPoint) -> PiecewiseEigenfunction:
     """Construct the normalized profile for a curve point.
 
-    The point must pass membership validation.  At the symmetric point
-    (n^2, n^2) the result collapses to sqrt(2/pi) sin(n x).
+    The point must pass membership validation and have at most MAX_ARCS
+    arcs.  At the symmetric point (n^2, n^2) the result collapses to
+    sqrt(2/pi) sin(n x).
     """
     validate_point(p)
     n = p.n
+    if n > MAX_ARCS:
+        raise SpectrumError(f"n = {n} exceeds the cap of {MAX_ARCS} arcs per profile")
     if n == 1:
-        return PiecewiseEigenfunction(p, (Bump(1, 0.0, math.pi, 1.0, SUP_NORM),))
+        return PiecewiseEigenfunction(
+            p, np.array([0.0, math.pi]), np.array([SUP_NORM]), np.array([1.0])
+        )
 
     n_pos = (n + 1) // 2
     n_neg = n // 2
@@ -90,23 +81,16 @@ def build(p: FucikPoint) -> PiecewiseEigenfunction:
         amp_pos = SUP_NORM
         amp_neg = SUP_NORM * ratio
 
-    bumps = []
-    for j in range(n):
-        start = ((j + 1) // 2) * w_pos + (j // 2) * w_neg
-        end = math.pi if j == n - 1 else ((j + 2) // 2) * w_pos + ((j + 1) // 2) * w_neg
-        positive = j % 2 == 0
-        bumps.append(
-            Bump(
-                sign=1 if positive else -1,
-                start=start,
-                end=end,
-                # pi / width rather than sqrt(alpha): the arc then vanishes
-                # at both of its own endpoints to the last bit
-                frequency=math.pi / (end - start),
-                amplitude=amp_pos if positive else amp_neg,
-            )
-        )
-    return PiecewiseEigenfunction(p, tuple(bumps))
+    # edge j closes (j + 1) // 2 positive and j // 2 negative arcs
+    half = np.arange(n + 2) // 2
+    edges = half[1:] * w_pos + half[:-1] * w_neg
+    edges[-1] = math.pi
+    # pi / width rather than sqrt(alpha): each arc then vanishes at both of
+    # its own endpoints to the last bit
+    freqs = math.pi / (edges[1:] - edges[:-1])
+    amps = np.full(n, amp_pos)
+    amps[1::2] = -amp_neg
+    return PiecewiseEigenfunction(p, edges, amps, freqs)
 
 
 def evaluate(f: PiecewiseEigenfunction, x):
@@ -116,9 +100,9 @@ def evaluate(f: PiecewiseEigenfunction, x):
     pts = np.atleast_1d(arr)
     if pts.size and (np.min(pts) < 0.0 or np.max(pts) > math.pi):
         raise ValueError("evaluation points must lie in [0, pi]")
-    idx = np.searchsorted(f._starts, pts, side="right") - 1
-    np.clip(idx, 0, len(f.bumps) - 1, out=idx)
-    vals = f._signed_amps[idx] * np.sin(f._freqs[idx] * (pts - f._starts[idx]))
+    idx = np.searchsorted(f.edges, pts, side="right") - 1
+    np.clip(idx, 0, len(f.amps) - 1, out=idx)
+    vals = f.amps[idx] * np.sin(f.freqs[idx] * (pts - f.edges[idx]))
     if scalar:
         return float(vals[0])
     return vals.reshape(arr.shape)
@@ -131,9 +115,9 @@ def moments(f: PiecewiseEigenfunction, n: int) -> tuple[float, float]:
     A^2 pi/(2w) and sqrt(2/pi) pi A sin(n m) sinc((w - n)/(2w)) / (w + n);
     numpy's normalized sinc removes the singularity at w = n.
     """
-    amps, freqs = f._signed_amps, f._freqs
+    amps, freqs = f.amps, f.freqs
     widths = math.pi / freqs
-    mids = f._starts + 0.5 * widths
+    mids = f.edges[:-1] + 0.5 * widths
     arcs = amps * np.sin(n * mids) * np.sinc((freqs - n) / (2.0 * freqs)) / (freqs + n)
     return 0.5 * math.fsum(amps * amps * widths), SUP_NORM * math.pi * math.fsum(arcs)
 
@@ -149,33 +133,42 @@ def ode_residual(f: PiecewiseEigenfunction, x, junction_tol: float = 1e-9) -> fl
     x = float(x)
     if not 0.0 <= x <= math.pi:
         raise ValueError("x must lie in [0, pi]")
-    idx = int(np.searchsorted(f._starts, x, side="right")) - 1
-    idx = min(max(idx, 0), len(f.bumps) - 1)
-    bump = f.bumps[idx]
-    if x - bump.start < junction_tol or bump.end - x < junction_tol:
+    idx = int(np.searchsorted(f.edges, x, side="right")) - 1
+    idx = min(max(idx, 0), len(f.amps) - 1)
+    start, end = f.edges[idx : idx + 2].tolist()
+    if x - start < junction_tol or end - x < junction_tol:
         raise JunctionError(
             f"x = {x!r} is within {junction_tol} of an arc boundary"
         )
-    u = bump.sign * bump.amplitude * math.sin(bump.frequency * (x - bump.start))
-    second = -(bump.frequency ** 2) * u
+    freq = float(f.freqs[idx])
+    u = float(f.amps[idx]) * math.sin(freq * (x - start))
+    second = -(freq ** 2) * u
     return -second - f.point.alpha * max(u, 0.0) + f.point.beta * max(-u, 0.0)
 
 
 def to_record(f: PiecewiseEigenfunction) -> dict:
-    """Plain-data description of the profile, for serialization."""
+    """Plain-data description of the profile, for serialization.
+
+    Arc j is listed with sign +1 for even j and -1 for odd j, and with the
+    unsigned amplitude.
+    """
+    edges = f.edges.tolist()
+    amplitudes = np.abs(f.amps).tolist()
     return {
         "n": f.point.n,
         "alpha": f.point.alpha,
         "beta": f.point.beta,
-        "sup_norm": max(b.amplitude for b in f.bumps),
+        "sup_norm": max(amplitudes),
         "bumps": [
             {
-                "sign": b.sign,
-                "start": b.start,
-                "end": b.end,
-                "frequency": b.frequency,
-                "amplitude": b.amplitude,
+                "sign": 1 - 2 * (j % 2),
+                "start": start,
+                "end": end,
+                "frequency": freq,
+                "amplitude": amp,
             }
-            for b in f.bumps
+            for j, (start, end, freq, amp) in enumerate(
+                zip(edges, edges[1:], f.freqs.tolist(), amplitudes)
+            )
         ],
     }

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .fourier import _alpha_major, dilation_norm_bound
 
 TAIL_WEIGHT = math.sqrt(6.0 / 5.0)
@@ -77,26 +75,6 @@ def inverse_quadratic_sum(a: float) -> float:
     # cot(pi a) has period pi, so the reduced argument keeps full accuracy
     cot = math.cos(math.pi * r) / math.sin(math.pi * r)
     return 1.0 / (2.0 * a * a) - math.pi * cot / (2.0 * a)
-
-
-def envelope_tail_series(gamma: float, terms: int) -> float:
-    """Direct truncation of the weighted k >= 5 majorant sum.
-
-    Exists as the test oracle for the closed-form tail; no evaluation path
-    uses it.
-    """
-    g = float(gamma)
-    if not 4.0 < g <= GAMMA_MAX:
-        raise ValueError("the series oracle needs gamma in (4, 9)")
-    if isinstance(terms, bool) or not isinstance(terms, int) or terms < 5:
-        raise ValueError("need at least the terms up to k = 5")
-    s = math.sqrt(g)
-    k = np.arange(5.0, float(terms) + 1.0)
-    body = 1.0 / ((k * k - g) * ((k - 1.0) * s - k) * ((k + 1.0) * s - k))
-    # s - 2 as a quotient: the direct difference wastes all its accuracy
-    # right where the sum is smallest
-    pref = TAIL_WEIGHT * (2.0 / math.pi) * g * g * ((g - 4.0) / (s + 2.0)) / (s - 1.0)
-    return pref * float(np.sum(body))
 
 
 # B_2j / (2j)! for j = 1..7, the Euler-Maclaurin correction weights

@@ -2,10 +2,10 @@
 
 The two-arc profile with shape parameter gamma in [4, 9) has closed-form
 inner products against the orthonormal sines sqrt(2/pi) sin(k x).  This
-module evaluates those coefficients in cancellation-free form, provides the
-independent quadrature route for any curve point, and implements the
-compression operators that map the fundamental profile onto higher even
-indices, together with their operator-norm constants.
+module evaluates those coefficients in cancellation-free form and provides
+the independent quadrature route for any curve point and the operator-norm
+constants of the compressions that map the fundamental profile onto higher
+even indices.
 """
 
 from __future__ import annotations
@@ -104,32 +104,10 @@ def quadrature_coefficient(p: FucikPoint, k: int, tol: float = 1e-12) -> float:
     # no panel contains a full oscillation; commensurate widths otherwise
     # let the sample grid alias the sine into a constant
     zeros = np.arange(1, k) * (math.pi / kk)
-    cuts = np.union1d(np.asarray(f.junctions, dtype=float), zeros)
+    cuts = np.union1d(f.junctions, zeros)
     if cuts.size > 1:
         cuts = cuts[np.concatenate(([True], np.diff(cuts) > 1e-12))]
     return integrate(integrand, 0.0, math.pi, tol=tol, breakpoints=cuts)
-
-
-def apply_dilation(k: int, g):
-    """Compress g by k/2: the result is x -> g((k x / 2) folded into [0, pi)).
-
-    The fold is the translation-periodic one, period pi.  On even sines it
-    reproduces the classical identity: feeding sin(n x) with even n returns
-    sin(k n x / 2) exactly, for every k >= 1.  g must vanish at 0 and pi so
-    the folded function stays continuous.
-    """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive integer")
-    for probe in (0.0, math.pi):
-        if abs(float(g(probe))) > 1e-9:
-            raise ValueError("g must vanish at 0 and pi")
-    half = 0.5 * k
-
-    def dilated(x):
-        folded = np.mod(half * np.asarray(x, dtype=float), math.pi)
-        return g(folded)
-
-    return dilated
 
 
 def dilation_norm_bound(k: int) -> float:

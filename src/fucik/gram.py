@@ -30,6 +30,9 @@ from .certify import SystemSpec, certify_system, profile_scaling
 from .eigenfunction import build
 from .spectrum import FucikPoint
 
+# Slack added on both sides of the certified window, for rounding noise only.
+CUSHION = 0.02
+
 
 def _exact_gram(profiles) -> np.ndarray:
     """Unscaled Gram matrix, summed exactly over arc overlaps, one row at a time.
@@ -39,13 +42,13 @@ def _exact_gram(profiles) -> np.ndarray:
     with a = w (m - s), b = v (m - t), sinc(y) = sin(y) / y.  Every overlap
     starts at an arc start of one side, inside one arc of the other side.
     """
-    count = np.array([len(f.bumps) for f in profiles])
+    count = np.array([len(f.amps) for f in profiles])
     size = len(profiles)
     off = np.concatenate(([0], np.cumsum(count)))
-    starts = np.concatenate([f._starts for f in profiles])
-    ends = np.concatenate([np.append(f._starts[1:], math.pi) for f in profiles])
-    amps = np.concatenate([f._signed_amps for f in profiles])
-    freqs = np.concatenate([f._freqs for f in profiles])
+    starts = np.concatenate([f.edges[:-1] for f in profiles])
+    ends = np.concatenate([f.edges[1:] for f in profiles])
+    amps = np.concatenate([f.amps for f in profiles])
+    freqs = np.concatenate([f.freqs for f in profiles])
     owner = np.repeat(np.arange(size), count)
     later = np.delete(np.arange(off[-1]), off[:-1])  # all starts but each first 0.0
     g = np.zeros((size, size))
@@ -145,18 +148,16 @@ def gram_witness(
     spec: SystemSpec,
     n_trunc: int,
     rescale: bool = True,
-    cushion: float = 0.02,
     matrix: np.ndarray | None = None,
 ) -> GramWitness:
     """Check one truncation against the window the certificate promises.
 
     theta comes from the certificate total; the window is
-    [(1 - theta)^2 - cushion, (1 + theta)^2 + cushion], the cushion covering
-    rounding noise only.  A truncation escaping the window falsifies the
-    certificate, never the other way around (truncations can be tamer than
-    the full system).  Large absorbed constant-shape families do escape it
-    (see the module docstring), so within_window is False there although
-    the certificate passes.
+    [(1 - theta)^2 - CUSHION, (1 + theta)^2 + CUSHION].  A truncation
+    escaping the window falsifies the certificate, never the other way
+    around (truncations can be tamer than the full system).  Large absorbed
+    constant-shape families do escape it (see the module docstring), so
+    within_window is False there although the certificate passes.
     """
     cert = certify_system(spec)
     if cert.total < 0.0:
@@ -167,8 +168,8 @@ def gram_witness(
     elif np.shape(matrix) != (n_trunc, n_trunc):
         raise ValueError("matrix shape does not match n_trunc")
     lo, hi = extremal_eigenvalues(matrix)
-    window_low = (1.0 - theta) ** 2 - cushion
-    window_high = (1.0 + theta) ** 2 + cushion
+    window_low = (1.0 - theta) ** 2 - CUSHION
+    window_high = (1.0 + theta) ** 2 + CUSHION
     return GramWitness(
         size=n_trunc,
         min_eig=lo,
@@ -177,7 +178,7 @@ def gram_witness(
         window_low=window_low,
         window_high=window_high,
         within_window=(window_low <= lo) and (hi <= window_high),
-        cushion=cushion,
+        cushion=CUSHION,
         note="truncations may sit strictly inside the window; escaping it "
         "falsifies the certificate",
     )

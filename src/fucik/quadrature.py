@@ -38,7 +38,13 @@ def _values(f, xs: np.ndarray) -> np.ndarray:
 
 
 def integrate(f, a: float, b: float, tol: float = 1e-12, breakpoints=()) -> float:
-    """Integral of f over [a, b] with absolute error at most tol.
+    """Integral of f over [a, b], refined until the estimated absolute error
+    is at most tol.
+
+    The estimate is the Simpson comparison of the module docstring, not a
+    bound, so the true error can exceed tol: at tol 1e-12 the squared
+    distance of the n = 13 profile at alpha = 173.17302161159537 to its sine
+    mode comes out 1.37e-10 off its closed form.
 
     breakpoints lists interior abscissae where f is allowed to lose
     smoothness; each initial panel lies between consecutive breakpoints so

@@ -1,0 +1,120 @@
+"""Test-only references: quadrature and series oracles for the closed forms
+of the library, and the abstract criterion and dilation operator that the
+tests check on their own.  Nothing in fucik imports this module.
+"""
+
+import math
+
+import numpy as np
+
+from fucik.certify import InputError
+from fucik.eigenfunction import SUP_NORM, build, evaluate
+from fucik.envelope import GAMMA_MAX, TAIL_WEIGHT
+from fucik.quadrature import integrate
+from fucik.spectrum import FucikPoint
+
+
+def defect_details(p: FucikPoint, tol: float = 1e-12) -> dict:
+    """Quadrature ingredients of the projection defect of one profile.
+
+    Returns the squared norm, the inner product with the unit sine mode,
+    the squared distance to the mode, and the defect computed both directly
+    and through the distance identity.  The two defect routes are
+    algebraically equal; comparing them bounds the quadrature error.  Only
+    tests call it, as the reference for the closed forms of fucik.certify.
+    """
+    f = build(p)
+    nn = float(p.n)
+
+    def mode(x):
+        return SUP_NORM * np.sin(nn * x)
+
+    def f_sq(x):
+        return evaluate(f, x) ** 2
+
+    def f_mode(x):
+        return evaluate(f, x) * mode(x)
+
+    def diff_sq(x):
+        d = evaluate(f, x) - mode(x)
+        return d * d
+
+    brk = f.junctions
+    norm_sq = integrate(f_sq, 0.0, math.pi, tol=tol, breakpoints=brk)
+    inner = integrate(f_mode, 0.0, math.pi, tol=tol, breakpoints=brk)
+    distance_sq = integrate(diff_sq, 0.0, math.pi, tol=tol, breakpoints=brk)
+    defect = 1.0 - inner * inner / norm_sq
+    defect_alt = distance_sq - (norm_sq - inner) ** 2 / norm_sq
+    return {
+        "norm_sq": norm_sq,
+        "inner": inner,
+        "distance_sq": distance_sq,
+        "defect": defect,
+        "defect_alt": defect_alt,
+    }
+
+
+def combined_criterion(residual_defect: float, families) -> tuple[float, bool]:
+    """Abstract two-budget test: residual_defect^2 + sum of squared family sums.
+
+    families is a list of families, each a list of (coefficient_bound,
+    operator_norm) pairs; the family budget is the sum of the products.
+    Returns the total and whether it is strictly below 1.
+    """
+    residual_defect = float(residual_defect)
+    if not math.isfinite(residual_defect) or residual_defect < 0.0:
+        raise InputError("residual defect must be finite and nonnegative")
+    budgets = []
+    for family in families:
+        terms = []
+        for c, t in family:
+            c = float(c)
+            t = float(t)
+            if not (math.isfinite(c) and math.isfinite(t)) or c < 0.0 or t < 0.0:
+                raise InputError("family pairs must be finite and nonnegative")
+            terms.append(c * t)
+        budgets.append(math.fsum(terms))
+    total = residual_defect ** 2 + math.fsum(b * b for b in budgets)
+    return total, total < 1.0
+
+
+def envelope_tail_series(gamma: float, terms: int) -> float:
+    """Direct truncation of the weighted k >= 5 majorant sum.
+
+    Exists as the test oracle for the closed-form tail; no evaluation path
+    uses it.
+    """
+    g = float(gamma)
+    if not 4.0 < g <= GAMMA_MAX:
+        raise ValueError("the series oracle needs gamma in (4, 9)")
+    if isinstance(terms, bool) or not isinstance(terms, int) or terms < 5:
+        raise ValueError("need at least the terms up to k = 5")
+    s = math.sqrt(g)
+    k = np.arange(5.0, float(terms) + 1.0)
+    body = 1.0 / ((k * k - g) * ((k - 1.0) * s - k) * ((k + 1.0) * s - k))
+    # s - 2 as a quotient: the direct difference wastes all its accuracy
+    # right where the sum is smallest
+    pref = TAIL_WEIGHT * (2.0 / math.pi) * g * g * ((g - 4.0) / (s + 2.0)) / (s - 1.0)
+    return pref * float(np.sum(body))
+
+
+def apply_dilation(k: int, g):
+    """Compress g by k/2: the result is x -> g((k x / 2) folded into [0, pi)).
+
+    The fold is the translation-periodic one, period pi.  On even sines it
+    reproduces the classical identity: feeding sin(n x) with even n returns
+    sin(k n x / 2) exactly, for every k >= 1.  g must vanish at 0 and pi so
+    the folded function stays continuous.
+    """
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValueError("k must be a positive integer")
+    for probe in (0.0, math.pi):
+        if abs(float(g(probe))) > 1e-9:
+            raise ValueError("g must vanish at 0 and pi")
+    half = 0.5 * k
+
+    def dilated(x):
+        folded = np.mod(half * np.asarray(x, dtype=float), math.pi)
+        return g(folded)
+
+    return dilated

@@ -3,16 +3,17 @@ import math
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import combined_criterion, defect_details
 from test_acceptance import sampled_defects, sampled_points
 
 import fucik.certify
+import fucik.fourier
+import fucik.quadrature
 from fucik.certify import (
     Certificate,
     InputError,
     SystemSpec,
     certify_system,
-    combined_criterion,
-    defect_details,
     deviation_budget,
     deviation_cap,
     optimal_scaling,
@@ -106,7 +107,8 @@ def test_certification_never_integrates(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("integrate called outside defect_details")
 
-    monkeypatch.setattr(fucik.certify, "integrate", refuse)
+    for module in (fucik.quadrature, fucik.fourier, fucik.certify):
+        monkeypatch.setattr(module, "integrate", refuse, raising=False)
     body = {"entries": [{"n": 2, "alpha": 6.6}, {"n": 3, "alpha": 16.0},
                         {"n": 4, "alpha": 17.0}], "split": [], "mode": "exact"}
     cert = certify_system(parse_system(body))

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import fucik.cli
+import fucik.eigenfunction
 from fucik.cli import main, region_rows
 from fucik.spectrum import FucikPoint, curve_residual
 
@@ -226,3 +228,82 @@ def test_dump_completes_the_missing_coordinate(capsys):
     code, _, err = run(capsys, ["dump", "2", "5.0", "5.0"])
     assert code == 2
     assert err.startswith("error:")
+
+
+def _dump_text(n, alpha, beta, arcs):
+    """The exact stdout of `fucik dump`: two-space JSON with sorted keys."""
+    bumps = "".join(
+        "    {\n"
+        f'      "amplitude": {amp},\n'
+        f'      "end": {end},\n'
+        f'      "frequency": {freq},\n'
+        f'      "sign": {sign},\n'
+        f'      "start": {start}\n'
+        "    },\n"
+        for sign, start, end, freq, amp in arcs
+    )
+    return (
+        "{\n"
+        f'  "alpha": {alpha},\n'
+        f'  "beta": {beta},\n'
+        f'  "bumps": [\n{bumps[:-2]}\n  ],\n'
+        f'  "n": {n},\n'
+        '  "sup_norm": 0.797884560803\n'
+        "}\n"
+    )
+
+
+DUMP_PINS = {
+    ("1", "1"): _dump_text(1, 1.0, 1.0, [(1, 0.0, 3.14159265359, 1.0, 0.797884560803)]),
+    ("2", "6.25"): _dump_text(2, 6.25, 2.77777777778, [
+        (1, 0.0, 1.25663706144, 2.5, 0.531923040535),
+        (-1, 1.25663706144, 3.14159265359, 1.66666666667, 0.797884560803),
+    ]),
+    ("7", "50"): _dump_text(7, 50.0, 47.7126679262, [
+        (1, 0.0, 0.444288293816, 7.07106781187, 0.779420654002),
+        (-1, 0.444288293816, 0.899101453258, 6.90743569831, 0.797884560803),
+        (1, 0.899101453258, 1.34338974707, 7.07106781187, 0.779420654002),
+        (-1, 1.34338974707, 1.79820290652, 6.90743569831, 0.797884560803),
+        (1, 1.79820290652, 2.24249120033, 7.07106781187, 0.779420654002),
+        (-1, 2.24249120033, 2.69730435977, 6.90743569831, 0.797884560803),
+        (1, 2.69730435977, 3.14159265359, 7.07106781187, 0.779420654002),
+    ]),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(DUMP_PINS))
+def test_dump_stdout_is_pinned(capsys, argv):
+    code, out, err = run(capsys, ["dump", *argv])
+    assert (code, err) == (0, "")
+    assert out == DUMP_PINS[argv]
+
+
+def test_output_size_caps_exit_two(capsys, monkeypatch, write_spec):
+    spec = write_spec({"entries": [{"n": 2, "alpha": 6.4}]})
+    for name, cap, argv in (
+        ("MAX_GRAM_N", 4, ["gram", "--spec", spec, "--n"]),
+        ("MAX_KMAX", 3, ["coeffs", "--gamma", "5", "--kmax"]),
+        ("MAX_RESOLUTION", 5, ["region", "--sup", "5", "--nmax", "4", "--resolution"]),
+    ):
+        monkeypatch.setattr(fucik.cli, name, cap)
+        code, _, err = run(capsys, argv + [str(cap)])
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, argv + [str(cap + 1)])
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_profile_cap_stops_every_route_that_builds(capsys, monkeypatch, write_spec):
+    monkeypatch.setattr(fucik.eigenfunction, "MAX_ARCS", 6)
+    code, out, err = run(capsys, ["dump", "6", "40"])
+    assert code == 0 and len(json.loads(out)["bumps"]) == 6
+    code, out, err = run(capsys, ["dump", "7", "50"])
+    assert code == 2 and out == "" and "exceeds the cap of 6 arcs" in err
+
+    spec = write_spec({"entries": [{"n": 7, "alpha": 50.0}]})
+    code, _, err = run(capsys, ["certify", "--spec", spec])
+    assert code == 2 and err.startswith("error:")
+    code, _, err = run(capsys, ["gram", "--spec", spec, "--n", "4"])
+    assert code == 2 and err.startswith("error:")
+    # bound mode builds no profile, so the cap does not reach it
+    code, out, err = run(capsys, ["certify", "--spec", spec, "--mode", "bound"])
+    assert code in (0, 1) and err == "" and json.loads(out)["mode"] == "bound"

@@ -12,25 +12,91 @@ from fucik.eigenfunction import (
     ode_residual,
     to_record,
 )
-from fucik.spectrum import FucikPoint, point_from_gamma, solve_beta
+from fucik.spectrum import FucikPoint, point_from_gamma, solve_alpha, solve_beta, validate_point
+
+
+def reference_arcs(p):
+    """The profile as (sign, start, end, frequency, amplitude) per arc, made by
+    the per-arc loop that build used to run: the reference its vectorized
+    pass is held to bit for bit."""
+    validate_point(p)
+    n = p.n
+    if n == 1:
+        return [(1, 0.0, math.pi, 1.0, SUP_NORM)]
+    n_pos = (n + 1) // 2
+    n_neg = n // 2
+    w_pos = math.pi / math.sqrt(p.alpha)
+    w_neg = (math.pi - n_pos * w_pos) / n_neg
+    ratio = math.sqrt(p.alpha / p.beta)
+    if ratio >= 1.0:
+        amp_neg = SUP_NORM
+        amp_pos = SUP_NORM / ratio
+    else:
+        amp_pos = SUP_NORM
+        amp_neg = SUP_NORM * ratio
+    arcs = []
+    for j in range(n):
+        start = ((j + 1) // 2) * w_pos + (j // 2) * w_neg
+        end = math.pi if j == n - 1 else ((j + 2) // 2) * w_pos + ((j + 1) // 2) * w_neg
+        positive = j % 2 == 0
+        arcs.append((
+            1 if positive else -1,
+            start,
+            end,
+            math.pi / (end - start),
+            amp_pos if positive else amp_neg,
+        ))
+    return arcs
+
+
+def reference_points():
+    pts = [FucikPoint(1, 1.0, 1.0)]
+    pts += [FucikPoint(n, float(n * n), float(n * n)) for n in (2, 3, 4, 7, 10, 51, 200)]
+    for n in range(2, 201, 2):
+        pts.extend(point_from_gamma(n, g) for g in (4.001, 5.0, 6.3, 8.99))
+    for n in range(3, 200, 2):
+        for offset in (1e-6, 0.01, 0.2, 0.9):
+            major = (n + offset) ** 2
+            pts.append(FucikPoint(n, major, solve_beta(n, major)))
+            pts.append(FucikPoint(n, solve_alpha(n, major), major))
+    big = 100001
+    pts.append(FucikPoint(big, (big + 0.2) ** 2, solve_beta(big, (big + 0.2) ** 2)))
+    return pts
+
+
+def test_build_matches_the_per_arc_reference_bit_for_bit():
+    for p in reference_points():
+        f = build(p)
+        sign, start, end, freq, amp = (np.array(col) for col in zip(*reference_arcs(p)))
+        assert np.array_equal(f.edges[:-1], start), p
+        assert np.array_equal(f.edges[1:], end), p
+        assert np.array_equal(f.amps, sign * amp), p
+        assert np.array_equal(f.freqs, freq), p
+        assert f.edges.dtype == f.amps.dtype == f.freqs.dtype == np.float64
+
+
+def test_record_lists_the_reference_arcs():
+    small = [p for p in reference_points() if p.n <= 200]
+    for p in small:
+        keys = ("sign", "start", "end", "frequency", "amplitude")
+        want = [dict(zip(keys, arc)) for arc in reference_arcs(p)]
+        assert to_record(build(p))["bumps"] == want, p
 
 
 def test_two_arc_profile_geometry():
     p = FucikPoint(2, 6.25, solve_beta(2, 6.25))
     f = build(p)
-    assert len(f.bumps) == 2
-    pos, neg = f.bumps
-    assert pos.sign == 1 and neg.sign == -1
-    assert pos.start == 0.0 and neg.end == math.pi
-    assert pos.end == pytest.approx(math.pi / 2.5, abs=1e-15)
-    assert f.junctions == (pos.end,)
+    assert len(f.amps) == len(f.freqs) == len(f.edges) - 1 == 2
+    pos, neg = f.amps
+    assert pos > 0.0 > neg
+    assert f.edges[0] == 0.0 and f.edges[-1] == math.pi
+    assert f.edges[1] == pytest.approx(math.pi / 2.5, abs=1e-15)
+    assert f.junctions.tolist() == [f.edges[1]]
     # slope continuity pins the amplitude ratio to sqrt(beta/alpha)
-    assert pos.amplitude * math.sqrt(p.alpha) == pytest.approx(
-        neg.amplitude * math.sqrt(p.beta), rel=1e-13
-    )
+    assert pos * math.sqrt(p.alpha) == pytest.approx(-neg * math.sqrt(p.beta), rel=1e-13)
     # the slower, wider arc carries the sup norm
-    assert neg.amplitude == SUP_NORM
-    assert pos.amplitude == pytest.approx(SUP_NORM * 2.0 / 3.0, rel=1e-13)
+    assert -neg == SUP_NORM
+    assert pos == pytest.approx(SUP_NORM * 2.0 / 3.0, rel=1e-13)
 
 
 def test_boundary_values_vanish():
@@ -58,9 +124,9 @@ def test_diagonal_profile_is_a_plain_mode():
 def test_profile_alternates_signs_and_counts_arcs():
     p = FucikPoint(7, 64.0, solve_beta(7, 64.0))
     f = build(p)
-    signs = [b.sign for b in f.bumps]
+    signs = np.sign(f.amps).tolist()
     assert signs == [1, -1, 1, -1, 1, -1, 1]
-    widths_pos = {b.end - b.start for b in f.bumps if b.sign == 1}
+    widths_pos = set(np.diff(f.edges)[f.amps > 0.0].tolist())
     assert max(widths_pos) - min(widths_pos) < 1e-15
 
 
@@ -85,8 +151,8 @@ def test_evaluate_rejects_points_outside_domain():
 def test_ode_residual_small_inside_arcs():
     p = FucikPoint(3, 16.0, 4.0)
     f = build(p)
-    for b in f.bumps:
-        for x in np.linspace(b.start, b.end, 40)[1:-1]:
+    for start, end in zip(f.edges[:-1], f.edges[1:]):
+        for x in np.linspace(start, end, 40)[1:-1]:
             assert abs(ode_residual(f, float(x))) < 1e-11
 
 
@@ -110,8 +176,7 @@ def test_record_layout():
 
 def test_sup_norm_is_attained_at_a_bump_midpoint():
     f = build(point_from_gamma(2, 7.3))
-    neg = f.bumps[1]
-    mid = 0.5 * (neg.start + neg.end)
+    mid = 0.5 * (f.edges[1] + f.edges[2])
     assert abs(evaluate(f, mid)) == pytest.approx(SUP_NORM, abs=1e-15)
 
 
@@ -136,6 +201,6 @@ def test_odd_profiles_solve_the_equation(n, rel):
     m = 2 * n + 1
     alpha = (m * rel) ** 2
     f = build(FucikPoint(m, alpha, solve_beta(m, alpha)))
-    for b in f.bumps[:2]:
-        x = 0.5 * (b.start + b.end)
+    for start, end in zip(f.edges[:2], f.edges[1:3]):
+        x = 0.5 * (start + end)
         assert abs(ode_residual(f, x)) < 1e-9

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import envelope_tail_series
 
 from fucik.envelope import (
     GAMMA_MAX,
     coefficient_bound,
     envelope,
     envelope_root,
-    envelope_tail_series,
     envelope_value,
     inverse_quadratic_sum,
 )

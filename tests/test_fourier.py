@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import apply_dilation
 
 from fucik.eigenfunction import build, evaluate
 from fucik.fourier import (
     CoefficientQuery,
-    apply_dilation,
     coefficient,
     dilation_norm_bound,
     quadrature_coefficient,
