@@ -36,7 +36,6 @@ from .envelope import (
     envelope,
     envelope_root,
     envelope_value,
-    inverse_quadratic_sum,
     zeta,
 )
 from .fourier import (
@@ -96,7 +95,6 @@ __all__ = [
     "gram_matrix",
     "gram_witness",
     "integrate",
-    "inverse_quadratic_sum",
     "is_diagonal",
     "ode_residual",
     "optimal_scaling",

@@ -109,8 +109,8 @@ class SystemSpec:
     entries holds the explicitly perturbed indices (sorted, unique); every
     other index follows the identity tail rule and contributes nothing.
     split selects the even indices handled through the envelope: the literal
-    "default" takes every non-symmetric even entry, "auto" greedily prunes
-    that set, and an explicit tuple is taken as given.
+    "default" takes every non-symmetric even entry, "auto" picks the split of
+    least total, and an explicit tuple is taken as given.
     """
 
     entries: tuple[FucikPoint, ...]
@@ -242,10 +242,6 @@ class Certificate:
         return json.dumps(self.as_dict(), sort_keys=True, indent=indent)
 
 
-def _deviating_evens(spec: SystemSpec) -> list[FucikPoint]:
-    return [p for p in spec.entries if p.n % 2 == 0 and not is_diagonal(p)]
-
-
 def certify_system(spec: SystemSpec) -> Certificate:
     """Evaluate the sufficient criterion for the described system.
 
@@ -253,72 +249,64 @@ def certify_system(spec: SystemSpec) -> Certificate:
     the envelope set plus the squared envelope at the largest dilation
     parameter inside it.  "exact" mode takes each defect in closed form (the
     label "quadrature-defect" is kept; nothing is integrated); "bound" mode
-    takes its closed-form majorant, which certifies fewer systems.  The envelope
-    term does not grow with the number of absorbed entries, so a pass over a
-    large absorbed constant-shape set is not a proof (see the module
-    docstring).
+    takes its closed-form majorant, which certifies fewer systems.
+
+    The candidates for the envelope set are the split indices, or every
+    non-symmetric even entry for "default" and "auto".  "default" absorbs all
+    of them; "auto" picks the subset of least total, preferring the larger
+    set on ties.  That search is exact because the envelope term depends only
+    on the largest absorbed dilation parameter and every defect is
+    nonnegative: absorbing every candidate up to that parameter never hurts,
+    so the optimum is one of the threshold sets {n : gamma_n <= level}, which
+    are walked from the top.  A term that grows with the absorbed set (such
+    as the norm of its constant components) would break this and needs a new
+    search.  The envelope term does not grow with the number of absorbed
+    entries, so a pass over a large absorbed constant-shape set is not a
+    proof (see the module docstring).
     """
     defect_fn = projection_defect if spec.mode == "exact" else projection_defect_bound
-    cache: dict[int, float] = {}
-
-    def defect(p: FucikPoint) -> float:
-        if p.n not in cache:
-            cache[p.n] = defect_fn(p)
-        return cache[p.n]
-
-    def totals(ns: frozenset):
-        defect_sum = math.fsum(defect(p) for p in spec.entries if p.n not in ns)
-        gamma_sup = 4.0
-        for p in spec.entries:
-            if p.n in ns:
-                gamma_sup = max(gamma_sup, dilation_parameter(p))
-        env_sq = envelope_value(gamma_sup) ** 2
-        return defect_sum, gamma_sup, env_sq, defect_sum + env_sq
-
     if spec.split in (SPLIT_DEFAULT, SPLIT_AUTO):
-        base = []
-        for p in _deviating_evens(spec):
-            if dilation_parameter(p) >= 9.0:
-                raise InputError(
-                    f"entry n={p.n} has dilation parameter >= 9; the envelope "
-                    "cannot absorb it (use an explicit split to move it out)"
-                )
-            base.append(p.n)
-        chosen = frozenset(base)
-        if spec.split == SPLIT_AUTO:
-            # prune greedily, largest dilation parameter first
-            by_gamma = sorted(
-                base,
-                key=lambda n: (-dilation_parameter(spec.point(n)), n),
-            )
-            best = totals(chosen)[3]
-            for n in by_gamma:
-                trial = chosen - {n}
-                trial_total = totals(trial)[3]
-                if trial_total < best:
-                    chosen, best = trial, trial_total
+        candidates = [p for p in spec.entries if p.n % 2 == 0 and not is_diagonal(p)]
     else:
-        for n in spec.split:
-            if dilation_parameter(spec.point(n)) >= 9.0:
-                raise InputError(
-                    f"split index {n} has dilation parameter >= 9"
-                )
-        chosen = frozenset(spec.split)
+        candidates = [p for p in spec.entries if p.n in spec.split]
+    gammas = {p.n: dilation_parameter(p) for p in candidates}
+    for n, gamma in gammas.items():
+        if gamma >= 9.0:
+            raise InputError(
+                f"entry n={n} has dilation parameter >= 9; the envelope "
+                "cannot absorb it (give an explicit split without it)"
+            )
 
-    defect_sum, gamma_sup, envelope_sq, total = totals(chosen)
+    levels = sorted({4.0, *gammas.values()}, reverse=True)
+    if spec.split != SPLIT_AUTO:
+        levels = levels[:1]
+    defects = {p.n: defect_fn(p) for p in spec.entries if p.n not in gammas}
+    to_drop = sorted(candidates, key=lambda p: gammas[p.n])
+    best = None
+    for level in levels:
+        while to_drop and gammas[to_drop[-1].n] > level:
+            p = to_drop.pop()
+            defects[p.n] = defect_fn(p)
+        defect_sum = math.fsum(defects.values())
+        # every smaller set leaves at least these defects outside
+        if best is not None and defect_sum >= best[3]:
+            break
+        envelope_sq = envelope_value(level) ** 2
+        total = defect_sum + envelope_sq
+        if best is None or total < best[3]:
+            best = (level, defect_sum, envelope_sq, total)
+    gamma_sup, defect_sum, envelope_sq, total = best
+
+    chosen = {n for n, gamma in gammas.items() if gamma <= gamma_sup}
     per_index = []
     for p in spec.entries:
         if p.n in chosen:
-            rec = {
-                "n": p.n,
-                "method": "envelope",
-                "value": dilation_parameter(p),
-            }
+            rec = {"n": p.n, "method": "envelope", "value": gammas[p.n]}
         else:
             rec = {
                 "n": p.n,
                 "method": "quadrature-defect" if spec.mode == "exact" else "closed-form-bound",
-                "value": defect(p),
+                "value": defects[p.n],
             }
         per_index.append(rec)
     return Certificate(

@@ -39,6 +39,7 @@ from .spectrum import (
 MAX_GRAM_N = 1024
 MAX_KMAX = 1000
 MAX_RESOLUTION = 100_000
+MAX_REGION_POINTS = 1_000_000  # nmax * resolution
 
 
 def _fmt(value: float) -> str:
@@ -195,6 +196,8 @@ def region_rows(
         or not 2 <= resolution <= MAX_RESOLUTION
     ):
         raise InputError(f"resolution must be an integer in [2, {MAX_RESOLUTION}]")
+    if nmax * resolution > MAX_REGION_POINTS:
+        raise InputError(f"nmax * resolution must be at most {MAX_REGION_POINTS}")
 
     arcs: list[tuple[str, list]] = []
     for n in range(2, nmax + 1, 2):
@@ -315,7 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument(
         "--split",
-        help='override the file: "default", "auto", or comma-separated even indices',
+        help='override the file: "default" (every non-symmetric even), "auto" '
+        "(the split of least total), or comma-separated even indices",
     )
     c.set_defaults(handler=_cmd_certify)
 

@@ -64,19 +64,6 @@ def coefficient_bound(k: int, gamma: float) -> float:
     return pref / ((k * k - g) * ((k - 1) * s - k) * ((k + 1) * s - k))
 
 
-def inverse_quadratic_sum(a: float) -> float:
-    """Closed form of sum_{k>=1} 1/(k^2 - a^2) for non-integer a > 0."""
-    a = float(a)
-    if not a > 0.0:
-        raise ValueError("a must be positive")
-    r = a - round(a)
-    if abs(r) <= 1e-12:
-        raise ValueError("a is within 1e-12 of an integer: series pole")
-    # cot(pi a) has period pi, so the reduced argument keeps full accuracy
-    cot = math.cos(math.pi * r) / math.sin(math.pi * r)
-    return 1.0 / (2.0 * a * a) - math.pi * cot / (2.0 * a)
-
-
 # B_2j / (2j)! for j = 1..7, the Euler-Maclaurin correction weights
 _EM_WEIGHTS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
                -691 / 1307674368000, 1 / 74724249600)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import mpmath
 import pytest
@@ -240,6 +242,43 @@ def test_bound_mode_never_beats_exact_mode():
     bound = certify_system(parse_system({**body, "mode": "bound"}))
     assert bound.per_index[0]["method"] == "closed-form-bound"
     assert bound.total >= exact.total
+
+
+def test_auto_split_breaks_gamma_ties():
+    # n = 2 and 4 at one gamma: dropping either alone keeps the envelope term,
+    # so only dropping both lowers the total; the default split keeps both
+    body = {"entries": [{"n": n, "alpha": 6.45 * n * n / 4.0} for n in (2, 4)]}
+    auto = certify_system(parse_system({**body, "split": "auto"}))
+    assert auto.split == ()
+    assert auto.total == certify_system(parse_system({**body, "split": []})).total
+    assert f"{auto.total:.12g}" == "0.450431239082"
+    assert f"{certify_system(parse_system(body)).total:.12g}" == "0.979104364761"
+
+
+def _small_spec(rng: random.Random, tied: bool) -> dict:
+    evens = rng.sample(range(2, 41, 2), rng.randint(1, 6))
+    pool = [rng.uniform(4.05, 6.6) for _ in range(2)]
+    gammas = [rng.choice(pool) if tied else rng.uniform(4.05, 6.6) for _ in evens]
+    entries = [{"n": n, "alpha": g * n * n / 4.0} for n, g in zip(evens, gammas)]
+    for n in rng.sample(range(3, 40, 2), rng.randint(0, 3)):
+        side = "alpha" if rng.random() < 0.5 else "beta"
+        entries.append({"n": n, side: (n + rng.uniform(0.01, 0.3)) ** 2})
+    return {"entries": entries}
+
+
+def test_auto_split_is_the_least_total_over_every_subset():
+    rng = random.Random(20211)
+    for i in range(200):
+        body = _small_spec(rng, tied=i % 2 == 1)
+        body["mode"] = "exact" if i % 4 < 2 else "bound"
+        evens = sorted(e["n"] for e in body["entries"] if e["n"] % 2 == 0)
+        auto = certify_system(parse_system({**body, "split": "auto"}))
+        best = min(
+            certify_system(parse_system({**body, "split": list(subset)})).total
+            for k in range(len(evens) + 1)
+            for subset in itertools.combinations(evens, k)
+        )
+        assert auto.total == best, body
 
 
 def test_envelope_set_rejects_uncoverable_entries():

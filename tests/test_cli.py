@@ -7,6 +7,7 @@ import pytest
 
 import fucik.cli
 import fucik.eigenfunction
+from fucik.certify import InputError
 from fucik.cli import main, region_rows
 from fucik.spectrum import FucikPoint, curve_residual
 
@@ -290,6 +291,17 @@ def test_output_size_caps_exit_two(capsys, monkeypatch, write_spec):
         assert (code, err) == (0, "")
         code, out, err = run(capsys, argv + [str(cap + 1)])
         assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_region_point_cap_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(fucik.cli, "MAX_REGION_POINTS", 20)
+    argv = ["region", "--sup", "5", "--epsilon", "0.5", "--resolution", "5", "--nmax"]
+    code, _, err = run(capsys, argv + ["4"])
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, argv + ["5"])
+    assert code == 2 and out == "" and "nmax * resolution" in err
+    with pytest.raises(InputError):
+        region_rows(5.0, nmax=10**12, resolution=2)
 
 
 def test_profile_cap_stops_every_route_that_builds(capsys, monkeypatch, write_spec):

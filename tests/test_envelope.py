@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference import envelope_tail_series
@@ -11,7 +10,6 @@ from fucik.envelope import (
     envelope,
     envelope_root,
     envelope_value,
-    inverse_quadratic_sum,
 )
 from fucik.fourier import CoefficientQuery, coefficient
 
@@ -61,26 +59,6 @@ def test_high_index_bound_majorizes_through_the_sine_factor():
 def test_bounds_vanish_at_the_symmetric_end():
     for k in range(1, 30):
         assert coefficient_bound(k, 4.0) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_inverse_quadratic_sum_telescopes_at_half():
-    # sum over k of 1/(k^2 - 1/4) telescopes to exactly 2
-    assert inverse_quadratic_sum(0.5) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_inverse_quadratic_sum_against_direct_series():
-    ks = np.arange(1.0, 2_000_001.0)
-    for a in (0.3, 1.5, 4.9):
-        direct = float(np.sum(1.0 / (ks * ks - a * a)))
-        tail = 1.0 / ks[-1]  # integral tail of 1/k^2
-        assert inverse_quadratic_sum(a) == pytest.approx(direct + tail, abs=1e-6)
-
-
-def test_inverse_quadratic_sum_guards_poles():
-    with pytest.raises(ValueError):
-        inverse_quadratic_sum(2.0)
-    with pytest.raises(ValueError):
-        inverse_quadratic_sum(3.0 + 1e-13)
 
 
 def test_tail_series_matches_closed_form():
