@@ -27,7 +27,6 @@ from .eigenfunction import (
     build,
     evaluate,
     ode_residual,
-    to_record,
 )
 from .envelope import (
     GAMMA_MAX,
@@ -105,7 +104,6 @@ __all__ = [
     "quadrature_coefficient",
     "solve_alpha",
     "solve_beta",
-    "to_record",
     "validate_point",
     "zeta",
     "__version__",

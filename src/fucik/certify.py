@@ -20,9 +20,8 @@ check in fucik.gram falsifies such a pass: at gamma = 5, N = 64 the total is
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .eigenfunction import PiecewiseEigenfunction, build, moments
 from .envelope import envelope_root, envelope_value, zeta
@@ -127,11 +126,11 @@ class SystemSpec:
         if self.tail_rule != "identity":
             raise InputError("only the identity tail rule is supported")
         if self.split not in (SPLIT_DEFAULT, SPLIT_AUTO):
+            if any(isinstance(n, bool) or not isinstance(n, int) for n in self.split):
+                raise InputError("split indices must be integers")
             split = tuple(sorted(self.split))
             by_n = {p.n: p for p in self.entries}
             for n in split:
-                if isinstance(n, bool) or not isinstance(n, int):
-                    raise InputError("split indices must be integers")
                 if n % 2 == 1:
                     raise InputError("split indices must be even")
                 if n not in by_n:
@@ -225,21 +224,7 @@ class Certificate:
     note: str
 
     def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "split": list(self.split),
-            "defect_sum": self.defect_sum,
-            "gamma_sup": self.gamma_sup,
-            "envelope_sq": self.envelope_sq,
-            "total": self.total,
-            "passed": self.passed,
-            "margin": self.margin,
-            "per_index": [dict(rec) for rec in self.per_index],
-            "note": self.note,
-        }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=indent)
+        return asdict(self)
 
 
 def certify_system(spec: SystemSpec) -> Certificate:

@@ -9,6 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -20,7 +21,7 @@ from .certify import (
     deviation_cap,
     parse_system,
 )
-from .eigenfunction import build, to_record
+from .eigenfunction import build
 from .envelope import envelope, envelope_root
 from .fourier import CoefficientQuery, coefficient, quadrature_coefficient
 from .gram import gram_matrix, gram_witness
@@ -60,23 +61,26 @@ def _round12(obj):
 
 
 def _print_json(data: dict) -> None:
-    # streamed: a large dump never holds its whole text in memory
     json.dump(_round12(data), sys.stdout, sort_keys=True, indent=2)
     sys.stdout.write("\n")
 
 
-def _write_rows(rows, path: str | None) -> None:
-    text = "\n".join(",".join(row) for row in rows) + "\n"
+def _write_lines(lines, path: str | None) -> None:
+    """Stream each line and its newline to stdout, or to the file at path."""
+    text = (line + "\n" for line in lines)
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(text)
 
 
 def _load_system(path: str, mode: str | None, split: str | None):
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise InputError("system file is nested too deeply") from None
     if not isinstance(data, dict):
         raise InputError("system file must hold a JSON object")
     if mode is not None:
@@ -120,15 +124,15 @@ def _cmd_coeffs(args) -> int:
     if not 1 <= args.kmax <= MAX_KMAX:
         raise InputError(f"kmax must lie in [1, {MAX_KMAX}]")
     p = point_from_gamma(2, args.gamma)
-    rows = [("k", "coefficient", "reflected_coefficient", "quadrature", "abs_error")]
+    lines = ["k,coefficient,reflected_coefficient,quadrature,abs_error"]
     for k in range(1, args.kmax + 1):
         direct = coefficient(CoefficientQuery(args.gamma, k))
         reflected = coefficient(CoefficientQuery(args.gamma, k, branch="beta-major"))
         quad = quadrature_coefficient(p, k)
-        rows.append(
-            (str(k), _fmt(direct), _fmt(reflected), _fmt(quad), _fmt(abs(direct - quad)))
+        lines.append(
+            f"{k},{_fmt(direct)},{_fmt(reflected)},{_fmt(quad)},{_fmt(abs(direct - quad))}"
         )
-    _write_rows(rows, args.csv)
+    _write_lines(lines, args.csv)
     return 0
 
 
@@ -139,10 +143,10 @@ def _cmd_gram(args) -> int:
     rescale = not args.no_rescale
     matrix = gram_matrix(spec, args.n, rescale=rescale)
     witness = gram_witness(spec, args.n, rescale=rescale, matrix=matrix)
-    _print_json(witness.as_dict())
+    # the file first, so that a path that cannot be opened leaves stdout empty
     if args.csv is not None:
-        rows = [tuple(_fmt(v) for v in row) for row in matrix]
-        _write_rows(rows, args.csv)
+        _write_lines((",".join(map(_fmt, row)) for row in matrix), args.csv)
+    _print_json(witness.as_dict())
     return 0
 
 
@@ -174,13 +178,14 @@ def region_rows(
     nmax: int = 9,
     resolution: int = 100,
     epsilon: float | None = None,
-) -> list[tuple[str, float, float]]:
-    """Polyline data of the admissible region: sector lines and curve arcs.
+) -> list[tuple[str, list[tuple[float, float]]]]:
+    """Polylines of the admissible region as (curve_id, [(alpha, beta), ...]).
 
-    Even curves carry the arc with dilation parameter up to sup; with an
-    epsilon the odd curves up to nmax carry their admissible segments around
-    the symmetric points under the total deviation budget.  At sup = 4 the
-    sector collapses to the diagonal and arcs degenerate to single points.
+    The two sector lines come first.  Even curves carry the arc with
+    dilation parameter up to sup; with an epsilon the odd curves up to nmax
+    carry their admissible segments around the symmetric points under the
+    total deviation budget.  At sup = 4 the sector collapses to the diagonal
+    and arcs degenerate to single points.
     """
     sup = float(sup)
     root = envelope_root()
@@ -219,24 +224,15 @@ def region_rows(
 
     extent = max(max(a, b) for _, pts in arcs for a, b in pts)
     slope = 1.0 / (math.sqrt(sup) - 1.0) ** 2
-    rows = [
-        ("sector-alpha", 0.0, 0.0),
-        ("sector-alpha", extent, slope * extent),
-        ("sector-beta", 0.0, 0.0),
-        ("sector-beta", slope * extent, extent),
+    return [
+        ("sector-alpha", [(0.0, 0.0), (extent, slope * extent)]),
+        ("sector-beta", [(0.0, 0.0), (slope * extent, extent)]),
+        *arcs,
     ]
-    for cid, pts in arcs:
-        rows.extend((cid, a, b) for a, b in pts)
-    return rows
 
 
-def _write_svg(path: str, rows) -> None:
-    groups: list[tuple[str, list]] = []
-    for cid, a, b in rows:
-        if not groups or groups[-1][0] != cid:
-            groups.append((cid, []))
-        groups[-1][1].append((a, b))
-    extent = max(max(a, b) for _, pts in groups for a, b in pts)
+def _svg_lines(curves):
+    extent = max(max(a, b) for _, pts in curves for a, b in pts)
     extent = max(extent, 1.0)
     size, margin = 640, 48
     scale = (size - 2 * margin) / extent
@@ -247,7 +243,7 @@ def _write_svg(path: str, rows) -> None:
     def y(b: float) -> float:
         return size - margin - b * scale
 
-    parts = [
+    yield from (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
@@ -255,8 +251,8 @@ def _write_svg(path: str, rows) -> None:
         f'y2="{size - margin}" stroke="#444444"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
         f'y2="{size - margin}" stroke="#444444"/>',
-    ]
-    for cid, pts in groups:
+    )
+    for cid, pts in curves:
         if cid.startswith("sector"):
             color = "#999999"
         elif cid.startswith("even"):
@@ -265,30 +261,55 @@ def _write_svg(path: str, rows) -> None:
             color = "#bb2200"
         if len(pts) == 1:
             a, b = pts[0]
-            parts.append(
-                f'<circle cx="{x(a):.2f}" cy="{y(b):.2f}" r="3" fill="{color}"/>'
-            )
+            yield f'<circle cx="{x(a):.2f}" cy="{y(b):.2f}" r="3" fill="{color}"/>'
         else:
             coords = " ".join(f"{x(a):.2f},{y(b):.2f}" for a, b in pts)
-            parts.append(
+            yield (
                 f'<polyline points="{coords}" fill="none" stroke="{color}" '
                 'stroke-width="1.5"/>'
             )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(parts) + "\n")
+    yield "</svg>"
 
 
 def _cmd_region(args) -> int:
-    rows = region_rows(
+    curves = region_rows(
         args.sup, nmax=args.nmax, resolution=args.resolution, epsilon=args.epsilon
     )
-    table = [("curve_id", "alpha", "beta")]
-    table.extend((cid, _fmt(a), _fmt(b)) for cid, a, b in rows)
-    _write_rows(table, args.csv)
+    # the figure first, so that a path that cannot be opened leaves stdout empty
     if args.svg is not None:
-        _write_svg(args.svg, rows)
+        _write_lines(_svg_lines(curves), args.svg)
+    rows = (f"{cid},{_fmt(a)},{_fmt(b)}" for cid, pts in curves for a, b in pts)
+    _write_lines(itertools.chain(["curve_id,alpha,beta"], rows), args.csv)
     return 0
+
+
+def _num(value: float) -> str:
+    """value as the JSON writer prints it after rounding to 12 digits."""
+    return repr(float(_fmt(value)))
+
+
+def _dump_lines(f):
+    """The profile as two-space JSON with sorted keys, one arc per item.
+
+    Arc j is listed with sign +1 for even j and -1 for odd j, and with the
+    unsigned amplitude.  Each arc is formatted only as it is written.
+    """
+    p = f.point
+    amps = abs(f.amps)
+    last = len(amps) - 1
+    yield f'{{\n  "alpha": {_num(p.alpha)},\n  "beta": {_num(p.beta)},\n  "bumps": ['
+    start = _num(f.edges[0])
+    for j, (end, freq, amp) in enumerate(
+        zip(f.edges[1:].tolist(), f.freqs.tolist(), amps.tolist())
+    ):
+        end = _num(end)
+        yield (
+            f'    {{\n      "amplitude": {_num(amp)},\n      "end": {end},\n'
+            f'      "frequency": {_num(freq)},\n      "sign": {1 - 2 * (j % 2)},\n'
+            f'      "start": {start}\n    }}' + ("," if j < last else "")
+        )
+        start = end
+    yield f'  ],\n  "n": {p.n},\n  "sup_norm": {_num(amps.max())}\n}}'
 
 
 def _cmd_dump(args) -> int:
@@ -296,8 +317,7 @@ def _cmd_dump(args) -> int:
         point = FucikPoint(args.n, args.alpha, solve_beta(args.n, args.alpha))
     else:
         point = FucikPoint(args.n, args.alpha, args.beta)
-    record = to_record(build(point))
-    _print_json(record)
+    _write_lines(_dump_lines(build(point)), None)
     return 0
 
 

@@ -21,7 +21,7 @@ SUP_NORM = math.sqrt(2.0 / math.pi)
 
 # Largest index build accepts, so that an oversized index fails with
 # SpectrumError: at the cap a profile holds 24 MB of arrays, and `dump`
-# peaks at about 670 MB of resident memory.
+# peaks at about 175 MB of resident memory.
 MAX_ARCS = 1_000_000
 
 
@@ -144,31 +144,3 @@ def ode_residual(f: PiecewiseEigenfunction, x, junction_tol: float = 1e-9) -> fl
     u = float(f.amps[idx]) * math.sin(freq * (x - start))
     second = -(freq ** 2) * u
     return -second - f.point.alpha * max(u, 0.0) + f.point.beta * max(-u, 0.0)
-
-
-def to_record(f: PiecewiseEigenfunction) -> dict:
-    """Plain-data description of the profile, for serialization.
-
-    Arc j is listed with sign +1 for even j and -1 for odd j, and with the
-    unsigned amplitude.
-    """
-    edges = f.edges.tolist()
-    amplitudes = np.abs(f.amps).tolist()
-    return {
-        "n": f.point.n,
-        "alpha": f.point.alpha,
-        "beta": f.point.beta,
-        "sup_norm": max(amplitudes),
-        "bumps": [
-            {
-                "sign": 1 - 2 * (j % 2),
-                "start": start,
-                "end": end,
-                "frequency": freq,
-                "amplitude": amp,
-            }
-            for j, (start, end, freq, amp) in enumerate(
-                zip(edges, edges[1:], f.freqs.tolist(), amplitudes)
-            )
-        ],
-    }

@@ -20,9 +20,8 @@ certificate is the false part, not the Gram matrix.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -128,20 +127,7 @@ class GramWitness:
     note: str
 
     def as_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "min_eig": self.min_eig,
-            "max_eig": self.max_eig,
-            "theta": self.theta,
-            "window_low": self.window_low,
-            "window_high": self.window_high,
-            "within_window": self.within_window,
-            "cushion": self.cushion,
-            "note": self.note,
-        }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=indent)
+        return asdict(self)
 
 
 def gram_witness(

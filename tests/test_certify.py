@@ -199,6 +199,9 @@ def test_split_validation():
         SystemSpec(entries=(p,), split=(4,))
     with pytest.raises(InputError):
         SystemSpec(entries=(p,), split=(True,))
+    for mixed in ((2, "a"), (None, 2)):
+        with pytest.raises(InputError):
+            SystemSpec(entries=(p,), split=mixed)
     with pytest.raises(InputError):
         SystemSpec(entries=(p, p))
     spec = SystemSpec(entries=(p,), split=(2,))
@@ -293,8 +296,8 @@ def test_envelope_set_rejects_uncoverable_entries():
 
 def test_certificate_json_is_deterministic():
     body = {"entries": [{"n": 2, "alpha": 6.4}, {"n": 4, "alpha": 17.0}]}
-    one = certify_system(parse_system(body)).to_json()
-    two = certify_system(parse_system(body)).to_json()
+    one = certify_system(parse_system(body)).as_dict()
+    two = certify_system(parse_system(body)).as_dict()
     assert one == two
     assert isinstance(certify_system(parse_system(body)), Certificate)
 

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fucik.cli
 import fucik.eigenfunction
@@ -109,6 +111,49 @@ def test_certify_bad_inputs_exit_two(capsys, write_spec, tmp_path):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"entries": [{"n": 2, "alpha": 5.0}], "split": [2, "a"]}',
+    '{"entries": [{"n": 2, "alpha": 5.0}], "split": [null, 2]}',
+    "[" * 200_000,
+], ids=["split-with-text", "split-with-null", "nested-200000-deep"])
+def test_malformed_spec_files_exit_two(capsys, tmp_path, text):
+    path = tmp_path / "spec.json"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["certify"], ["gram", "--n", "4"]):
+        code, out, err = run(capsys, argv + ["--spec", str(path)])
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
+# spec files for the fuzz test: the schema keys with well-formed and junk
+# values, junk keys, and split lists that mix types
+_LEAF = (st.none() | st.booleans() | st.integers(-2, 12) | st.integers() | st.floats()
+         | st.sampled_from(["auto", "default", "exact", "bound", "identity", "a"]))
+_KEYS = st.sampled_from(["entries", "split", "mode", "tail_rule", "n", "alpha", "beta", "junk"])
+_JSON = st.recursive(
+    _LEAF,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=8,
+)
+_ENTRY = st.fixed_dictionaries(
+    {"n": st.integers(1, 12) | _LEAF},
+    optional={"alpha": st.floats(1.0, 200.0) | _LEAF, "beta": _LEAF, "junk": _JSON},
+)
+_SPEC = st.fixed_dictionaries({}, optional={
+    "entries": st.lists(_ENTRY, max_size=3) | _JSON,
+    "split": st.lists(_LEAF, min_size=2, max_size=4) | _JSON,
+    "mode": st.sampled_from(["exact", "bound"]) | _JSON,
+    "tail_rule": st.just("identity") | _JSON,
+}) | st.dictionaries(_KEYS, _JSON, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SPEC)
+def test_certify_survives_any_spec_file(tmp_path_factory, spec):
+    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["certify", "--spec", str(path)]) in (0, 1, 2)
+
+
 def test_coeffs_table(capsys, tmp_path):
     path = tmp_path / "table.csv"
     code, out, _ = run(
@@ -145,6 +190,33 @@ def test_gram_subcommand(capsys, write_spec, tmp_path):
     code, out, _ = run(capsys, ["gram", "--spec", spec, "--n", "4", "--no-rescale"])
     assert code == 0
     assert json.loads(out)["size"] == 4
+
+
+REGION_ARGV = ["region", "--sup", "5", "--nmax", "4", "--resolution", "6",
+               "--epsilon", "0.5"]
+
+# sha256 of the exact bytes each writer produces; "{out}" is the file written
+WRITER_PINS = {
+    "region-csv": (REGION_ARGV + ["--csv", "{out}"],
+                   "752fad459fddd4f8f252946871aa1d28c37c40d94070f439a5952bb7bb337dc2"),
+    "region-svg": (REGION_ARGV + ["--svg", "{out}"],
+                   "6600433ca13192751ce9b67cb4ad59d86db88e0955afa9046af58ced85279abb"),
+    "coeffs": (["coeffs", "--gamma", "6.25", "--kmax", "6"],
+               "1d35512722cffcd5807d5f364ae08c2eb1399b57ff5ff92d15462593d0bfd381"),
+    "gram-csv": (["gram", "--spec", "{spec}", "--n", "8", "--csv", "{out}"],
+                 "203baaf94ec522f966eedc3ab7cbae218ed4f0a9928bf1c3d1a744283c126031"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_PINS))
+def test_writer_bytes_are_pinned(capsys, write_spec, tmp_path, name):
+    argv, digest = WRITER_PINS[name]
+    out = tmp_path / "out"
+    spec = write_spec({"entries": [{"n": 2, "alpha": 6.4}]})
+    code, stdout, err = run(capsys, [a.format(out=out, spec=spec) for a in argv])
+    assert (code, err) == (0, "")
+    data = out.read_bytes() if "{out}" in argv else stdout.encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_region_output_is_deterministic_and_on_curve(capsys):
@@ -290,6 +362,15 @@ def test_output_size_caps_exit_two(capsys, monkeypatch, write_spec):
         code, _, err = run(capsys, argv + [str(cap)])
         assert (code, err) == (0, "")
         code, out, err = run(capsys, argv + [str(cap + 1)])
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_unwritable_output_file_leaves_stdout_empty(capsys, write_spec, tmp_path):
+    spec = write_spec({"entries": [{"n": 2, "alpha": 6.4}]})
+    missing = str(tmp_path / "no-such-dir" / "out")
+    for argv in (["gram", "--spec", spec, "--n", "4", "--csv", missing],
+                 ["region", "--sup", "5", "--svg", missing]):
+        code, out, err = run(capsys, argv)
         assert code == 2 and out == "" and err.startswith("error:")
 
 

@@ -1,16 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fucik.cli import main
 from fucik.eigenfunction import (
     SUP_NORM,
     JunctionError,
     build,
     evaluate,
     ode_residual,
-    to_record,
 )
 from fucik.spectrum import FucikPoint, point_from_gamma, solve_alpha, solve_beta, validate_point
 
@@ -75,12 +76,26 @@ def test_build_matches_the_per_arc_reference_bit_for_bit():
         assert f.edges.dtype == f.amps.dtype == f.freqs.dtype == np.float64
 
 
-def test_record_lists_the_reference_arcs():
-    small = [p for p in reference_points() if p.n <= 200]
-    for p in small:
-        keys = ("sign", "start", "end", "frequency", "amplitude")
-        want = [dict(zip(keys, arc)) for arc in reference_arcs(p)]
-        assert to_record(build(p))["bumps"] == want, p
+def _dump(capsys, p):
+    """The parsed stdout of `fucik dump` for the point p."""
+    assert main(["dump", str(p.n), repr(p.alpha), repr(p.beta)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _round12(x):
+    return float(format(x, ".12g"))
+
+
+def test_record_lists_the_reference_arcs(capsys):
+    keys = ("sign", "start", "end", "frequency", "amplitude")
+    for p in reference_points():
+        if p.n > 200:
+            continue
+        want = [
+            dict(zip(keys, (sign, *map(_round12, rest))))
+            for sign, *rest in reference_arcs(p)
+        ]
+        assert _dump(capsys, p)["bumps"] == want, p
 
 
 def test_two_arc_profile_geometry():
@@ -165,11 +180,11 @@ def test_ode_residual_refuses_junction_neighborhood():
     assert abs(ode_residual(f, j + 1e-6)) < 1e-9
 
 
-def test_record_layout():
-    rec = to_record(build(FucikPoint(3, 16.0, 4.0)))
+def test_record_layout(capsys):
+    rec = _dump(capsys, FucikPoint(3, 16.0, 4.0))
     assert rec["n"] == 3
     assert rec["alpha"] == 16.0 and rec["beta"] == 4.0
-    assert rec["sup_norm"] == SUP_NORM
+    assert rec["sup_norm"] == _round12(SUP_NORM)
     assert [b["sign"] for b in rec["bumps"]] == [1, -1, 1]
     assert rec["bumps"][0]["frequency"] == pytest.approx(4.0, abs=1e-14)
 
