@@ -18,7 +18,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from fucik.certify import certify_system, optimal_scaling, parse_system
+from fucik.certify import certify_system, parse_system, profile_scaling
 from fucik.eigenfunction import build
 from fucik.gram import extremal_eigenvalues, gram_matrix, gram_witness
 
@@ -27,7 +27,7 @@ def unit_constant_component(point) -> float:
     # an arc A sin over width W integrates to 2AW/pi
     f = build(point)
     integral = 2.0 / math.pi * math.fsum(f.amps * np.diff(f.edges))
-    return optimal_scaling(point) * integral / math.sqrt(math.pi)
+    return profile_scaling(f) * integral / math.sqrt(math.pi)
 
 
 def main() -> int:
@@ -52,7 +52,7 @@ def main() -> int:
     while size <= args.top:
         matrix = gram_matrix(spec, size)
         lo, hi = extremal_eigenvalues(matrix)
-        w = gram_witness(spec, size, matrix=matrix)
+        w = gram_witness(spec, size, matrix)
         print(f"{size:>4}  {lo:>12.8f}  {hi:>12.8f}  "
               f"{w.window_low:>12.8f}  {w.window_high:>12.8f}  {w.within_window}")
         size *= 2

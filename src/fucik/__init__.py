@@ -15,18 +15,16 @@ from .certify import (
     certify_system,
     deviation_budget,
     deviation_cap,
-    optimal_scaling,
     parse_system,
+    profile_scaling,
     projection_defect,
     projection_defect_bound,
 )
 from .eigenfunction import (
     SUP_NORM,
-    JunctionError,
     PiecewiseEigenfunction,
     build,
     evaluate,
-    ode_residual,
 )
 from .envelope import (
     GAMMA_MAX,
@@ -38,7 +36,6 @@ from .envelope import (
     zeta,
 )
 from .fourier import (
-    CoefficientQuery,
     coefficient,
     dilation_norm_bound,
     quadrature_coefficient,
@@ -63,13 +60,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Certificate",
-    "CoefficientQuery",
     "EnvelopeEval",
     "FucikPoint",
     "GAMMA_MAX",
     "GramWitness",
     "InputError",
-    "JunctionError",
     "MEMBERSHIP_TOL",
     "PiecewiseEigenfunction",
     "QuadratureError",
@@ -95,9 +90,8 @@ __all__ = [
     "gram_witness",
     "integrate",
     "is_diagonal",
-    "ode_residual",
-    "optimal_scaling",
     "parse_system",
+    "profile_scaling",
     "point_from_gamma",
     "projection_defect",
     "projection_defect_bound",

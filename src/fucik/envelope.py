@@ -38,7 +38,6 @@ class EnvelopeEval:
     gamma: float
     summands: tuple[float, float, float, float, float]
     value: float
-    tail_method: str
 
 
 def coefficient_bound(k: int, gamma: float) -> float:
@@ -155,7 +154,7 @@ def envelope(gamma: float) -> EnvelopeEval:
         dilation_norm_bound(4) * coefficient_bound(4, g),
         _tail_closed_form(g),
     )
-    return EnvelopeEval(g, summands, math.fsum(summands), "closed-form")
+    return EnvelopeEval(g, summands, math.fsum(summands))
 
 
 def envelope_value(gamma: float) -> float:

@@ -11,38 +11,12 @@ even indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .eigenfunction import SUP_NORM, build, evaluate
 from .quadrature import integrate
 from .spectrum import FucikPoint
-
-BRANCHES = ("alpha-major", "beta-major")
-
-
-@dataclass(frozen=True)
-class CoefficientQuery:
-    """Coefficient request: shape parameter, sine index, and branch.
-
-    The beta-major branch describes the mirrored profile (negative arc
-    first); its coefficients differ from the alpha-major ones by the sign
-    (-1)^k.
-    """
-
-    gamma: float
-    k: int
-    branch: str = "alpha-major"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma", float(self.gamma))
-        if not 4.0 <= self.gamma < 9.0:
-            raise ValueError("gamma must lie in [4, 9)")
-        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
-            raise ValueError("k must be a positive integer")
-        if self.branch not in BRANCHES:
-            raise ValueError(f"branch must be one of {BRANCHES}")
 
 
 def _sin_pi_ratio(k: int, s: float) -> float:
@@ -77,20 +51,22 @@ def _alpha_major(gamma: float, k: int) -> float:
     return num / den
 
 
-def coefficient(q: CoefficientQuery) -> float:
-    """Closed-form coefficient for the query.
+def coefficient(gamma: float, k: int) -> float:
+    """Closed-form k-th coefficient of the two-arc profile with shape gamma.
 
     At gamma = 4 the profile is the plain double sine, so the value is 1
-    for k = 2 and 0 otherwise; the beta-major branch multiplies the
-    alpha-major value by (-1)^k.
+    for k = 2 and 0 otherwise.  The mirrored profile (negative arc first)
+    has these coefficients times (-1)^k.
     """
-    base = _alpha_major(q.gamma, q.k)
-    if q.branch == "beta-major" and q.k % 2 == 1:
-        return -base
-    return base
+    gamma = float(gamma)
+    if not 4.0 <= gamma < 9.0:
+        raise ValueError("gamma must lie in [4, 9)")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValueError("k must be a positive integer")
+    return _alpha_major(gamma, k)
 
 
-def quadrature_coefficient(p: FucikPoint, k: int, tol: float = 1e-12) -> float:
+def quadrature_coefficient(p: FucikPoint, k: int) -> float:
     """Independent oracle: <profile(p), sqrt(2/pi) sin(k x)> by quadrature."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
@@ -107,7 +83,7 @@ def quadrature_coefficient(p: FucikPoint, k: int, tol: float = 1e-12) -> float:
     cuts = np.union1d(f.junctions, zeros)
     if cuts.size > 1:
         cuts = cuts[np.concatenate(([True], np.diff(cuts) > 1e-12))]
-    return integrate(integrand, 0.0, math.pi, tol=tol, breakpoints=cuts)
+    return integrate(integrand, 0.0, math.pi, tol=1e-12, breakpoints=cuts)
 
 
 def dilation_norm_bound(k: int) -> float:

@@ -21,7 +21,7 @@ certificate is the false part, not the Gram matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,17 +127,14 @@ class GramWitness:
     note: str
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
-def gram_witness(
-    spec: SystemSpec,
-    n_trunc: int,
-    rescale: bool = True,
-    matrix: np.ndarray | None = None,
-) -> GramWitness:
-    """Check one truncation against the window the certificate promises.
+def gram_witness(spec: SystemSpec, n_trunc: int, matrix: np.ndarray) -> GramWitness:
+    """Check an n_trunc x n_trunc truncation against the certified window.
 
+    matrix is gram_matrix(spec, n_trunc), normally rescaled: the window is a
+    claim about the rescaled system, so it does not test an unscaled matrix.
     theta comes from the certificate total; the window is
     [(1 - theta)^2 - CUSHION, (1 + theta)^2 + CUSHION].  A truncation
     escaping the window falsifies the certificate, never the other way
@@ -149,9 +146,7 @@ def gram_witness(
     if cert.total < 0.0:
         raise ValueError("certificate total is negative")
     theta = math.sqrt(cert.total)
-    if matrix is None:
-        matrix = gram_matrix(spec, n_trunc, rescale=rescale)
-    elif np.shape(matrix) != (n_trunc, n_trunc):
+    if np.shape(matrix) != (n_trunc, n_trunc):
         raise ValueError("matrix shape does not match n_trunc")
     lo, hi = extremal_eigenvalues(matrix)
     window_low = (1.0 - theta) ** 2 - CUSHION

@@ -82,24 +82,24 @@ def curve_residual(p: FucikPoint) -> float:
     )
 
 
-def validate_point(p: FucikPoint, tol: float = MEMBERSHIP_TOL) -> None:
-    """Raise unless p lies on its curve within tol.
+def validate_point(p: FucikPoint) -> None:
+    """Raise unless p lies on its curve within MEMBERSHIP_TOL.
 
     Odd points satisfying only the sign-swapped arc count raise
     ReflectedCurveError so callers can distinguish the two failure modes.
     """
     if p.n == 1:
-        if max(abs(p.alpha - 1.0), abs(p.beta - 1.0)) <= tol:
+        if max(abs(p.alpha - 1.0), abs(p.beta - 1.0)) <= MEMBERSHIP_TOL:
             return
         raise SpectrumError(
             "index 1 is only represented by (1, 1); other points of the "
             "trivial lines carry the identical profile"
         )
-    if abs(curve_residual(p)) <= tol:
+    if abs(curve_residual(p)) <= MEMBERSHIP_TOL:
         return
     if p.n >= 3 and p.n % 2 == 1:
         mirrored = FucikPoint(p.n, p.beta, p.alpha)
-        if abs(curve_residual(mirrored)) <= tol:
+        if abs(curve_residual(mirrored)) <= MEMBERSHIP_TOL:
             raise ReflectedCurveError(
                 f"({p.alpha}, {p.beta}) solves the sign-swapped equation for "
                 f"n={p.n}; swap the coordinates and negate the profile"
@@ -110,52 +110,41 @@ def validate_point(p: FucikPoint, tol: float = MEMBERSHIP_TOL) -> None:
     )
 
 
-def solve_beta(n: int, alpha: float) -> float:
-    """The unique beta completing (n, alpha, beta) on the n-th curve."""
+def _complete(n: int, value: float, name: str) -> float:
+    """The other coordinate of the point on curve n whose coordinate name
+    ("alpha" runs the positive arcs, "beta" the negative ones) is value."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise SpectrumError("index n must be a plain positive integer")
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise SpectrumError("alpha must be finite and positive")
+    value = float(value)
+    if not math.isfinite(value) or value <= 0.0:
+        raise SpectrumError(f"{name} must be finite and positive")
     if n == 1:
-        if abs(alpha - 1.0) > MEMBERSHIP_TOL:
-            raise SpectrumError("index 1 admits only alpha = 1")
+        if abs(value - 1.0) > MEMBERSHIP_TOL:
+            raise SpectrumError(f"index 1 admits only {name} = 1")
         return 1.0
     n_pos, n_neg = _arc_counts(n)
-    sa = math.sqrt(alpha)
-    room = 1.0 - n_pos / sa
+    if name == "alpha":
+        own, other, sign = n_pos, n_neg, "positive"
+    else:
+        own, other, sign = n_neg, n_pos, "negative"
+    room = 1.0 - own / math.sqrt(value)
     if room <= 0.0:
         raise SpectrumError(
-            f"need sqrt(alpha) > {n_pos} for index {n}; the positive arcs "
+            f"need sqrt({name}) > {own} for index {n}; the {sign} arcs "
             "alone would already overfill (0, pi)"
         )
-    sb = n_neg / room
-    return sb * sb
+    root = other / room
+    return root * root
+
+
+def solve_beta(n: int, alpha: float) -> float:
+    """The unique beta completing (n, alpha, beta) on the n-th curve."""
+    return _complete(n, alpha, "alpha")
 
 
 def solve_alpha(n: int, beta: float) -> float:
     """The unique alpha completing (n, alpha, beta) on the n-th curve."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise SpectrumError("index n must be a plain positive integer")
-    beta = float(beta)
-    if not math.isfinite(beta) or beta <= 0.0:
-        raise SpectrumError("beta must be finite and positive")
-    if n == 1:
-        if abs(beta - 1.0) > MEMBERSHIP_TOL:
-            raise SpectrumError("index 1 admits only beta = 1")
-        return 1.0
-    if n % 2 == 0:
-        return solve_beta(n, beta)
-    n_pos, n_neg = _arc_counts(n)
-    sb = math.sqrt(beta)
-    room = 1.0 - n_neg / sb
-    if room <= 0.0:
-        raise SpectrumError(
-            f"need sqrt(beta) > {n_neg} for index {n}; the negative arcs "
-            "alone would already overfill (0, pi)"
-        )
-    sa = n_pos / room
-    return sa * sa
+    return _complete(n, beta, "beta")
 
 
 def dilation_parameter(p: FucikPoint) -> float:

@@ -1,6 +1,7 @@
 """Test-only references: quadrature and series oracles for the closed forms
-of the library, and the abstract criterion and dilation operator that the
-tests check on their own.  Nothing in fucik imports this module.
+of the library, the abstract criterion and dilation operator that the tests
+check on their own, and the ODE residual of a profile.  Nothing in fucik
+imports this module.
 """
 
 import math
@@ -8,7 +9,7 @@ import math
 import numpy as np
 
 from fucik.certify import InputError
-from fucik.eigenfunction import SUP_NORM, build, evaluate
+from fucik.eigenfunction import SUP_NORM, PiecewiseEigenfunction, build, evaluate
 from fucik.envelope import GAMMA_MAX, TAIL_WEIGHT
 from fucik.quadrature import integrate
 from fucik.spectrum import FucikPoint
@@ -118,3 +119,31 @@ def apply_dilation(k: int, g):
         return g(folded)
 
     return dilated
+
+
+class JunctionError(ValueError):
+    """The query point sits too close to an arc boundary."""
+
+
+def ode_residual(f: PiecewiseEigenfunction, x, junction_tol: float = 1e-9) -> float:
+    """-u'' - alpha u_+ + beta u_- at an interior point of some arc.
+
+    Differentiation is exact (the arc is a sine), so the residual isolates
+    construction errors.  Points within junction_tol of an arc boundary are
+    rejected: the curvature is discontinuous there and the equation only
+    holds on the open arcs.
+    """
+    x = float(x)
+    if not 0.0 <= x <= math.pi:
+        raise ValueError("x must lie in [0, pi]")
+    idx = int(np.searchsorted(f.edges, x, side="right")) - 1
+    idx = min(max(idx, 0), len(f.amps) - 1)
+    start, end = f.edges[idx : idx + 2].tolist()
+    if x - start < junction_tol or end - x < junction_tol:
+        raise JunctionError(
+            f"x = {x!r} is within {junction_tol} of an arc boundary"
+        )
+    freq = float(f.freqs[idx])
+    u = float(f.amps[idx]) * math.sin(freq * (x - start))
+    second = -(freq ** 2) * u
+    return -second - f.point.alpha * max(u, 0.0) + f.point.beta * max(-u, 0.0)

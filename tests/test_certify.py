@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -18,12 +19,13 @@ from fucik.certify import (
     certify_system,
     deviation_budget,
     deviation_cap,
-    optimal_scaling,
     parse_system,
+    profile_scaling,
     projection_defect,
     projection_defect_bound,
     zeta,
 )
+from fucik.eigenfunction import build
 from fucik.envelope import envelope_root, envelope_value
 from fucik.gram import gram_matrix
 from fucik.spectrum import (
@@ -39,7 +41,7 @@ def test_symmetric_entries_have_zero_defect():
     assert projection_defect(FucikPoint(1, 1.0, 1.0)) == 0.0
     assert projection_defect(FucikPoint(4, 16.0, 16.0)) == 0.0
     assert projection_defect_bound(FucikPoint(3, 9.0, 9.0)) == 0.0
-    assert optimal_scaling(FucikPoint(2, 4.0, 4.0)) == 1.0
+    assert profile_scaling(build(FucikPoint(2, 4.0, 4.0))) == 1.0
 
 
 def test_frozen_even_defect_and_bound():
@@ -91,7 +93,8 @@ def test_closed_forms_match_the_quadrature_reference():
     pairs += [(p, defect_details(p)) for p in points]
     for p, d in pairs:
         assert projection_defect(p) == pytest.approx(d["defect"], abs=1e-12)
-        assert optimal_scaling(p) == pytest.approx(d["inner"] / d["norm_sq"], abs=1e-12)
+        rho = profile_scaling(build(p))
+        assert rho == pytest.approx(d["inner"] / d["norm_sq"], abs=1e-12)
 
 
 def test_points_whose_quadrature_drifts_get_exact_defects():
@@ -122,7 +125,7 @@ def test_certification_never_integrates(monkeypatch):
 
 def test_frozen_optimal_scaling_exceeds_one():
     # the natural guess rho <= 1 is false; only rho <= 1/||g|| holds
-    rho = optimal_scaling(point_from_gamma(2, 5.0))
+    rho = profile_scaling(build(point_from_gamma(2, 5.0)))
     assert rho == pytest.approx(1.0532307749397254, abs=1e-11)
     assert rho > 1.0
 
@@ -141,7 +144,7 @@ def test_defect_dominated_by_bound_on_even_curves(n, gamma):
 def test_scaling_bounded_by_inverse_norm(gamma):
     p = point_from_gamma(2, gamma)
     d = defect_details(p)
-    rho = optimal_scaling(p)
+    rho = profile_scaling(build(p))
     assert 0.0 < rho <= 1.0 / math.sqrt(d["norm_sq"]) + 1e-12
 
 
@@ -300,6 +303,21 @@ def test_certificate_json_is_deterministic():
     two = certify_system(parse_system(body)).as_dict()
     assert one == two
     assert isinstance(certify_system(parse_system(body)), Certificate)
+
+
+@pytest.mark.parametrize("mode", ["exact", "bound"])
+def test_certificate_as_dict_is_an_equal_copy(mode):
+    body = {"entries": [{"n": 2, "alpha": 6.4}, {"n": 3, "alpha": 9.3},
+                        {"n": 4, "alpha": 17.0}], "mode": mode}
+    cert = certify_system(parse_system(body))
+    d = cert.as_dict()
+    assert d == dataclasses.asdict(cert)
+    d["total"] = -1.0
+    for rec in d["per_index"]:
+        rec["value"] = None
+    assert cert.total > 0.0
+    assert all(rec["value"] is not None for rec in cert.per_index)
+    assert cert.as_dict() == dataclasses.asdict(cert)
 
 
 def test_combined_criterion_frozen_cases():

@@ -154,6 +154,69 @@ def test_certify_survives_any_spec_file(tmp_path_factory, spec):
     assert main(["certify", "--spec", str(path)]) in (0, 1, 2)
 
 
+@pytest.mark.parametrize("n, coordinate, value, count, sign", [
+    (4, "alpha", 3.0, 2, "positive"),
+    (4, "beta", 3.0, 2, "negative"),
+    (5, "alpha", 8.0, 3, "positive"),
+    (5, "beta", 3.0, 2, "negative"),
+])
+def test_completion_error_names_the_given_coordinate(
+    capsys, write_spec, n, coordinate, value, count, sign
+):
+    path = write_spec({"entries": [{"n": n, coordinate: value}]})
+    code, out, err = run(capsys, ["certify", "--spec", path])
+    assert (code, out) == (2, "")
+    assert f"need sqrt({coordinate}) > {count} for index {n}; the {sign} arcs" in err
+
+
+# numeric flag values: non-finite, tiny, huge, unparsable and just past each
+# cap; the accepted sizes stay small so that every example runs in milliseconds
+_FLOAT_ARG = st.sampled_from([
+    "nan", "inf", "-inf", "0", "-0.0", "5e-324", "1e-300", "-1", "1e308", "1e309",
+    "4", "4.000000001", "5", "6.25", "6.4927893685", "6.4927893686", "8.999999999",
+    "9", "1e3", "x",
+]) | st.floats().map(repr)
+_SMALL_INT = st.sampled_from(["-1", "0", "1", "2", "3", "4", "2.5", "1e3", "nan"])
+
+
+def _past(cap):
+    return st.sampled_from([str(cap + 1), str(10 * cap), str(10**30)])
+
+
+_NUMERIC_ARGV = st.one_of(
+    st.builds(lambda g: ["envelope", "--gamma", g], _FLOAT_ARG),
+    st.builds(lambda g, k: ["coeffs", "--gamma", g, "--kmax", k],
+              _FLOAT_ARG, _SMALL_INT | _past(fucik.cli.MAX_KMAX)),
+    st.builds(lambda n: ["gram", "--spec", "{spec}", "--n", n],
+              _SMALL_INT | _past(fucik.cli.MAX_GRAM_N)),
+    st.builds(
+        lambda sup, nmax, res, eps: ["region", "--sup", sup] + nmax + res + eps,
+        _FLOAT_ARG,
+        st.builds(lambda v: ["--nmax", v], _SMALL_INT | _past(fucik.cli.MAX_REGION_POINTS)),
+        st.builds(lambda v: ["--resolution", v],
+                  _SMALL_INT | _past(fucik.cli.MAX_RESOLUTION)),
+        st.just([]) | st.builds(lambda v: ["--epsilon", v], _FLOAT_ARG),
+    ),
+    st.builds(lambda n, alpha, beta: ["dump", n, alpha] + beta,
+              _SMALL_INT | _past(fucik.eigenfunction.MAX_ARCS),
+              _FLOAT_ARG, st.just([]) | st.builds(lambda b: [b], _FLOAT_ARG)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NUMERIC_ARGV)
+def test_numeric_flags_never_crash(tmp_path_factory, argv):
+    spec = tmp_path_factory.getbasetemp() / "numeric-flags.json"
+    if not spec.exists():
+        spec.write_text('{"entries": [{"n": 2, "alpha": 6.4}]}', encoding="utf-8")
+    argv = [a.format(spec=spec) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a value it cannot convert
+        code = exc.code
+    assert code in (0, 1, 2)
+
+
 def test_coeffs_table(capsys, tmp_path):
     path = tmp_path / "table.csv"
     code, out, _ = run(

@@ -5,14 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import JunctionError, ode_residual
+
 from fucik.cli import main
-from fucik.eigenfunction import (
-    SUP_NORM,
-    JunctionError,
-    build,
-    evaluate,
-    ode_residual,
-)
+from fucik.eigenfunction import SUP_NORM, build, evaluate
 from fucik.spectrum import FucikPoint, point_from_gamma, solve_alpha, solve_beta, validate_point
 
 

@@ -11,7 +11,7 @@ from fucik.envelope import (
     envelope_root,
     envelope_value,
 )
-from fucik.fourier import CoefficientQuery, coefficient
+from fucik.fourier import coefficient
 
 
 def test_envelope_vanishes_at_the_symmetric_end():
@@ -21,7 +21,6 @@ def test_envelope_vanishes_at_the_symmetric_end():
 def test_envelope_summands_add_up():
     ev = envelope(6.25)
     assert ev.value == math.fsum(ev.summands)
-    assert ev.tail_method == "closed-form"
     assert all(s >= 0.0 for s in ev.summands)
 
 
@@ -39,9 +38,9 @@ def test_root_solves_to_machine_resolution():
 def test_bounds_with_equality_cases():
     # indices 1 and 3 saturate their bound, index 2 does not
     for gamma in (4.5, 5.0, 6.25, 8.0):
-        assert coefficient_bound(1, gamma) == abs(coefficient(CoefficientQuery(gamma, 1)))
-        assert coefficient_bound(3, gamma) == abs(coefficient(CoefficientQuery(gamma, 3)))
-        assert abs(coefficient(CoefficientQuery(gamma, 2)) - 1.0) < coefficient_bound(2, gamma)
+        assert coefficient_bound(1, gamma) == abs(coefficient(gamma, 1))
+        assert coefficient_bound(3, gamma) == abs(coefficient(gamma, 3))
+        assert abs(coefficient(gamma, 2) - 1.0) < coefficient_bound(2, gamma)
     assert coefficient_bound(2, 6.25) == pytest.approx(0.2136341436649234, abs=1e-13)
 
 
@@ -49,7 +48,7 @@ def test_high_index_bound_majorizes_through_the_sine_factor():
     for gamma in (4.3, 5.7, 7.9):
         s = math.sqrt(gamma)
         for k in range(4, 30):
-            a = abs(coefficient(CoefficientQuery(gamma, k)))
+            a = abs(coefficient(gamma, k))
             b = coefficient_bound(k, gamma)
             assert a <= b + 1e-15
             # the ratio is exactly |sin(k pi / sqrt(gamma))|

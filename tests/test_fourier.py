@@ -5,13 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from reference import apply_dilation
 
+from fucik.cli import main
 from fucik.eigenfunction import build, evaluate
-from fucik.fourier import (
-    CoefficientQuery,
-    coefficient,
-    dilation_norm_bound,
-    quadrature_coefficient,
-)
+from fucik.fourier import coefficient, dilation_norm_bound, quadrature_coefficient
 from fucik.quadrature import integrate
 from fucik.spectrum import FucikPoint, point_from_gamma, solve_beta
 
@@ -19,27 +15,21 @@ from fucik.spectrum import FucikPoint, point_from_gamma, solve_beta
 def test_symmetric_profile_has_a_single_coefficient():
     for k in range(1, 12):
         expected = 1.0 if k == 2 else 0.0
-        assert coefficient(CoefficientQuery(4.0, k)) == expected
+        assert coefficient(4.0, k) == expected
 
 
 def test_frozen_reference_coefficients():
     # pinned against the quadrature oracle
-    assert coefficient(CoefficientQuery(6.25, 1)) == pytest.approx(
-        -0.37541008365111955, abs=1e-13
-    )
-    assert coefficient(CoefficientQuery(6.25, 2)) == pytest.approx(
-        0.787448892077979, abs=1e-13
-    )
-    assert coefficient(CoefficientQuery(5.0, 3)) == pytest.approx(
-        0.0763110814626587, abs=1e-13
-    )
+    assert coefficient(6.25, 1) == pytest.approx(-0.37541008365111955, abs=1e-13)
+    assert coefficient(6.25, 2) == pytest.approx(0.787448892077979, abs=1e-13)
+    assert coefficient(5.0, 3) == pytest.approx(0.0763110814626587, abs=1e-13)
 
 
 def test_closed_form_matches_quadrature_on_sample():
     for gamma in (4.5, 5.5, 6.25, 8.25):
         p = point_from_gamma(2, gamma)
         for k in (1, 2, 3, 4, 7, 12):
-            a = coefficient(CoefficientQuery(gamma, k))
+            a = coefficient(gamma, k)
             q = quadrature_coefficient(p, k)
             assert a == pytest.approx(q, abs=1e-11)
 
@@ -50,16 +40,21 @@ def test_commensurate_indices_need_no_luck():
     sine zeros."""
     p = point_from_gamma(2, 6.25)
     for k in (25, 55, 105):
-        assert coefficient(CoefficientQuery(6.25, k)) == 0.0
+        assert coefficient(6.25, k) == 0.0
         assert abs(quadrature_coefficient(p, k)) < 1e-11
 
 
-def test_reflection_changes_odd_coefficient_signs_exactly():
+def test_reflection_changes_odd_coefficient_signs_exactly(capsys):
+    # the coeffs table lists the mirrored profile's coefficients next to the direct ones
     for gamma in (4.25, 5.0, 6.25, 8.75):
-        for k in range(1, 25):
-            direct = coefficient(CoefficientQuery(gamma, k))
-            mirrored = coefficient(CoefficientQuery(gamma, k, branch="beta-major"))
-            assert mirrored == (-1.0) ** k * direct
+        assert main(["coeffs", "--gamma", str(gamma), "--kmax", "24"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 24
+        for row in rows:
+            k, direct, mirrored = row.split(",")[:3]
+            value = coefficient(gamma, int(k))
+            assert direct == format(value, ".12g")
+            assert mirrored == format((-1.0) ** int(k) * value, ".12g")
 
 
 def test_mirrored_branch_matches_the_swapped_profile():
@@ -69,9 +64,7 @@ def test_mirrored_branch_matches_the_swapped_profile():
     swapped = FucikPoint(2, solve_beta(2, alpha), alpha)
     for k in range(1, 13):
         q = quadrature_coefficient(swapped, k)
-        assert q == pytest.approx(
-            coefficient(CoefficientQuery(gamma, k, branch="beta-major")), abs=1e-11
-        )
+        assert q == pytest.approx((-1.0) ** k * coefficient(gamma, k), abs=1e-11)
 
 
 def test_parseval_closes_the_norm():
@@ -86,13 +79,11 @@ def test_parseval_closes_the_norm():
 
 def test_query_validation():
     with pytest.raises(ValueError):
-        CoefficientQuery(3.9, 1)
+        coefficient(3.9, 1)
     with pytest.raises(ValueError):
-        CoefficientQuery(9.0, 1)
+        coefficient(9.0, 1)
     with pytest.raises(ValueError):
-        CoefficientQuery(5.0, 0)
-    with pytest.raises(ValueError):
-        CoefficientQuery(5.0, 2, branch="upside-down")
+        coefficient(5.0, 0)
 
 
 def test_dilation_reproduces_higher_profiles():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import fucik.certify
 import fucik.eigenfunction
 import fucik.gram
 import fucik.quadrature
-from fucik.certify import certify_system, optimal_scaling, parse_system
+from fucik.certify import certify_system, parse_system, profile_scaling
 from fucik.eigenfunction import build, evaluate, moments
 from fucik.fourier import quadrature_coefficient
 from fucik.gram import extremal_eigenvalues, gram_matrix, gram_witness
@@ -31,7 +32,7 @@ def reference_gram(spec, n_trunc, rescale=True):
     if rescale:
         for i, f in enumerate(profiles):
             if not is_diagonal(f.point):
-                factors[i] = optimal_scaling(f.point)
+                factors[i] = profile_scaling(f)
     edges = [np.concatenate(([0.0], f.junctions, [math.pi])) for f in profiles]
     g = np.empty((n_trunc, n_trunc))
     for i in range(n_trunc):
@@ -112,7 +113,7 @@ def test_single_perturbed_row_matches_quadrature_coefficients():
     spec = parse_system({"entries": [{"n": 2, "alpha": 5.0}]})
     p = spec.entries[0]
     m = gram_matrix(spec, 5)
-    rho = optimal_scaling(p)
+    rho = profile_scaling(build(p))
     for k in (1, 3, 4, 5):
         expected = rho * quadrature_coefficient(p, k)
         assert m[1, k - 1] == pytest.approx(expected, abs=1e-11)
@@ -126,7 +127,7 @@ def test_unscaled_diagonal_entry_is_the_squared_norm():
     assert m[1, 1] == pytest.approx(0.8454915028125262, abs=1e-11)
     scaled = gram_matrix(spec, 4)
     assert scaled[1, 1] == pytest.approx(
-        optimal_scaling(spec.entries[0]) ** 2 * m[1, 1], abs=1e-11
+        profile_scaling(build(spec.entries[0])) ** 2 * m[1, 1], abs=1e-11
     )
 
 
@@ -157,14 +158,24 @@ def test_witness_for_a_certified_sparse_system():
     spec = parse_system({"entries": [{"n": 2, "alpha": 6.4}]})
     cert = certify_system(spec)
     for size in (16, 32):
-        w = gram_witness(spec, size)
+        w = gram_witness(spec, size, gram_matrix(spec, size))
         assert w.theta == pytest.approx(math.sqrt(cert.total), abs=1e-13)
         assert w.window_low == pytest.approx((1.0 - w.theta) ** 2 - 0.02, abs=1e-13)
         assert w.window_high == pytest.approx((1.0 + w.theta) ** 2 + 0.02, abs=1e-13)
         assert w.within_window
         assert w.size == size
-    as_dict = gram_witness(spec, 16).as_dict()
+    as_dict = w.as_dict()
     assert set(as_dict) >= {"size", "min_eig", "max_eig", "within_window"}
+
+
+def test_witness_as_dict_is_an_equal_copy():
+    spec = parse_system({"entries": [{"n": 2, "alpha": 6.4}]})
+    w = gram_witness(spec, 8, gram_matrix(spec, 8))
+    d = w.as_dict()
+    assert d == dataclasses.asdict(w)
+    d["theta"] = -1.0
+    assert w.theta > 0.0
+    assert w.as_dict() == dataclasses.asdict(w)
 
 
 def test_constant_shape_family_escapes_the_window():
@@ -177,14 +188,13 @@ def test_constant_shape_family_escapes_the_window():
     for size in (16, 32, 64):
         m = gram_matrix(spec, size)
         lo, hi = extremal_eigenvalues(m)
-        w = gram_witness(spec, size, matrix=m)
+        w = gram_witness(spec, size, m)
         tops[size] = hi
         assert lo > w.window_low  # the floor side never fails here
     assert tops[16] < tops[32] < tops[64]
     assert tops[64] == pytest.approx(2.6178491368841, abs=1e-9)
-    w64 = gram_witness(spec, 64)
-    assert not w64.within_window
-    assert tops[64] > w64.window_high
+    assert not w.within_window  # the 64 x 64 witness
+    assert tops[64] > w.window_high
 
 
 def test_witness_matrix_argument_must_match_size():
