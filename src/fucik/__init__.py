@@ -47,13 +47,11 @@ from .spectrum import (
     FucikPoint,
     ReflectedCurveError,
     SpectrumError,
-    curve_residual,
     dilation_parameter,
     is_diagonal,
     point_from_gamma,
     solve_alpha,
     solve_beta,
-    validate_point,
 )
 
 __version__ = "0.1.0"
@@ -76,7 +74,6 @@ __all__ = [
     "certify_system",
     "coefficient",
     "coefficient_bound",
-    "curve_residual",
     "deviation_budget",
     "deviation_cap",
     "dilation_norm_bound",
@@ -98,7 +95,6 @@ __all__ = [
     "quadrature_coefficient",
     "solve_alpha",
     "solve_beta",
-    "validate_point",
     "zeta",
     "__version__",
 ]

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .eigenfunction import PiecewiseEigenfunction, build, moments
-from .envelope import envelope_root, envelope_value, zeta
+from .envelope import GAMMA_MAX, envelope_root, envelope_value, zeta
 from .spectrum import (
     FucikPoint,
     SpectrumError,
@@ -32,7 +32,6 @@ from .spectrum import (
     is_diagonal,
     solve_alpha,
     solve_beta,
-    validate_point,
 )
 
 MODES = ("exact", "bound")
@@ -55,8 +54,7 @@ def projection_defect(p: FucikPoint) -> float:
     Exactly zero at index 1 and at symmetric points, where the profile is
     the mode itself.
     """
-    validate_point(p)
-    if p.n == 1 or is_diagonal(p):
+    if is_diagonal(p):
         return 0.0
     norm_sq, inner = moments(build(p), p.n)
     return 1.0 - inner * inner / norm_sq
@@ -69,9 +67,8 @@ def projection_defect_bound(p: FucikPoint) -> float:
     point; odd index on the beta side.  On an odd curve exactly one side
     applies since alpha > n^2 forces beta < n^2 and conversely.
     """
-    validate_point(p)
     n = p.n
-    if n == 1 or is_diagonal(p):
+    if is_diagonal(p):
         return 0.0
     sa = math.sqrt(p.alpha)
     sb = math.sqrt(p.beta)
@@ -90,7 +87,7 @@ def projection_defect_bound(p: FucikPoint) -> float:
 def profile_scaling(f: PiecewiseEigenfunction) -> float:
     """<f, mode> / |f|^2 in closed form: the best scaling of f onto its mode."""
     p = f.point
-    if p.n == 1 or is_diagonal(p):
+    if is_diagonal(p):
         return 1.0
     norm_sq, inner = moments(f, p.n)
     return inner / norm_sq
@@ -104,7 +101,7 @@ class SystemSpec:
     other index follows the identity tail rule and contributes nothing.
     split selects the even indices handled through the envelope: the literal
     "default" takes every non-symmetric even entry, "auto" picks the split of
-    least total, and an explicit tuple is taken as given.
+    least total, and an explicit list or tuple is taken as given.
     """
 
     entries: tuple[FucikPoint, ...]
@@ -113,6 +110,9 @@ class SystemSpec:
     tail_rule: str = "identity"
 
     def __post_init__(self) -> None:
+        literal = self.split in (SPLIT_DEFAULT, SPLIT_AUTO)
+        if not literal and not isinstance(self.split, (list, tuple)):
+            raise InputError('split must be "auto" or a list of even indices')
         ns = [p.n for p in self.entries]
         if ns != sorted(set(ns)):
             raise InputError("entries must be sorted with unique indices")
@@ -120,15 +120,14 @@ class SystemSpec:
             raise InputError(f"mode must be one of {MODES}")
         if self.tail_rule != "identity":
             raise InputError("only the identity tail rule is supported")
-        if self.split not in (SPLIT_DEFAULT, SPLIT_AUTO):
+        if not literal:
             if any(isinstance(n, bool) or not isinstance(n, int) for n in self.split):
                 raise InputError("split indices must be integers")
             split = tuple(sorted(self.split))
-            by_n = {p.n: p for p in self.entries}
             for n in split:
                 if n % 2 == 1:
                     raise InputError("split indices must be even")
-                if n not in by_n:
+                if n not in ns:
                     raise InputError(f"split index {n} has no entry")
             object.__setattr__(self, "split", split)
 
@@ -143,8 +142,8 @@ def parse_system(obj: dict) -> SystemSpec:
     """Build a SystemSpec from plain JSON data.
 
     Each entry gives n and at least one coordinate; a missing coordinate is
-    completed from the curve equation, and when both are present the point
-    is membership-checked.
+    completed from the curve equation, and constructing each FucikPoint
+    checks it against that equation.
     """
     if not isinstance(obj, dict):
         raise InputError("system description must be a JSON object")
@@ -183,23 +182,15 @@ def parse_system(obj: dict) -> SystemSpec:
                 point = FucikPoint(n, solve_alpha(n, float(beta)), float(beta))
             else:
                 point = FucikPoint(n, float(alpha), float(beta))
-                validate_point(point)
         except SpectrumError as exc:
             raise InputError(f"entry n={n}: {exc}") from exc
         points.append(point)
 
-    split = obj.get("split", SPLIT_DEFAULT)
-    if isinstance(split, list):
-        split = tuple(split)
-    elif split not in (SPLIT_DEFAULT, SPLIT_AUTO):
-        raise InputError('split must be "auto" or a list of even indices')
-    mode = obj.get("mode", "exact")
-    tail_rule = obj.get("tail_rule", "identity")
     return SystemSpec(
         entries=tuple(sorted(points, key=lambda p: p.n)),
-        split=split,
-        mode=mode,
-        tail_rule=tail_rule,
+        split=obj.get("split", SPLIT_DEFAULT),
+        mode=obj.get("mode", "exact"),
+        tail_rule=obj.get("tail_rule", "identity"),
     )
 
 
@@ -251,9 +242,9 @@ def certify_system(spec: SystemSpec) -> Certificate:
         candidates = [p for p in spec.entries if p.n in spec.split]
     gammas = {p.n: dilation_parameter(p) for p in candidates}
     for n, gamma in gammas.items():
-        if gamma >= 9.0:
+        if gamma > GAMMA_MAX:
             raise InputError(
-                f"entry n={n} has dilation parameter >= 9; the envelope "
+                f"entry n={n} has dilation parameter above 9 - 1e-9; the envelope "
                 "cannot absorb it (give an explicit split without it)"
             )
 
@@ -314,8 +305,8 @@ def deviation_budget(epsilon: float, sup_even_gamma: float) -> float:
     """
     epsilon = float(epsilon)
     sup_even_gamma = float(sup_even_gamma)
-    if not epsilon > 0.0:
-        raise InputError("epsilon must be positive")
+    if not 1.0 + epsilon > 1.0:
+        raise InputError(f"epsilon must be positive with 1 + epsilon > 1, got {epsilon!r}")
     if not 4.0 <= sup_even_gamma:
         raise InputError("sup_even_gamma must be at least 4")
     if sup_even_gamma >= envelope_root():

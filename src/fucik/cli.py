@@ -61,8 +61,9 @@ def _round12(obj):
 
 
 def _print_json(data: dict) -> None:
-    json.dump(_round12(data), sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    # encoded in full first, so that a non-finite number leaves stdout empty
+    text = json.dumps(_round12(data), sort_keys=True, indent=2, allow_nan=False)
+    sys.stdout.write(text + "\n")
 
 
 def _write_lines(lines, path: str | None) -> None:

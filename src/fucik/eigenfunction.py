@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import FucikPoint, SpectrumError, validate_point
+from .spectrum import FucikPoint, SpectrumError
 
 SUP_NORM = math.sqrt(2.0 / math.pi)
 
@@ -47,11 +47,10 @@ class PiecewiseEigenfunction:
 def build(p: FucikPoint) -> PiecewiseEigenfunction:
     """Construct the normalized profile for a curve point.
 
-    The point must pass membership validation and have at most MAX_ARCS
-    arcs.  At the symmetric point (n^2, n^2) the result collapses to
-    sqrt(2/pi) sin(n x).
+    The point must have at most MAX_ARCS arcs, none of them so narrow that
+    it vanishes in the float spacing of pi.  At the symmetric point
+    (n^2, n^2) the result collapses to sqrt(2/pi) sin(n x).
     """
-    validate_point(p)
     n = p.n
     if n > MAX_ARCS:
         raise SpectrumError(f"n = {n} exceeds the cap of {MAX_ARCS} arcs per profile")
@@ -65,8 +64,6 @@ def build(p: FucikPoint) -> PiecewiseEigenfunction:
     w_pos = math.pi / math.sqrt(p.alpha)
     # refit the negative width so the counted arcs sum to pi exactly
     w_neg = (math.pi - n_pos * w_pos) / n_neg
-    if w_neg <= 0.0:
-        raise SpectrumError("positive arcs already cover (0, pi)")
 
     # slope matching at the zeros: amp_pos sqrt(alpha) = amp_neg sqrt(beta)
     ratio = math.sqrt(p.alpha / p.beta)
@@ -81,9 +78,12 @@ def build(p: FucikPoint) -> PiecewiseEigenfunction:
     half = np.arange(n + 2) // 2
     edges = half[1:] * w_pos + half[:-1] * w_neg
     edges[-1] = math.pi
+    widths = edges[1:] - edges[:-1]
+    if not widths.min() > 0.0:  # below the float spacing of pi, or no room for negative arcs
+        raise SpectrumError(f"({p.alpha}, {p.beta}) leaves an arc of no width in floats")
     # pi / width rather than sqrt(alpha): each arc then vanishes at both of
     # its own endpoints to the last bit
-    freqs = math.pi / (edges[1:] - edges[:-1])
+    freqs = math.pi / widths
     amps = np.full(n, amp_pos)
     amps[1::2] = -amp_neg
     return PiecewiseEigenfunction(p, edges, amps, freqs)

@@ -35,7 +35,12 @@ class ReflectedCurveError(SpectrumError):
 
 @dataclass(frozen=True)
 class FucikPoint:
-    """An index n together with coordinates (alpha, beta)."""
+    """An index n together with coordinates (alpha, beta) on the n-th curve.
+
+    Construction checks membership within MEMBERSHIP_TOL, so every instance
+    is a curve member.  Odd points satisfying only the sign-swapped arc
+    count raise ReflectedCurveError, a subclass of SpectrumError.
+    """
 
     n: int
     alpha: float
@@ -55,59 +60,40 @@ class FucikPoint:
             if not math.isfinite(value) or value <= 0.0:
                 raise SpectrumError(f"{name} must be finite and positive")
             object.__setattr__(self, name, value)
+        n, alpha, beta = self.n, self.alpha, self.beta
+        if n == 1:
+            if max(abs(alpha - 1.0), abs(beta - 1.0)) <= MEMBERSHIP_TOL:
+                return
+            raise SpectrumError(
+                "index 1 is only represented by (1, 1); other points of the "
+                "trivial lines carry the identical profile"
+            )
+        residual = _residual(n, alpha, beta)
+        if abs(residual) <= MEMBERSHIP_TOL:
+            return
+        if n % 2 == 1 and abs(_residual(n, beta, alpha)) <= MEMBERSHIP_TOL:
+            raise ReflectedCurveError(
+                f"({alpha}, {beta}) solves the sign-swapped equation for "
+                f"n={n}; swap the coordinates and negate the profile"
+            )
+        raise SpectrumError(
+            f"({alpha}, {beta}) is not on curve {n}: residual {residual:.3e}"
+        )
 
 
 def is_diagonal(p: FucikPoint) -> bool:
-    """True for the symmetric representative (n^2, n^2) of index n."""
-    return p.alpha == p.beta == float(p.n * p.n)
+    """True when the profile of p is its sine mode: at (n^2, n^2) and at index 1."""
+    return p.n == 1 or p.alpha == p.beta == float(p.n * p.n)
 
 
 def _arc_counts(n: int) -> tuple[int, int]:
     return (n + 1) // 2, n // 2
 
 
-def curve_residual(p: FucikPoint) -> float:
-    """Tiling residual of p: total arc length minus pi, 0 on the curve.
-
-    For n = 1 the residual is the distance of (alpha, beta) to the trivial
-    lines alpha = 1 and beta = 1.
-    """
-    if p.n == 1:
-        return min(abs(p.alpha - 1.0), abs(p.beta - 1.0))
-    n_pos, n_neg = _arc_counts(p.n)
-    return (
-        n_pos * math.pi / math.sqrt(p.alpha)
-        + n_neg * math.pi / math.sqrt(p.beta)
-        - math.pi
-    )
-
-
-def validate_point(p: FucikPoint) -> None:
-    """Raise unless p lies on its curve within MEMBERSHIP_TOL.
-
-    Odd points satisfying only the sign-swapped arc count raise
-    ReflectedCurveError so callers can distinguish the two failure modes.
-    """
-    if p.n == 1:
-        if max(abs(p.alpha - 1.0), abs(p.beta - 1.0)) <= MEMBERSHIP_TOL:
-            return
-        raise SpectrumError(
-            "index 1 is only represented by (1, 1); other points of the "
-            "trivial lines carry the identical profile"
-        )
-    if abs(curve_residual(p)) <= MEMBERSHIP_TOL:
-        return
-    if p.n >= 3 and p.n % 2 == 1:
-        mirrored = FucikPoint(p.n, p.beta, p.alpha)
-        if abs(curve_residual(mirrored)) <= MEMBERSHIP_TOL:
-            raise ReflectedCurveError(
-                f"({p.alpha}, {p.beta}) solves the sign-swapped equation for "
-                f"n={p.n}; swap the coordinates and negate the profile"
-            )
-    raise SpectrumError(
-        f"({p.alpha}, {p.beta}) is not on curve {p.n}: "
-        f"residual {curve_residual(p):.3e}"
-    )
+def _residual(n: int, alpha: float, beta: float) -> float:
+    """Tiling residual on curve n >= 2: total arc length minus pi, 0 on the curve."""
+    n_pos, n_neg = _arc_counts(n)
+    return n_pos * math.pi / math.sqrt(alpha) + n_neg * math.pi / math.sqrt(beta) - math.pi
 
 
 def _complete(n: int, value: float, name: str) -> float:

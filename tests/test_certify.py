@@ -31,6 +31,7 @@ from fucik.gram import gram_matrix
 from fucik.spectrum import (
     FucikPoint,
     ReflectedCurveError,
+    SpectrumError,
     point_from_gamma,
     solve_alpha,
     solve_beta,
@@ -39,6 +40,9 @@ from fucik.spectrum import (
 
 def test_symmetric_entries_have_zero_defect():
     assert projection_defect(FucikPoint(1, 1.0, 1.0)) == 0.0
+    # index 1 within the membership tolerance of (1, 1) has the same profile
+    assert projection_defect_bound(FucikPoint(1, 1.0 + 1e-11, 1.0)) == 0.0
+    assert projection_defect(FucikPoint(1, 1.0, 1.0 - 1e-11)) == 0.0
     assert projection_defect(FucikPoint(4, 16.0, 16.0)) == 0.0
     assert projection_defect_bound(FucikPoint(3, 9.0, 9.0)) == 0.0
     assert profile_scaling(build(FucikPoint(2, 4.0, 4.0))) == 1.0
@@ -205,10 +209,20 @@ def test_split_validation():
     for mixed in ((2, "a"), (None, 2)):
         with pytest.raises(InputError):
             SystemSpec(entries=(p,), split=mixed)
+    for bad in (5, "sometimes", {2}):
+        with pytest.raises(InputError, match="split must be"):
+            SystemSpec(entries=(p,), split=bad)
     with pytest.raises(InputError):
         SystemSpec(entries=(p, p))
     spec = SystemSpec(entries=(p,), split=(2,))
     assert spec.split == (2,)
+    assert SystemSpec(entries=(p,), split=[2]).split == (2,)
+
+
+def test_a_spec_holds_only_curve_points():
+    # residual 1.28 off curve 2; the envelope would absorb it unchecked
+    with pytest.raises(SpectrumError, match="not on curve 2"):
+        SystemSpec(entries=(FucikPoint(2, 6.0, 1.0),))
 
 
 def test_certify_symmetric_system_is_immediate():
@@ -295,6 +309,10 @@ def test_envelope_set_rejects_uncoverable_entries():
     explicit = parse_system({"entries": [{"n": 2, "alpha": 16.0}], "split": [2]})
     with pytest.raises(InputError):
         certify_system(explicit)
+    # between the envelope's cap 9 - 1e-9 and 9
+    edge = parse_system({"entries": [{"n": 2, "alpha": 8.99999999995}]})
+    with pytest.raises(InputError, match="envelope cannot absorb"):
+        certify_system(edge)
 
 
 def test_certificate_json_is_deterministic():
@@ -354,8 +372,9 @@ def test_deviation_budget_frozen_and_limits():
     flat = deviation_budget(0.5, 4.0)
     den = 45.0 * ((1.0 - 2.0**-1.5) * zeta(1.5) - 1.0)
     assert flat == pytest.approx(1.0 / den, abs=1e-15)
-    with pytest.raises(InputError):
-        deviation_budget(0.0, 5.0)
+    for epsilon in (0.0, 1e-17, 5e-324):
+        with pytest.raises(InputError, match="epsilon"):
+            deviation_budget(epsilon, 5.0)
     with pytest.raises(InputError):
         deviation_budget(0.5, 3.9)
     with pytest.raises(InputError):

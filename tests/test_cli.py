@@ -1,23 +1,32 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fucik.cli
 import fucik.eigenfunction
 from fucik.certify import InputError
 from fucik.cli import main, region_rows
-from fucik.spectrum import FucikPoint, curve_residual
+from fucik.spectrum import FucikPoint
 
 
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _strict_json(text):
+    """Parse text as JSON, refusing NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def test_root_subcommand(capsys):
@@ -59,12 +68,17 @@ def test_certify_exit_code_tracks_the_verdict(capsys, write_spec):
     assert json.loads(out)["passed"] is False
 
 
-def test_readme_example_certifies(capsys, tmp_path):
+def _readme_spec(tmp_path):
+    """Path of a copy of the example system file in the README."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
     block = re.search(r"```json\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
     path = tmp_path / "readme.json"
     path.write_text(block.group(1), encoding="utf-8")
-    code, out, err = run(capsys, ["certify", "--spec", str(path)])
+    return str(path)
+
+
+def test_readme_example_certifies(capsys, tmp_path):
+    code, out, err = run(capsys, ["certify", "--spec", _readme_spec(tmp_path)])
     assert (code, err) == (0, "")
     assert json.loads(out)["total"] == 0.956830094922
 
@@ -146,12 +160,36 @@ _SPEC = st.fixed_dictionaries({}, optional={
 }) | st.dictionaries(_KEYS, _JSON, max_size=4)
 
 
+_HUGE_EXACT = {"entries": [{"n": 3, "alpha": 1e200}]}
+_HUGE_BOUND = {"entries": [{"n": 3, "alpha": 1e308}], "mode": "bound"}
+
+
 @settings(max_examples=200, deadline=None)
 @given(_SPEC)
+@example(_HUGE_EXACT)
+@example(_HUGE_BOUND)
 def test_certify_survives_any_spec_file(tmp_path_factory, spec):
     path = tmp_path_factory.mktemp("fuzz") / "spec.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
-    assert main(["certify", "--spec", str(path)]) in (0, 1, 2)
+    for argv in (["certify"], ["gram", "--n", "4"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv + ["--spec", str(path)])
+        assert code in (0, 1, 2)
+        if code != 2:
+            _strict_json(out.getvalue())
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["dump", "3", "1e308"], None),
+    (["certify"], _HUGE_EXACT),
+    (["certify"], _HUGE_BOUND),
+], ids=["dump-collapsed-arc", "certify-exact-collapsed-arc", "certify-bound-infinite-total"])
+def test_non_finite_numbers_never_reach_stdout(capsys, write_spec, argv, spec):
+    if spec is not None:
+        argv = argv + ["--spec", write_spec(spec)]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 @pytest.mark.parametrize("n, coordinate, value, count, sign", [
@@ -268,6 +306,14 @@ WRITER_PINS = {
                "1d35512722cffcd5807d5f364ae08c2eb1399b57ff5ff92d15462593d0bfd381"),
     "gram-csv": (["gram", "--spec", "{spec}", "--n", "8", "--csv", "{out}"],
                  "203baaf94ec522f966eedc3ab7cbae218ed4f0a9928bf1c3d1a744283c126031"),
+    "gram-json": (["gram", "--spec", "{spec}", "--n", "8"],
+                  "a7ff8ed84d3ad19e5711a9571c478c0a51418795f93a2c34e5aaed15633eff85"),
+    "certify-readme": (["certify", "--spec", "{readme}"],
+                       "163df2618a594735281d8c2832d8da7d9f4484c1cd5e06849dc3a3b54a1187ed"),
+    "certify-readme-bound": (["certify", "--spec", "{readme}", "--mode", "bound"],
+                             "d1cfa852773549abc791dcbc3c3322d7dae31368f276dffcc7aa0c5bc25840c1"),
+    "certify-readme-auto": (["certify", "--spec", "{readme}", "--split", "auto"],
+                            "9c6018021222468e97fb4d85aa3765463d9328871523281b31f468caa01be0bb"),
 }
 
 
@@ -276,7 +322,8 @@ def test_writer_bytes_are_pinned(capsys, write_spec, tmp_path, name):
     argv, digest = WRITER_PINS[name]
     out = tmp_path / "out"
     spec = write_spec({"entries": [{"n": 2, "alpha": 6.4}]})
-    code, stdout, err = run(capsys, [a.format(out=out, spec=spec) for a in argv])
+    readme = _readme_spec(tmp_path)
+    code, stdout, err = run(capsys, [a.format(out=out, spec=spec, readme=readme) for a in argv])
     assert (code, err) == (0, "")
     data = out.read_bytes() if "{out}" in argv else stdout.encode("utf-8")
     assert hashlib.sha256(data).hexdigest() == digest
@@ -297,8 +344,7 @@ def test_region_output_is_deterministic_and_on_curve(capsys):
         cid, a, b = line.split(",")
         seen.add(cid)
         if cid.startswith("even") or cid.startswith("odd"):
-            n = int(cid.split("-")[1])
-            assert curve_residual(FucikPoint(n, float(a), float(b))) <= 1e-9
+            FucikPoint(int(cid.split("-")[1]), float(a), float(b))  # checks membership
     assert {"even-2-alpha", "even-2-beta", "even-4-alpha", "odd-3-alpha",
             "odd-3-beta", "sector-alpha", "sector-beta"} <= seen
 

@@ -9,14 +9,13 @@ from reference import JunctionError, ode_residual
 
 from fucik.cli import main
 from fucik.eigenfunction import SUP_NORM, build, evaluate
-from fucik.spectrum import FucikPoint, point_from_gamma, solve_alpha, solve_beta, validate_point
+from fucik.spectrum import FucikPoint, SpectrumError, point_from_gamma, solve_alpha, solve_beta
 
 
 def reference_arcs(p):
     """The profile as (sign, start, end, frequency, amplitude) per arc, made by
     the per-arc loop that build used to run: the reference its vectorized
     pass is held to bit for bit."""
-    validate_point(p)
     n = p.n
     if n == 1:
         return [(1, 0.0, math.pi, 1.0, SUP_NORM)]
@@ -147,6 +146,15 @@ def test_evaluate_scalar_and_array_agree():
     arr = evaluate(f, xs)
     for x, v in zip(xs, arr):
         assert evaluate(f, float(x)) == v
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (1e200, 1.0),  # the last positive arc is below the float spacing of pi
+    ((2.0 / (1.0 + 1e-11)) ** 2, 1e300),  # on curve 3, no room for the negative arc
+])
+def test_build_refuses_arcs_of_no_width(alpha, beta):
+    with pytest.raises(SpectrumError, match="arc of no width"):
+        build(FucikPoint(3, alpha, beta))
 
 
 def test_evaluate_rejects_points_outside_domain():

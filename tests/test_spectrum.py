@@ -8,13 +8,12 @@ from fucik.spectrum import (
     FucikPoint,
     ReflectedCurveError,
     SpectrumError,
-    curve_residual,
+    _residual,
     dilation_parameter,
     is_diagonal,
     point_from_gamma,
     solve_alpha,
     solve_beta,
-    validate_point,
 )
 
 
@@ -31,15 +30,14 @@ def test_solve_beta_even_reference_point():
 def test_diagonal_points_have_zero_residual():
     for n in range(2, 12):
         p = FucikPoint(n, float(n * n), float(n * n))
-        assert curve_residual(p) == pytest.approx(0.0, abs=1e-13)
+        assert _residual(n, p.alpha, p.beta) == pytest.approx(0.0, abs=1e-13)
         assert is_diagonal(p)
-        validate_point(p)
 
 
 def test_index_one_is_pinned_to_unit_point():
-    validate_point(FucikPoint(1, 1.0, 1.0))
+    assert is_diagonal(FucikPoint(1, 1.0, 1.0))
     with pytest.raises(SpectrumError):
-        validate_point(FucikPoint(1, 1.0, 7.0))
+        FucikPoint(1, 1.0, 7.0)
     assert solve_beta(1, 1.0) == 1.0
     with pytest.raises(SpectrumError):
         solve_beta(1, 2.0)
@@ -47,15 +45,15 @@ def test_index_one_is_pinned_to_unit_point():
 
 def test_off_curve_point_rejected():
     with pytest.raises(SpectrumError):
-        validate_point(FucikPoint(2, 6.25, 2.9))
+        FucikPoint(2, 6.25, 2.9)
 
 
 def test_mirrored_odd_point_raises_distinct_error():
     # (4, 16) solves the swapped arc-count equation for n=3, not the direct one
     with pytest.raises(ReflectedCurveError):
-        validate_point(FucikPoint(3, 4.0, 16.0))
+        FucikPoint(3, 4.0, 16.0)
     # even curves are symmetric, so the swap stays on-curve
-    validate_point(FucikPoint(2, solve_beta(2, 6.25), 6.25))
+    FucikPoint(2, solve_beta(2, 6.25), 6.25)
 
 
 def test_point_validation_rejects_garbage():
@@ -90,7 +88,7 @@ def test_point_from_gamma_places_alpha_on_major_side():
     p = point_from_gamma(6, 5.5)
     assert p.alpha == 5.5 * 9.0
     assert p.alpha >= p.beta
-    validate_point(p)
+    assert abs(_residual(6, p.alpha, p.beta)) <= MEMBERSHIP_TOL
     assert dilation_parameter(p) == pytest.approx(5.5, abs=1e-12)
     assert is_diagonal(point_from_gamma(4, 4.0))
     with pytest.raises(SpectrumError):
@@ -110,8 +108,8 @@ def test_solve_roundtrip_stays_on_curve(n, t):
     sa = n_pos / (1.0 - t) if n % 2 == 0 else n_pos / (1.0 - t * (n - 1) / (n + 1))
     alpha = sa * sa
     beta = solve_beta(n, alpha)
-    p = FucikPoint(n, alpha, beta)
-    assert abs(curve_residual(p)) <= 1e-9
+    FucikPoint(n, alpha, beta)  # checks membership
+    assert abs(_residual(n, alpha, beta)) <= 1e-9
     assert solve_alpha(n, beta) == pytest.approx(alpha, rel=1e-9)
 
 
@@ -120,4 +118,4 @@ def test_gamma_parametrization_roundtrip(n, gamma):
     even = 2 * n
     p = point_from_gamma(even, gamma)
     assert dilation_parameter(p) == pytest.approx(gamma, rel=1e-13)
-    assert abs(curve_residual(p)) <= MEMBERSHIP_TOL
+    assert abs(_residual(even, p.alpha, p.beta)) <= MEMBERSHIP_TOL
