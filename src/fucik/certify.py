@@ -233,9 +233,18 @@ def certify_system(spec: SystemSpec) -> Certificate:
     as the norm of its constant components) would break this and needs a new
     search.  The envelope term does not grow with the number of absorbed
     entries, so a pass over a large absorbed constant-shape set is not a
-    proof (see the module docstring).
+    proof (see the module docstring).  A defect or bound that is not finite,
+    or a sum of them that overflows, raises InputError naming it.
     """
-    defect_fn = projection_defect if spec.mode == "exact" else projection_defect_bound
+    exact = spec.mode == "exact"
+    quantity = "defect" if exact else "defect bound"
+
+    def defect_fn(p: FucikPoint) -> float:
+        value = projection_defect(p) if exact else projection_defect_bound(p)
+        if not math.isfinite(value):
+            raise InputError(f"entry n={p.n}: {quantity} is not finite")
+        return value
+
     if spec.split in (SPLIT_DEFAULT, SPLIT_AUTO):
         candidates = [p for p in spec.entries if p.n % 2 == 0 and not is_diagonal(p)]
     else:
@@ -258,7 +267,10 @@ def certify_system(spec: SystemSpec) -> Certificate:
         while to_drop and gammas[to_drop[-1].n] > level:
             p = to_drop.pop()
             defects[p.n] = defect_fn(p)
-        defect_sum = math.fsum(defects.values())
+        try:
+            defect_sum = math.fsum(defects.values())
+        except OverflowError:
+            raise InputError(f"the sum of the {quantity}s is not finite") from None
         # every smaller set leaves at least these defects outside
         if best is not None and defect_sum >= best[3]:
             break
@@ -276,7 +288,7 @@ def certify_system(spec: SystemSpec) -> Certificate:
         else:
             rec = {
                 "n": p.n,
-                "method": "quadrature-defect" if spec.mode == "exact" else "closed-form-bound",
+                "method": "quadrature-defect" if exact else "closed-form-bound",
                 "value": defects[p.n],
             }
         per_index.append(rec)

@@ -104,15 +104,27 @@ def evaluate(f: PiecewiseEigenfunction, x):
     return vals.reshape(arr.shape)
 
 
-def moments(f: PiecewiseEigenfunction, n: int) -> tuple[float, float]:
+def moments(
+    f: PiecewiseEigenfunction, n: int | np.ndarray
+) -> tuple[float, float | np.ndarray]:
     """|f|^2 and <f, sqrt(2/pi) sin(n x)> in closed form.
 
-    The arc A sin(w (x - a)) over its half period pi/w, midpoint m, adds
-    A^2 pi/(2w) and sqrt(2/pi) pi A sin(n m) sinc((w - n)/(2w)) / (w + n);
+    n is one index, giving the inner product as a float, or a 1-D numpy
+    array of indices, giving an array of inner products in the same order;
+    each index's arc sum is one math.fsum either way, so the values agree
+    bit for bit.  The arc A sin(w (x - a)) over its half period pi/w,
+    midpoint m, adds A^2 pi/(2w) and
+    sqrt(2/pi) pi A sin(n m) sinc((w - n)/(2w)) / (w + n);
     numpy's normalized sinc removes the singularity at w = n.
     """
     amps, freqs = f.amps, f.freqs
     widths = math.pi / freqs
     mids = f.edges[:-1] + 0.5 * widths
-    arcs = amps * np.sin(n * mids) * np.sinc((freqs - n) / (2.0 * freqs)) / (freqs + n)
-    return 0.5 * math.fsum(amps * amps * widths), SUP_NORM * math.pi * math.fsum(arcs)
+    many = isinstance(n, np.ndarray)
+    col = n[:, None] if many else n  # one row of arc terms per index
+    arcs = amps * np.sin(col * mids) * np.sinc((freqs - col) / (2.0 * freqs)) / (freqs + col)
+    if many:
+        sums = np.array([math.fsum(row) for row in arcs.tolist()])
+    else:
+        sums = math.fsum(arcs)
+    return 0.5 * math.fsum(amps * amps * widths), SUP_NORM * math.pi * sums

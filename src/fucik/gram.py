@@ -4,9 +4,13 @@ The certificate predicts that the rescaled system deviates from an
 orthonormal basis by at most theta = sqrt(total) in the Bessel/frame sense,
 so every truncation's eigenvalues must land inside
 [(1 - theta)^2, (1 + theta)^2].  This module builds those truncations
-exactly, as sums of closed-form integrals of sine products over the overlaps
-of two profiles' arcs.  The Gauss-Legendre reference in tests/test_gram.py
-and the benchmark oracle (perfbench/oracle.py) check it independently.
+exactly and pays only for the perturbed entries E: the unperturbed sines
+give an identity block, a member of E against a sine is one closed-form
+inner product (fucik.eigenfunction.moments), and only the members of E
+among themselves are summed as closed-form integrals of sine products over
+the overlaps of two profiles' arcs.  The Gauss-Legendre reference in
+tests/test_gram.py and the benchmark oracle (perfbench/oracle.py) check it
+independently.
 
 Known gap: the certificate can pass systems this check falsifies.  When
 the envelope absorbs a large constant-shape family (every even n <= N at
@@ -26,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import SystemSpec, certify_system, profile_scaling
-from .eigenfunction import build
-from .spectrum import FucikPoint
+from .eigenfunction import build, moments
+from .spectrum import is_diagonal
 
 # Slack added on both sides of the certified window, for rounding noise only.
 CUSHION = 0.02
@@ -81,21 +85,29 @@ def _exact_gram(profiles) -> np.ndarray:
 def gram_matrix(spec: SystemSpec, n_trunc: int, rescale: bool = True) -> np.ndarray:
     """Matrix of pairwise inner products of the first n_trunc members.
 
-    Indices without an entry contribute their unperturbed sine.  With
-    rescale, each perturbed member is multiplied by its optimal scaling
-    factor, matching what the certificate is actually about; symmetric
-    members keep factor one either way.
+    Indices without an entry, and diagonal entries, contribute their
+    unperturbed sine; the other entries with n <= n_trunc form the set E.
+    With rescale, each member of E is multiplied by its optimal scaling
+    factor rho_n, matching what the certificate is actually about.  The
+    matrix is assembled in three blocks, and only E's profiles are built:
+    the sines among themselves give exactly the identity; a member n of E
+    against a sine m gives rho_n moments(f_n, m)[1], one closed-form
+    broadcast over every such m; the members of E among themselves go
+    through the arc-overlap engine.
     """
     if isinstance(n_trunc, bool) or not isinstance(n_trunc, int) or n_trunc < 1:
         raise ValueError("n_trunc must be a positive integer")
-    profiles = [
-        build(spec.point(n) or FucikPoint(n, float(n * n), float(n * n)))
-        for n in range(1, n_trunc + 1)
-    ]
-    g = _exact_gram(profiles)
-    if rescale:
-        factors = np.array([profile_scaling(f) for f in profiles])
-        g *= np.outer(factors, factors)
+    g = np.eye(n_trunc)
+    perturbed = [p for p in spec.entries if p.n <= n_trunc and not is_diagonal(p)]
+    if not perturbed:
+        return g
+    profiles = [build(p) for p in perturbed]
+    rows = np.array([p.n - 1 for p in perturbed])
+    sines = np.delete(np.arange(n_trunc), rows)
+    factors = np.array([profile_scaling(f) if rescale else 1.0 for f in profiles])
+    for row, rho, f in zip(rows, factors, profiles):
+        g[row, sines] = g[sines, row] = rho * moments(f, sines + 1)[1]
+    g[np.ix_(rows, rows)] = _exact_gram(profiles) * np.outer(factors, factors)
     return g
 
 

@@ -192,6 +192,17 @@ def test_non_finite_numbers_never_reach_stdout(capsys, write_spec, argv, spec):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("spec, message", [
+    (_HUGE_BOUND, "entry n=3: defect bound is not finite"),
+    ({"entries": [{"n": 3, "alpha": 3e307}, {"n": 5, "alpha": 1.79e308}], "mode": "bound"},
+     "the sum of the defect bounds is not finite"),
+], ids=["one-bound", "sum-of-bounds"])
+def test_non_finite_defect_bounds_are_named(capsys, write_spec, spec, message):
+    code, out, err = run(capsys, ["certify", "--spec", write_spec(spec)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("n, coordinate, value, count, sign", [
     (4, "alpha", 3.0, 2, "positive"),
     (4, "beta", 3.0, 2, "negative"),
@@ -287,6 +298,11 @@ def test_gram_subcommand(capsys, write_spec, tmp_path):
     assert len(rows) == 8
     assert all(len(r.split(",")) == 8 for r in rows)
     assert rows[0].split(",")[0] == "1"
+    # the unperturbed sines are orthonormal exactly, not up to rounding noise
+    cells = [r.split(",") for r in rows]
+    for i in (0, 2, 3, 4, 5, 6, 7):
+        for j in (0, 2, 3, 4, 5, 6, 7):
+            assert cells[i][j] == ("1" if i == j else "0")
 
     code, out, _ = run(capsys, ["gram", "--spec", spec, "--n", "4", "--no-rescale"])
     assert code == 0
@@ -305,7 +321,7 @@ WRITER_PINS = {
     "coeffs": (["coeffs", "--gamma", "6.25", "--kmax", "6"],
                "1d35512722cffcd5807d5f364ae08c2eb1399b57ff5ff92d15462593d0bfd381"),
     "gram-csv": (["gram", "--spec", "{spec}", "--n", "8", "--csv", "{out}"],
-                 "203baaf94ec522f966eedc3ab7cbae218ed4f0a9928bf1c3d1a744283c126031"),
+                 "3cc1d68c0b6328eb0a289b6e876fee92a631af750eff0d6600d132877529125b"),
     "gram-json": (["gram", "--spec", "{spec}", "--n", "8"],
                   "a7ff8ed84d3ad19e5711a9571c478c0a51418795f93a2c34e5aaed15633eff85"),
     "certify-readme": (["certify", "--spec", "{readme}"],

@@ -1,18 +1,27 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fucik.certify
 import fucik.eigenfunction
 import fucik.gram
 import fucik.quadrature
-from fucik.certify import certify_system, parse_system, profile_scaling
+from fucik.certify import SystemSpec, certify_system, parse_system, profile_scaling
+from fucik.cli import main
 from fucik.eigenfunction import build, evaluate, moments
 from fucik.fourier import quadrature_coefficient
-from fucik.gram import extremal_eigenvalues, gram_matrix, gram_witness
-from fucik.spectrum import FucikPoint, is_diagonal, point_from_gamma
+from fucik.gram import _exact_gram, extremal_eigenvalues, gram_matrix, gram_witness
+from fucik.spectrum import (
+    FucikPoint,
+    is_diagonal,
+    point_from_gamma,
+    solve_alpha,
+    solve_beta,
+)
 
 # Reference rule: 16-point Gauss-Legendre between consecutive junctions of
 # the two factors.  Each panel sees at most ~12 radians of phase, far inside
@@ -80,6 +89,84 @@ def test_unscaled_diagonal_is_the_closed_form_norm(name):
     for n in range(1, 33):
         p = spec.point(n) or FucikPoint(n, float(n * n), float(n * n))
         assert abs(m[n - 1, n - 1] - moments(build(p), n)[0]) <= 1e-15
+
+
+def all_pairs_gram(spec, n_trunc, rescale):
+    """Every profile n <= n_trunc through the arc-overlap engine, then the
+    scaling factors: the Gram matrix before it was assembled by blocks."""
+    profiles = [
+        build(spec.point(n) or FucikPoint(n, float(n * n), float(n * n)))
+        for n in range(1, n_trunc + 1)
+    ]
+    g = _exact_gram(profiles)
+    if rescale:
+        factors = np.array([profile_scaling(f) for f in profiles])
+        g *= np.outer(factors, factors)
+    return g
+
+
+def _curve_point(n, kind, t):
+    """A point on curve n: diagonal, or off it by the factor t in [1, 2.5]."""
+    square = float(n * n)
+    if n == 1 or kind == "diagonal":
+        return FucikPoint(n, square, square)
+    if n % 2 == 0:
+        return point_from_gamma(n, 4.0 * t)
+    if kind == "alpha side":
+        return FucikPoint(n, square * t, solve_beta(n, square * t))
+    return FucikPoint(n, solve_alpha(n, square * t), square * t)
+
+
+_ENTRIES = st.dictionaries(
+    st.integers(min_value=1, max_value=48),
+    st.tuples(
+        st.sampled_from(["diagonal", "alpha side", "beta side"]),
+        st.floats(min_value=1.0, max_value=2.5),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ENTRIES, st.integers(min_value=1, max_value=40), st.booleans())
+def test_blocks_match_the_all_pairs_engine(entries, n_trunc, rescale):
+    spec = SystemSpec(
+        entries=tuple(_curve_point(n, *entries[n]) for n in sorted(entries))
+    )
+    m = gram_matrix(spec, n_trunc, rescale=rescale)
+    assert np.max(np.abs(m - all_pairs_gram(spec, n_trunc, rescale))) <= 1e-13
+
+    perturbed = {p.n: build(p) for p in spec.entries if p.n <= n_trunc and not is_diagonal(p)}
+    sines = [n - 1 for n in range(1, n_trunc + 1) if n not in perturbed]
+    assert np.array_equal(m[np.ix_(sines, sines)], np.eye(len(sines)))
+    for n, f in perturbed.items():
+        rho = profile_scaling(f) if rescale else 1.0
+        for k in sines:
+            entry = rho * moments(f, k + 1)[1]
+            assert m[n - 1, k] == entry and m[k, n - 1] == entry
+
+
+def test_only_perturbed_entries_build_a_profile(monkeypatch, capsys, write_spec):
+    built = []
+
+    def counting_build(p):
+        built.append(p.n)
+        return build(p)
+
+    monkeypatch.setattr(fucik.gram, "build", counting_build)
+    spec = parse_system({"entries": [
+        {"n": 1}, {"n": 2, "alpha": 6.4}, {"n": 3, "alpha": 10.0},
+        {"n": 4, "alpha": 16.0, "beta": 16.0}, {"n": 5, "alpha": 30.0},
+        {"n": 40, "alpha": 2000.0},
+    ]})
+    gram_matrix(spec, 16)
+    assert sorted(built) == [2, 3, 5]  # not the 16 an all-pairs engine builds
+
+    built.clear()
+    path = write_spec({"entries": [{"n": 2, "alpha": 6.4}]})
+    assert main(["gram", "--spec", path, "--n", "1024"]) == 0  # the cap, MAX_GRAM_N
+    assert json.loads(capsys.readouterr().out)["size"] == 1024
+    assert built == [2]
 
 
 def test_gram_matrix_never_evaluates_or_integrates(monkeypatch):
