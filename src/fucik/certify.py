@@ -23,7 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .eigenfunction import PiecewiseEigenfunction, build, moments
+from .eigenfunction import (
+    PiecewiseEigenfunction,
+    batch_moments,
+    build_batch,
+    moments,
+    passes,
+)
 from .envelope import GAMMA_MAX, envelope_root, envelope_value, zeta
 from .spectrum import (
     FucikPoint,
@@ -54,10 +60,25 @@ def projection_defect(p: FucikPoint) -> float:
     Exactly zero at index 1 and at symmetric points, where the profile is
     the mode itself.
     """
-    if is_diagonal(p):
-        return 0.0
-    norm_sq, inner = moments(build(p), p.n)
-    return 1.0 - inner * inner / norm_sq
+    return _projection_defects((p,))[0]
+
+
+def _projection_defects(points) -> list[float]:
+    """projection_defect of every point, bit for bit, from shared passes.
+
+    The profiles that are not modes are built and summed together, one
+    build_batch and one batch_moments per pass (see passes), so one pass
+    never holds more than a capped profile alone.  A profile that cannot be
+    built raises SpectrumError, the first one in order.
+    """
+    values = [0.0] * len(points)
+    todo = [k for k, p in enumerate(points) if not is_diagonal(p)]
+    for lo, hi in passes([points[k].n for k in todo]):
+        group = [points[k] for k in todo[lo:hi]]
+        norm_sq, inner = batch_moments(build_batch(group), [[p.n] for p in group])
+        for k, sq, dot in zip(todo[lo:hi], norm_sq.tolist(), inner[:, 0].tolist()):
+            values[k] = 1.0 - dot * dot / sq
+    return values
 
 
 def projection_defect_bound(p: FucikPoint) -> float:
@@ -219,8 +240,11 @@ def certify_system(spec: SystemSpec) -> Certificate:
     The total is the sum of squared projection defects over entries outside
     the envelope set plus the squared envelope at the largest dilation
     parameter inside it.  "exact" mode takes each defect in closed form (the
-    label "quadrature-defect" is kept; nothing is integrated); "bound" mode
-    takes its closed-form majorant, which certifies fewer systems.
+    label "quadrature-defect" is kept; nothing is integrated), all from one
+    pass over the profiles before the split is chosen: the entries left
+    outside the candidates for "default" and explicit splits, every entry
+    for "auto".  "bound" mode takes each defect's closed-form majorant as
+    the split needs it, builds no profile, and certifies fewer systems.
 
     The candidates for the envelope set are the split indices, or every
     non-symmetric even entry for "default" and "auto".  "default" absorbs all
@@ -234,17 +258,12 @@ def certify_system(spec: SystemSpec) -> Certificate:
     search.  The envelope term does not grow with the number of absorbed
     entries, so a pass over a large absorbed constant-shape set is not a
     proof (see the module docstring).  A defect or bound that is not finite,
-    or a sum of them that overflows, raises InputError naming it.
+    or a sum of them that overflows, raises InputError naming it; so under
+    "auto" a profile that cannot be built fails the call even where no split
+    would leave it outside.
     """
     exact = spec.mode == "exact"
     quantity = "defect" if exact else "defect bound"
-
-    def defect_fn(p: FucikPoint) -> float:
-        value = projection_defect(p) if exact else projection_defect_bound(p)
-        if not math.isfinite(value):
-            raise InputError(f"entry n={p.n}: {quantity} is not finite")
-        return value
-
     if spec.split in (SPLIT_DEFAULT, SPLIT_AUTO):
         candidates = [p for p in spec.entries if p.n % 2 == 0 and not is_diagonal(p)]
     else:
@@ -260,8 +279,20 @@ def certify_system(spec: SystemSpec) -> Certificate:
     levels = sorted({4.0, *gammas.values()}, reverse=True)
     if spec.split != SPLIT_AUTO:
         levels = levels[:1]
-    defects = {p.n: defect_fn(p) for p in spec.entries if p.n not in gammas}
+    outside = [p for p in spec.entries if p.n not in gammas]
     to_drop = sorted(candidates, key=lambda p: gammas[p.n])
+    if exact:
+        # every defect the walk can read, in the order it reads them
+        needed = outside + to_drop[::-1] if spec.split == SPLIT_AUTO else outside
+        known = dict(zip((p.n for p in needed), _projection_defects(needed)))
+
+    def defect_fn(p: FucikPoint) -> float:
+        value = known[p.n] if exact else projection_defect_bound(p)
+        if not math.isfinite(value):
+            raise InputError(f"entry n={p.n}: {quantity} is not finite")
+        return value
+
+    defects = {p.n: defect_fn(p) for p in outside}
     best = None
     for level in levels:
         while to_drop and gammas[to_drop[-1].n] > level:

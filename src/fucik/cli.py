@@ -38,7 +38,7 @@ from .spectrum import (
 # exits 2 instead of running out of memory or time.  Profiles are capped by
 # fucik.eigenfunction.MAX_ARCS.
 MAX_GRAM_N = 1024
-MAX_KMAX = 1000
+MAX_KMAX = 200
 MAX_RESOLUTION = 100_000
 MAX_REGION_POINTS = 1_000_000  # nmax * resolution
 
@@ -292,24 +292,28 @@ def _dump_lines(f):
     """The profile as two-space JSON with sorted keys, one arc per item.
 
     Arc j is listed with sign +1 for even j and -1 for odd j, and with the
-    unsigned amplitude.  Each arc is formatted only as it is written.
+    unsigned amplitude.  The arcs become Python floats a fixed-size slice at
+    a time, and each is formatted only as it is written.
     """
+    chunk = 4096
     p = f.point
-    amps = abs(f.amps)
-    last = len(amps) - 1
+    last = len(f.amps) - 1
     yield f'{{\n  "alpha": {_num(p.alpha)},\n  "beta": {_num(p.beta)},\n  "bumps": ['
     start = _num(f.edges[0])
-    for j, (end, freq, amp) in enumerate(
-        zip(f.edges[1:].tolist(), f.freqs.tolist(), amps.tolist())
-    ):
-        end = _num(end)
-        yield (
-            f'    {{\n      "amplitude": {_num(amp)},\n      "end": {end},\n'
-            f'      "frequency": {_num(freq)},\n      "sign": {1 - 2 * (j % 2)},\n'
-            f'      "start": {start}\n    }}' + ("," if j < last else "")
-        )
-        start = end
-    yield f'  ],\n  "n": {p.n},\n  "sup_norm": {_num(amps.max())}\n}}'
+    for lo in range(0, last + 1, chunk):
+        hi = lo + chunk
+        ends, freqs, amps = f.edges[lo + 1 : hi + 1], f.freqs[lo:hi], abs(f.amps[lo:hi])
+        for j, (end, freq, amp) in enumerate(
+            zip(ends.tolist(), freqs.tolist(), amps.tolist()), start=lo
+        ):
+            end = _num(end)
+            yield (
+                f'    {{\n      "amplitude": {_num(amp)},\n      "end": {end},\n'
+                f'      "frequency": {_num(freq)},\n      "sign": {1 - 2 * (j % 2)},\n'
+                f'      "start": {start}\n    }}' + ("," if j < last else "")
+            )
+            start = end
+    yield f'  ],\n  "n": {p.n},\n  "sup_norm": {_num(abs(f.amps).max())}\n}}'
 
 
 def _cmd_dump(args) -> int:

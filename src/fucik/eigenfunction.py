@@ -6,10 +6,17 @@ amplitude normalized to sqrt(2/pi), stored as three arrays: arc edges,
 signed amplitudes and frequencies.  Construction refits the
 negative-arc width so the chain tiles (0, pi) exactly in floating point,
 which keeps the boundary zeros at machine accuracy for any admissible index.
+
+Every profile comes from build_batch, which builds the arcs of many
+profiles end to end in one numpy pass, and every norm and sine inner
+product from batch_moments, one broadcast over all of them; build and
+moments are the same routines on a batch of one, so a profile's numbers
+do not depend on the company it is computed in.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,8 +28,14 @@ SUP_NORM = math.sqrt(2.0 / math.pi)
 
 # Largest index build accepts, so that an oversized index fails with
 # SpectrumError: at the cap a profile holds 24 MB of arrays, and `dump`
-# peaks at about 175 MB of resident memory.
+# peaks at about 76 MB of resident memory.
 MAX_ARCS = 1_000_000
+
+# Terms (arcs x indices) one pass over several profiles may hold; a profile
+# alone may need more, up to MAX_ARCS x indices.  Passes this small keep
+# their arrays in cache: the Gram mixed block of the gamma 5 family at
+# N = 512 ran about a fifth slower in passes of MAX_ARCS terms.
+PASS_TERMS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,49 +57,120 @@ class PiecewiseEigenfunction:
         return self.edges[1:-1]
 
 
-def build(p: FucikPoint) -> PiecewiseEigenfunction:
-    """Construct the normalized profile for a curve point.
+@dataclass(frozen=True, eq=False)
+class ProfileBatch:
+    """Several profiles stored end to end as arc arrays.
 
-    The point must have at most MAX_ARCS arcs, none of them so narrow that
-    it vanishes in the float spacing of pi.  At the symmetric point
-    (n^2, n^2) the result collapses to sqrt(2/pi) sin(n x).
+    Profile k holds arcs offsets[k]:offsets[k + 1] of starts, amps and
+    freqs; batch[k] is that profile, with its edges closed by pi.
     """
-    n = p.n
-    if n > MAX_ARCS:
-        raise SpectrumError(f"n = {n} exceeds the cap of {MAX_ARCS} arcs per profile")
-    if n == 1:
-        return PiecewiseEigenfunction(
-            p, np.array([0.0, math.pi]), np.array([SUP_NORM]), np.array([1.0])
-        )
 
-    n_pos = (n + 1) // 2
-    n_neg = n // 2
-    w_pos = math.pi / math.sqrt(p.alpha)
-    # refit the negative width so the counted arcs sum to pi exactly
-    w_neg = (math.pi - n_pos * w_pos) / n_neg
+    points: tuple[FucikPoint, ...]
+    starts: np.ndarray
+    amps: np.ndarray
+    freqs: np.ndarray
+    offsets: np.ndarray
 
-    # slope matching at the zeros: amp_pos sqrt(alpha) = amp_neg sqrt(beta)
-    ratio = math.sqrt(p.alpha / p.beta)
-    if ratio >= 1.0:
-        amp_neg = SUP_NORM
-        amp_pos = SUP_NORM / ratio
-    else:
-        amp_pos = SUP_NORM
-        amp_neg = SUP_NORM * ratio
+    def __len__(self) -> int:
+        return len(self.points)
 
-    # edge j closes (j + 1) // 2 positive and j // 2 negative arcs
-    half = np.arange(n + 2) // 2
-    edges = half[1:] * w_pos + half[:-1] * w_neg
-    edges[-1] = math.pi
-    widths = edges[1:] - edges[:-1]
-    if not widths.min() > 0.0:  # below the float spacing of pi, or no room for negative arcs
+    def __getitem__(self, k: int) -> PiecewiseEigenfunction:
+        lo, hi = int(self.offsets[k]), int(self.offsets[k + 1])
+        edges = np.append(self.starts[lo:hi], math.pi)
+        return PiecewiseEigenfunction(self.points[k], edges, self.amps[lo:hi], self.freqs[lo:hi])
+
+    @property
+    def ends(self) -> np.ndarray:
+        """End of every arc: the next arc's start, or pi for a profile's last arc."""
+        ends = np.empty_like(self.starts)
+        ends[:-1] = self.starts[1:]
+        ends[self.offsets[1:] - 1] = math.pi
+        return ends
+
+
+def passes(counts, per_arc: int = 1):
+    """Split consecutive profiles into runs (lo, hi) of at most PASS_TERMS terms.
+
+    counts holds each profile's number of arcs and each arc costs per_arc
+    terms; a profile alone always forms a run, so one pass never holds more
+    than the largest single profile or PASS_TERMS terms, whichever is more.
+    """
+    lo, held = 0, 0
+    for k, count in enumerate(counts):
+        terms = count * per_arc
+        if k > lo and held + terms > PASS_TERMS:
+            yield lo, k
+            lo, held = k, 0
+        held += terms
+    if lo < len(counts):
+        yield lo, len(counts)
+
+
+def build_batch(points) -> ProfileBatch:
+    """Construct the normalized profiles of several curve points in one numpy pass.
+
+    Every point must have at most MAX_ARCS arcs, none of them so narrow
+    that it vanishes in the float spacing of pi; otherwise SpectrumError
+    names the first point in order that breaks the cap, or failing that the
+    first one with such an arc.  Each profile is bit for bit what build
+    gives for its point alone.  At the symmetric point (n^2, n^2) a profile
+    collapses to sqrt(2/pi) sin(n x).
+    """
+    points = tuple(points)
+    counts, rows = [], []
+    for p in points:
+        n = p.n
+        if n > MAX_ARCS:
+            raise SpectrumError(f"n = {n} exceeds the cap of {MAX_ARCS} arcs per profile")
+        counts.append(n)
+        if n == 1:
+            rows.append((math.pi, 0.0, SUP_NORM, 0.0))
+            continue
+        w_pos = math.pi / math.sqrt(p.alpha)
+        # refit the negative width so the counted arcs sum to pi exactly
+        w_neg = (math.pi - (n + 1) // 2 * w_pos) / (n // 2)
+        # slope matching at the zeros: amp_pos sqrt(alpha) = amp_neg sqrt(beta)
+        ratio = math.sqrt(p.alpha / p.beta)
+        if ratio >= 1.0:
+            rows.append((w_pos, w_neg, SUP_NORM / ratio, -SUP_NORM))
+        else:
+            rows.append((w_pos, w_neg, SUP_NORM, -SUP_NORM * ratio))
+    size = len(points)
+    offsets = np.array(list(itertools.accumulate(counts, initial=0)))
+    counts = np.array(counts, dtype=np.intp)
+    table = np.array(rows).reshape(size, 4)
+    # in place where the types allow, as the arrays hold up to MAX_ARCS
+    # values: the local index j of every arc, then its parity, which picks
+    # the signed amplitude, then (j + 1) // 2, since arc j starts after
+    # (j + 1) // 2 positive and j // 2 negative arcs
+    local = np.arange(offsets[-1])
+    local -= offsets[:-1].repeat(counts)
+    half = local >> 1
+    local &= 1
+    pick = (4 * np.arange(size) + 2).repeat(counts)
+    pick += local
+    amps = table.ravel()[pick]
+    local += half
+    starts = local * table[:, 0].repeat(counts)
+    starts += half * table[:, 1].repeat(counts)
+    last = offsets[1:] - 1
+    widths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=widths[:-1])
+    widths[last] = math.pi - starts[last]
+    # below the float spacing of pi, or no room for negative arcs
+    wide = np.minimum.reduceat(widths, offsets[:-1]) > 0.0 if size else widths
+    if not wide.all():
+        p = points[int(wide.argmin())]
         raise SpectrumError(f"({p.alpha}, {p.beta}) leaves an arc of no width in floats")
     # pi / width rather than sqrt(alpha): each arc then vanishes at both of
     # its own endpoints to the last bit
-    freqs = math.pi / widths
-    amps = np.full(n, amp_pos)
-    amps[1::2] = -amp_neg
-    return PiecewiseEigenfunction(p, edges, amps, freqs)
+    freqs = np.divide(math.pi, widths, out=widths)
+    return ProfileBatch(points, starts, amps, freqs, offsets)
+
+
+def build(p: FucikPoint) -> PiecewiseEigenfunction:
+    """The normalized profile of one curve point: build_batch of one."""
+    return build_batch((p,))[0]
 
 
 def evaluate(f: PiecewiseEigenfunction, x):
@@ -104,27 +188,59 @@ def evaluate(f: PiecewiseEigenfunction, x):
     return vals.reshape(arr.shape)
 
 
+def _fsum(values: np.ndarray) -> float:
+    """math.fsum of a 1-D array, read through a list, which is fastest, unless
+    it holds more than PASS_TERMS values: those it reads from the array, so
+    that no list of that size is made."""
+    return math.fsum(values.tolist() if len(values) <= PASS_TERMS else values)
+
+
+def batch_moments(batch: ProfileBatch, indices) -> tuple[np.ndarray, np.ndarray]:
+    """|f_k|^2 of every profile and <f_k, sqrt(2/pi) sin(j x)> for j in row k of indices.
+
+    indices is a 2-D integer array with one row per profile.  All terms are
+    taken by one broadcast per pass (see passes), and each (profile, index)
+    arc sum is one math.fsum, so every value is bit for bit what the profile
+    gives alone.  The arc A sin(w (x - a)) over its half period pi/w,
+    midpoint m, adds A^2 pi/(2w) and
+    sqrt(2/pi) pi A sin(j m) sinc((w - j)/(2w)) / (w + j);
+    numpy's normalized sinc removes the singularity at w = j.
+    """
+    indices = np.asarray(indices)
+    width = indices.shape[1]
+    offsets = batch.offsets.tolist()
+    counts = [hi - lo for lo, hi in zip(offsets, offsets[1:])]
+    # arrays rather than lists of floats: floats kept across passes would pin
+    # the interpreter's memory arenas that each pass's lists fill
+    norm_sq, sums = np.empty(len(batch)), np.empty((len(batch), width))
+    for lo, hi in passes(counts, width):
+        first, last = offsets[lo], offsets[hi]
+        amps, freqs = batch.amps[first:last], batch.freqs[first:last]
+        widths = math.pi / freqs
+        mids = batch.starts[first:last] + 0.5 * widths
+        # one row of arc terms per index, each arc against its own profile's
+        # row; a lone profile's indices broadcast as they are
+        col = indices[lo:hi].T.astype(float)
+        if hi - lo > 1:
+            col = np.repeat(col, counts[lo:hi], axis=1)
+        arcs = amps * np.sin(col * mids) * np.sinc((freqs - col) / (2.0 * freqs)) / (freqs + col)
+        squares = amps * amps * widths
+        for k in range(lo, hi):
+            a, b = offsets[k] - first, offsets[k + 1] - first
+            norm_sq[k] = 0.5 * _fsum(squares[a:b])
+            sums[k] = [_fsum(row) for row in arcs[:, a:b]]
+    return norm_sq, SUP_NORM * math.pi * sums
+
+
 def moments(
     f: PiecewiseEigenfunction, n: int | np.ndarray
 ) -> tuple[float, float | np.ndarray]:
-    """|f|^2 and <f, sqrt(2/pi) sin(n x)> in closed form.
+    """|f|^2 and <f, sqrt(2/pi) sin(n x)> in closed form: batch_moments of one.
 
     n is one index, giving the inner product as a float, or a 1-D numpy
-    array of indices, giving an array of inner products in the same order;
-    each index's arc sum is one math.fsum either way, so the values agree
-    bit for bit.  The arc A sin(w (x - a)) over its half period pi/w,
-    midpoint m, adds A^2 pi/(2w) and
-    sqrt(2/pi) pi A sin(n m) sinc((w - n)/(2w)) / (w + n);
-    numpy's normalized sinc removes the singularity at w = n.
+    array of indices, giving an array of inner products in the same order.
     """
-    amps, freqs = f.amps, f.freqs
-    widths = math.pi / freqs
-    mids = f.edges[:-1] + 0.5 * widths
+    batch = ProfileBatch((f.point,), f.edges[:-1], f.amps, f.freqs, np.array([0, len(f.amps)]))
     many = isinstance(n, np.ndarray)
-    col = n[:, None] if many else n  # one row of arc terms per index
-    arcs = amps * np.sin(col * mids) * np.sinc((freqs - col) / (2.0 * freqs)) / (freqs + col)
-    if many:
-        sums = np.array([math.fsum(row) for row in arcs.tolist()])
-    else:
-        sums = math.fsum(arcs)
-    return 0.5 * math.fsum(amps * amps * widths), SUP_NORM * math.pi * sums
+    norm_sq, inner = batch_moments(batch, n[None, :] if many else [[n]])
+    return float(norm_sq[0]), inner[0] if many else float(inner[0, 0])

@@ -29,29 +29,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import SystemSpec, certify_system, profile_scaling
-from .eigenfunction import build, moments
+from .certify import SystemSpec, certify_system
+from .eigenfunction import ProfileBatch, batch_moments, build_batch
 from .spectrum import is_diagonal
 
 # Slack added on both sides of the certified window, for rounding noise only.
 CUSHION = 0.02
 
 
-def _exact_gram(profiles) -> np.ndarray:
+def _exact_gram(batch: ProfileBatch) -> np.ndarray:
     """Unscaled Gram matrix, summed exactly over arc overlaps, one row at a time.
 
-    Arcs A sin(w (x - s)) and B sin(v (x - t)) overlapping on [m - h, m + h]
+    Reads the batch's concatenated arc arrays as they are.  Arcs
+    A sin(w (x - s)) and B sin(v (x - t)) overlapping on [m - h, m + h]
     give AB [h cos(a - b) sinc((w - v) h) - cos(a + b) sin((w + v) h) / (w + v)]
     with a = w (m - s), b = v (m - t), sinc(y) = sin(y) / y.  Every overlap
     starts at an arc start of one side, inside one arc of the other side.
     """
-    count = np.array([len(f.amps) for f in profiles])
-    size = len(profiles)
-    off = np.concatenate(([0], np.cumsum(count)))
-    starts = np.concatenate([f.edges[:-1] for f in profiles])
-    ends = np.concatenate([f.edges[1:] for f in profiles])
-    amps = np.concatenate([f.amps for f in profiles])
-    freqs = np.concatenate([f.freqs for f in profiles])
+    off = batch.offsets
+    count = np.diff(off)
+    size = len(batch)
+    starts, ends, amps, freqs = batch.starts, batch.ends, batch.amps, batch.freqs
     owner = np.repeat(np.arange(size), count)
     later = np.delete(np.arange(off[-1]), off[:-1])  # all starts but each first 0.0
     g = np.zeros((size, size))
@@ -89,11 +87,12 @@ def gram_matrix(spec: SystemSpec, n_trunc: int, rescale: bool = True) -> np.ndar
     unperturbed sine; the other entries with n <= n_trunc form the set E.
     With rescale, each member of E is multiplied by its optimal scaling
     factor rho_n, matching what the certificate is actually about.  The
-    matrix is assembled in three blocks, and only E's profiles are built:
-    the sines among themselves give exactly the identity; a member n of E
-    against a sine m gives rho_n moments(f_n, m)[1], one closed-form
-    broadcast over every such m; the members of E among themselves go
-    through the arc-overlap engine.
+    matrix is assembled in three blocks, and only E's profiles are built,
+    all in one build_batch: the sines among themselves give exactly the
+    identity; a member n of E against a sine m gives rho_n moments(f_n, m)[1],
+    taken with rho_n = profile_scaling(f_n) from one batch_moments over every
+    member and every such m; the members of E among themselves go through
+    the arc-overlap engine, which reads the batch's arrays as they are.
     """
     if isinstance(n_trunc, bool) or not isinstance(n_trunc, int) or n_trunc < 1:
         raise ValueError("n_trunc must be a positive integer")
@@ -101,13 +100,16 @@ def gram_matrix(spec: SystemSpec, n_trunc: int, rescale: bool = True) -> np.ndar
     perturbed = [p for p in spec.entries if p.n <= n_trunc and not is_diagonal(p)]
     if not perturbed:
         return g
-    profiles = [build(p) for p in perturbed]
+    batch = build_batch(perturbed)
     rows = np.array([p.n - 1 for p in perturbed])
     sines = np.delete(np.arange(n_trunc), rows)
-    factors = np.array([profile_scaling(f) if rescale else 1.0 for f in profiles])
-    for row, rho, f in zip(rows, factors, profiles):
-        g[row, sines] = g[sines, row] = rho * moments(f, sines + 1)[1]
-    g[np.ix_(rows, rows)] = _exact_gram(profiles) * np.outer(factors, factors)
+    # each profile against its own mode, for rho, then against every sine
+    wanted = np.column_stack((rows, np.broadcast_to(sines, (len(rows), len(sines))))) + 1
+    norm_sq, inner = batch_moments(batch, wanted)
+    factors = inner[:, 0] / norm_sq if rescale else np.ones(len(rows))
+    g[np.ix_(rows, sines)] = mixed = factors[:, None] * inner[:, 1:]
+    g[np.ix_(sines, rows)] = mixed.T
+    g[np.ix_(rows, rows)] = _exact_gram(batch) * np.outer(factors, factors)
     return g
 
 

@@ -55,6 +55,17 @@ def defect_details(p: FucikPoint, tol: float = 1e-12) -> dict:
     }
 
 
+def profile_moments(f: PiecewiseEigenfunction, n: int) -> tuple[float, float]:
+    """|f|^2 and <f, sqrt(2/pi) sin(n x)> by the per-profile closed form that
+    moments ran before profiles were batched: one 1-D broadcast over the
+    arcs of f with a scalar index, each sum one math.fsum.  The batched
+    routine is held to it bit for bit."""
+    widths = math.pi / f.freqs
+    mids = f.edges[:-1] + 0.5 * widths
+    arcs = f.amps * np.sin(n * mids) * np.sinc((f.freqs - n) / (2.0 * f.freqs)) / (f.freqs + n)
+    return 0.5 * math.fsum(f.amps * f.amps * widths), SUP_NORM * math.pi * math.fsum(arcs)
+
+
 def combined_criterion(residual_defect: float, families) -> tuple[float, bool]:
     """Abstract two-budget test: residual_defect^2 + sum of squared family sums.
 

@@ -1,12 +1,18 @@
 import dataclasses
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import combined_criterion, defect_details
+from reference import combined_criterion, defect_details, profile_moments
 from test_acceptance import sampled_defects, sampled_points
 
 import fucik.certify
@@ -25,7 +31,7 @@ from fucik.certify import (
     projection_defect_bound,
     zeta,
 )
-from fucik.eigenfunction import build
+from fucik.eigenfunction import batch_moments, build, build_batch, moments
 from fucik.envelope import envelope_root, envelope_value
 from fucik.gram import gram_matrix
 from fucik.spectrum import (
@@ -299,6 +305,71 @@ def test_auto_split_is_the_least_total_over_every_subset():
             for subset in itertools.combinations(evens, k)
         )
         assert auto.total == best, body
+
+
+def _point(n, kind, t):
+    """A point on curve n: diagonal, or off it with the major coordinate t n^2."""
+    square = float(n * n)
+    if n == 1 or kind == "diagonal":
+        return FucikPoint(n, square, square)
+    if kind == "alpha side":
+        return FucikPoint(n, square * t, solve_beta(n, square * t))
+    return FucikPoint(n, solve_alpha(n, square * t), square * t)
+
+
+_SIDES = st.tuples(
+    st.sampled_from(["diagonal", "alpha side", "beta side"]),
+    st.floats(min_value=1.0, max_value=2.2),  # even dilation parameters up to 8.8
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(min_value=1, max_value=200), _SIDES, max_size=12), st.data())
+def test_one_pass_gives_what_each_profile_gives_alone(entries, data):
+    points = tuple(_point(n, *entries[n]) for n in sorted(entries))
+    evens = [p.n for p in points if p.n % 2 == 0]
+    split = data.draw(st.sampled_from(["default", "auto"]) | st.lists(
+        st.sampled_from(evens) if evens else st.nothing(), unique=True))
+    cert = certify_system(SystemSpec(entries=points, split=split))
+    for p, rec in zip(points, cert.per_index):
+        assert rec["n"] == p.n
+        if rec["method"] == "quadrature-defect":
+            assert rec["value"] == projection_defect(p)
+
+    batch = build_batch(points)
+    indices = np.array([[p.n, 1, 7] for p in points], dtype=int).reshape(-1, 3)
+    norm_sq, inner = batch_moments(batch, indices)
+    for k, p in enumerate(points):
+        alone, member = build(p), batch[k]
+        for name in ("edges", "amps", "freqs"):
+            assert np.array_equal(getattr(member, name), getattr(alone, name)), (p, name)
+        want_sq, want_inner = moments(alone, np.array([p.n, 1, 7]))
+        assert norm_sq[k] == want_sq
+        assert np.array_equal(inner[k], want_inner)
+        for j, m in enumerate((p.n, 1, 7)):
+            assert (norm_sq[k], inner[k, j]) == profile_moments(alone, m)
+
+
+def test_certify_at_the_profile_cap_stays_small():
+    # eight odd entries just below MAX_ARCS: one pass per profile, so the peak
+    # is what one capped profile costs
+    script = (
+        "import json, resource, sys\n"
+        "from fucik import certify_system, parse_system\n"
+        "ns = [999_999 - 2 * k for k in range(8)]\n"
+        "spec = {'entries': [{'n': n, 'alpha': (n + 0.2) ** 2} for n in ns]}\n"
+        "cert = certify_system(parse_system(spec))\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+        "print(json.dumps([peak, cert.passed, len(cert.per_index)]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    peak_mb, passed, count = json.loads(run.stdout)
+    assert passed and count == 8
+    assert peak_mb < 200.0
 
 
 def test_envelope_set_rejects_uncoverable_entries():

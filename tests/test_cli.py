@@ -203,6 +203,31 @@ def test_non_finite_defect_bounds_are_named(capsys, write_spec, spec, message):
     assert err == f"error: {message}\n"
 
 
+def test_an_unbuildable_entry_is_named_among_good_ones(capsys, write_spec):
+    spec = {"entries": [{"n": 2, "alpha": 5.0}, {"n": 3, "alpha": 1e200},
+                        {"n": 5, "alpha": 30.0}, {"n": 8, "alpha": 90.0}]}
+    for split in ("default", "auto", "2,8"):
+        code, out, err = run(capsys, ["certify", "--spec", write_spec(spec), "--split", split])
+        assert (code, out) == (2, "")
+        assert err == "error: (1e+200, 1.0) leaves an arc of no width in floats\n"
+
+
+def test_auto_split_builds_every_entry(capsys, write_spec):
+    # five candidates near gamma 6 outweigh the envelope term once dropped, so
+    # the threshold walk stops before it would drop the last one; every
+    # defect is taken in one pass before the walk, so the entry above the
+    # profile cap is refused even though no split leaves it outside
+    n = 1_000_002
+    entries = [{"n": 2 * k, "alpha": (6.001 - 0.001 * k) * k * k} for k in range(1, 7)]
+    spec = write_spec({"entries": entries + [{"n": n, "alpha": 4.5 * n * n / 4.0}]})
+    code, out, err = run(capsys, ["certify", "--spec", spec, "--split", "auto"])
+    assert (code, out) == (2, "")
+    assert err == f"error: n = {n} exceeds the cap of 1000000 arcs per profile\n"
+    # the default split absorbs every even entry and builds none
+    code, out, err = run(capsys, ["certify", "--spec", spec])
+    assert code == 0 and err == "" and json.loads(out)["split"] == [2, 4, 6, 8, 10, 12, n]
+
+
 @pytest.mark.parametrize("n, coordinate, value, count, sign", [
     (4, "alpha", 3.0, 2, "positive"),
     (4, "beta", 3.0, 2, "negative"),

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from reference import JunctionError, ode_residual
 
 from fucik.cli import main
-from fucik.eigenfunction import SUP_NORM, build, evaluate
+from fucik.eigenfunction import SUP_NORM, build, build_batch, evaluate
 from fucik.spectrum import FucikPoint, SpectrumError, point_from_gamma, solve_alpha, solve_beta
 
 
@@ -61,14 +61,18 @@ def reference_points():
 
 
 def test_build_matches_the_per_arc_reference_bit_for_bit():
-    for p in reference_points():
-        f = build(p)
+    points = reference_points()
+    batch = build_batch(points)  # every point in one pass, as well as alone
+    assert len(batch) == len(points)
+    for k, p in enumerate(points):
         sign, start, end, freq, amp = (np.array(col) for col in zip(*reference_arcs(p)))
-        assert np.array_equal(f.edges[:-1], start), p
-        assert np.array_equal(f.edges[1:], end), p
-        assert np.array_equal(f.amps, sign * amp), p
-        assert np.array_equal(f.freqs, freq), p
-        assert f.edges.dtype == f.amps.dtype == f.freqs.dtype == np.float64
+        for f in (build(p), batch[k]):
+            assert f.point is p
+            assert np.array_equal(f.edges[:-1], start), p
+            assert np.array_equal(f.edges[1:], end), p
+            assert np.array_equal(f.amps, sign * amp), p
+            assert np.array_equal(f.freqs, freq), p
+            assert f.edges.dtype == f.amps.dtype == f.freqs.dtype == np.float64
 
 
 def _dump(capsys, p):

@@ -12,7 +12,7 @@ import fucik.gram
 import fucik.quadrature
 from fucik.certify import SystemSpec, certify_system, parse_system, profile_scaling
 from fucik.cli import main
-from fucik.eigenfunction import build, evaluate, moments
+from fucik.eigenfunction import build, build_batch, evaluate, moments
 from fucik.fourier import quadrature_coefficient
 from fucik.gram import _exact_gram, extremal_eigenvalues, gram_matrix, gram_witness
 from fucik.spectrum import (
@@ -94,11 +94,12 @@ def test_unscaled_diagonal_is_the_closed_form_norm(name):
 def all_pairs_gram(spec, n_trunc, rescale):
     """Every profile n <= n_trunc through the arc-overlap engine, then the
     scaling factors: the Gram matrix before it was assembled by blocks."""
-    profiles = [
-        build(spec.point(n) or FucikPoint(n, float(n * n), float(n * n)))
+    batch = build_batch(
+        spec.point(n) or FucikPoint(n, float(n * n), float(n * n))
         for n in range(1, n_trunc + 1)
-    ]
-    g = _exact_gram(profiles)
+    )
+    profiles = [batch[k] for k in range(len(batch))]
+    g = _exact_gram(batch)
     if rescale:
         factors = np.array([profile_scaling(f) for f in profiles])
         g *= np.outer(factors, factors)
@@ -149,11 +150,14 @@ def test_blocks_match_the_all_pairs_engine(entries, n_trunc, rescale):
 def test_only_perturbed_entries_build_a_profile(monkeypatch, capsys, write_spec):
     built = []
 
-    def counting_build(p):
-        built.append(p.n)
-        return build(p)
+    def counting_build_batch(points):
+        points = tuple(points)
+        built.extend(p.n for p in points)
+        return build_batch(points)
 
-    monkeypatch.setattr(fucik.gram, "build", counting_build)
+    # every profile, batched or alone, comes from build_batch
+    for module in (fucik.eigenfunction, fucik.certify, fucik.gram):
+        monkeypatch.setattr(module, "build_batch", counting_build_batch)
     spec = parse_system({"entries": [
         {"n": 1}, {"n": 2, "alpha": 6.4}, {"n": 3, "alpha": 10.0},
         {"n": 4, "alpha": 16.0, "beta": 16.0}, {"n": 5, "alpha": 30.0},
