@@ -4,8 +4,10 @@ The package builds the piecewise-sine profiles attached to the spectrum
 curves of -u'' = alpha u+ - beta u-, evaluates their Fourier data and
 projection defects in closed form, bounds the deviation of a whole system
 from the sine basis by an explicit envelope, and certifies the Riesz-basis
-property through a Paley-Wiener-style perturbation criterion.  Quadrature
-and Gram matrices are independent cross-checks that certification never runs.
+property through a Paley-Wiener-style perturbation criterion.  Gram
+matrices are an independent cross-check that certification never runs.
+No runtime path uses quadrature: fucik.quadrature is the adaptive Simpson
+rule that the tests hold the closed forms to.
 """
 
 from .certify import (
@@ -35,13 +37,8 @@ from .envelope import (
     envelope_value,
     zeta,
 )
-from .fourier import (
-    coefficient,
-    dilation_norm_bound,
-    quadrature_coefficient,
-)
+from .fourier import coefficient, dilation_norm_bound
 from .gram import GramWitness, extremal_eigenvalues, gram_matrix, gram_witness
-from .quadrature import QuadratureError, integrate
 from .spectrum import (
     MEMBERSHIP_TOL,
     FucikPoint,
@@ -65,7 +62,6 @@ __all__ = [
     "InputError",
     "MEMBERSHIP_TOL",
     "PiecewiseEigenfunction",
-    "QuadratureError",
     "ReflectedCurveError",
     "SUP_NORM",
     "SpectrumError",
@@ -85,14 +81,12 @@ __all__ = [
     "extremal_eigenvalues",
     "gram_matrix",
     "gram_witness",
-    "integrate",
     "is_diagonal",
     "parse_system",
     "profile_scaling",
     "point_from_gamma",
     "projection_defect",
     "projection_defect_bound",
-    "quadrature_coefficient",
     "solve_alpha",
     "solve_beta",
     "zeta",

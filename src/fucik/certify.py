@@ -370,6 +370,6 @@ def deviation_cap(n: int, epsilon: float, budget: float) -> float:
         raise InputError("the cap applies to odd indices n >= 3")
     epsilon = float(epsilon)
     budget = float(budget)
-    if not epsilon > 0.0 or budget < 0.0:
-        raise InputError("need epsilon > 0 and a nonnegative budget")
+    if not (epsilon > 0.0 and 0.0 <= budget < math.inf):
+        raise InputError("need epsilon > 0 and a finite nonnegative budget")
     return (n + math.sqrt(budget) * n ** ((1.0 - epsilon) / 2.0)) ** 2

@@ -14,6 +14,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .certify import (
     InputError,
     certify_system,
@@ -21,11 +23,10 @@ from .certify import (
     deviation_cap,
     parse_system,
 )
-from .eigenfunction import build
+from .eigenfunction import build, moments
 from .envelope import envelope, envelope_root
-from .fourier import coefficient, quadrature_coefficient
+from .fourier import coefficient
 from .gram import gram_matrix, gram_witness
-from .quadrature import QuadratureError
 from .spectrum import (
     FucikPoint,
     SpectrumError,
@@ -124,14 +125,16 @@ def _cmd_root(args) -> int:
 def _cmd_coeffs(args) -> int:
     if not 1 <= args.kmax <= MAX_KMAX:
         raise InputError(f"kmax must lie in [1, {MAX_KMAX}]")
-    p = point_from_gamma(2, args.gamma)
-    lines = ["k,coefficient,reflected_coefficient,quadrature,abs_error"]
-    for k in range(1, args.kmax + 1):
+    # the per-arc closed form of moments shares no code with coefficient's
+    # two-arc formula, so each row checks one against the other
+    f = build(point_from_gamma(2, args.gamma))
+    _, arc_sums = moments(f, np.arange(1, args.kmax + 1))
+    lines = ["k,coefficient,reflected_coefficient,arc_sum,abs_error"]
+    for k, arc_sum in enumerate(arc_sums.tolist(), start=1):
         direct = coefficient(args.gamma, k)
         reflected = -direct if k % 2 else direct  # the mirrored profile
-        quad = quadrature_coefficient(p, k)
         lines.append(
-            f"{k},{_fmt(direct)},{_fmt(reflected)},{_fmt(quad)},{_fmt(abs(direct - quad))}"
+            f"{k},{_fmt(direct)},{_fmt(reflected)},{_fmt(arc_sum)},{_fmt(abs(direct - arc_sum))}"
         )
     _write_lines(lines, args.csv)
     return 0
@@ -354,7 +357,9 @@ def _build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("root", help="where the envelope reaches 1")
     r.set_defaults(handler=_cmd_root)
 
-    k = sub.add_parser("coeffs", help="coefficient table with quadrature cross-check")
+    k = sub.add_parser(
+        "coeffs", help="coefficient table cross-checked against the per-arc closed form"
+    )
     k.add_argument("--gamma", type=float, required=True)
     k.add_argument("--kmax", type=int, default=20)
     k.add_argument("--csv", help="write the table here instead of stdout")
@@ -390,7 +395,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, ArithmeticError, QuadratureError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -178,7 +178,8 @@ def evaluate(f: PiecewiseEigenfunction, x):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     pts = np.atleast_1d(arr)
-    if pts.size and (np.min(pts) < 0.0 or np.max(pts) > math.pi):
+    # NaN fails both comparisons, so it is refused with the out-of-range points
+    if pts.size and not (np.min(pts) >= 0.0 and np.max(pts) <= math.pi):
         raise ValueError("evaluation points must lie in [0, pi]")
     idx = np.searchsorted(f.edges, pts, side="right") - 1
     np.clip(idx, 0, len(f.amps) - 1, out=idx)

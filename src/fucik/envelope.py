@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fourier import _alpha_major, dilation_norm_bound
+from .fourier import coefficient, dilation_norm_bound
 
 TAIL_WEIGHT = math.sqrt(6.0 / 5.0)
 
@@ -52,7 +52,7 @@ def coefficient_bound(k: int, gamma: float) -> float:
         raise ValueError("k must be a positive integer")
     g = _check_gamma(gamma)
     if k in (1, 3):
-        return abs(_alpha_major(g, k))
+        return abs(coefficient(g, k))
     s = math.sqrt(g)
     if k == 2:
         pi_sq = math.pi * math.pi

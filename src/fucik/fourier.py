@@ -2,21 +2,15 @@
 
 The two-arc profile with shape parameter gamma in [4, 9) has closed-form
 inner products against the orthonormal sines sqrt(2/pi) sin(k x).  This
-module evaluates those coefficients in cancellation-free form and provides
-the independent quadrature route for any curve point and the operator-norm
-constants of the compressions that map the fundamental profile onto higher
-even indices.
+module evaluates those coefficients in cancellation-free form, together
+with the operator-norm constants of the compressions that map the
+fundamental profile onto higher even indices.  Only closed forms live here;
+the quadrature oracle the tests hold them to is tests/reference.py.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
-
-from .eigenfunction import SUP_NORM, build, evaluate
-from .quadrature import integrate
-from .spectrum import FucikPoint
 
 
 def _sin_pi_ratio(k: int, s: float) -> float:
@@ -64,26 +58,6 @@ def coefficient(gamma: float, k: int) -> float:
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     return _alpha_major(gamma, k)
-
-
-def quadrature_coefficient(p: FucikPoint, k: int) -> float:
-    """Independent oracle: <profile(p), sqrt(2/pi) sin(k x)> by quadrature."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive integer")
-    f = build(p)
-    kk = float(k)
-
-    def integrand(x):
-        return evaluate(f, x) * (SUP_NORM * np.sin(kk * x))
-
-    # split both at the profile junctions and at the zeros of sin(k x), so
-    # no panel contains a full oscillation; commensurate widths otherwise
-    # let the sample grid alias the sine into a constant
-    zeros = np.arange(1, k) * (math.pi / kk)
-    cuts = np.union1d(f.junctions, zeros)
-    if cuts.size > 1:
-        cuts = cuts[np.concatenate(([True], np.diff(cuts) > 1e-12))]
-    return integrate(integrand, 0.0, math.pi, tol=1e-12, breakpoints=cuts)
 
 
 def dilation_norm_bound(k: int) -> float:

@@ -55,6 +55,26 @@ def defect_details(p: FucikPoint, tol: float = 1e-12) -> dict:
     }
 
 
+def quadrature_coefficient(p: FucikPoint, k: int) -> float:
+    """Independent oracle: <profile(p), sqrt(2/pi) sin(k x)> by quadrature."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValueError("k must be a positive integer")
+    f = build(p)
+    kk = float(k)
+
+    def integrand(x):
+        return evaluate(f, x) * (SUP_NORM * np.sin(kk * x))
+
+    # split both at the profile junctions and at the zeros of sin(k x), so
+    # no panel contains a full oscillation; commensurate widths otherwise
+    # let the sample grid alias the sine into a constant
+    zeros = np.arange(1, k) * (math.pi / kk)
+    cuts = np.union1d(f.junctions, zeros)
+    if cuts.size > 1:
+        cuts = cuts[np.concatenate(([True], np.diff(cuts) > 1e-12))]
+    return integrate(integrand, 0.0, math.pi, tol=1e-12, breakpoints=cuts)
+
+
 def profile_moments(f: PiecewiseEigenfunction, n: int) -> tuple[float, float]:
     """|f|^2 and <f, sqrt(2/pi) sin(n x)> by the per-profile closed form that
     moments ran before profiles were batched: one 1-D broadcast over the

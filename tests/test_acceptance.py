@@ -12,7 +12,12 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from reference import defect_details, envelope_tail_series, ode_residual
+from reference import (
+    defect_details,
+    envelope_tail_series,
+    ode_residual,
+    quadrature_coefficient,
+)
 
 from fucik.certify import (
     certify_system,
@@ -30,7 +35,7 @@ from fucik.envelope import (
     envelope_value,
     envelope,
 )
-from fucik.fourier import coefficient, quadrature_coefficient
+from fucik.fourier import coefficient
 from fucik.gram import extremal_eigenvalues, gram_matrix
 from fucik.quadrature import integrate
 from fucik.spectrum import FucikPoint, point_from_gamma, solve_alpha, solve_beta

@@ -479,6 +479,9 @@ def test_deviation_cap_frozen_and_degenerate():
         deviation_cap(True, 0.5, 0.1)
     with pytest.raises(InputError):
         deviation_cap(3, 0.5, -0.1)
+    for budget in (math.nan, math.inf):
+        with pytest.raises(InputError, match="finite nonnegative budget"):
+            deviation_cap(3, 0.5, budget)
 
 
 @given(st.integers(min_value=1, max_value=7), st.floats(min_value=0.1, max_value=2.0))

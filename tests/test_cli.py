@@ -4,8 +4,10 @@ import io
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -13,7 +15,8 @@ import fucik.cli
 import fucik.eigenfunction
 from fucik.certify import InputError
 from fucik.cli import main, region_rows
-from fucik.spectrum import FucikPoint
+from fucik.eigenfunction import build, moments
+from fucik.spectrum import FucikPoint, point_from_gamma
 
 
 def run(capsys, argv):
@@ -299,14 +302,56 @@ def test_coeffs_table(capsys, tmp_path):
     assert code == 0
     assert out == ""
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "k,coefficient,reflected_coefficient,quadrature,abs_error"
+    assert lines[0] == "k,coefficient,reflected_coefficient,arc_sum,abs_error"
     assert len(lines) == 7
     for line in lines[1:]:
-        k, direct, reflected, quad, gap = line.split(",")
+        k, direct, reflected, arc_sum, gap = line.split(",")
         assert float(gap) <= 1e-9
         sign = -1.0 if int(k) % 2 else 1.0
         assert float(reflected) == pytest.approx(sign * float(direct), abs=1e-11)
     assert lines[2].split(",")[1] == "0.787448892078"
+
+
+@pytest.mark.parametrize("gamma", [4.0, 4.25, 5.0, 6.25, 8.75, 8.999])
+def test_coeffs_cross_check_is_the_arc_closed_form(capsys, gamma):
+    code, out, err = run(capsys, ["coeffs", "--gamma", repr(gamma), "--kmax", "200"])
+    assert (code, err) == (0, "")
+    _, arc_sums = moments(build(point_from_gamma(2, gamma)), np.arange(1, 201))
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(1, 201))
+    for row, arc_sum in zip(rows, arc_sums.tolist()):
+        assert row[3] == format(arc_sum, ".12g")
+        assert float(row[4]) <= 1e-15
+
+
+def test_no_subcommand_evaluates_or_integrates(capsys, monkeypatch, write_spec):
+    # one small input per subcommand, as the benchmark's cli-cold rounds run them
+    cert = write_spec({"entries": [{"n": 2, "alpha": 6.4}, {"n": 3, "alpha": 10.0},
+                                   {"n": 4, "alpha": 17.0}], "mode": "exact"}, "cert.json")
+    family = write_spec({"entries": [{"n": n, "alpha": 1.25 * n * n} for n in range(2, 17, 2)]},
+                        "family.json")
+    argvs = [
+        ["certify", "--spec", cert],
+        ["envelope", "--gamma", "5.5"],
+        ["root"],
+        ["coeffs", "--gamma", "6.25", "--kmax", "20"],
+        ["gram", "--spec", family, "--n", "16"],
+        ["region", "--sup", "5", "--epsilon", "0.5"],
+        ["dump", "5", "30.0"],
+    ]
+    unpatched = [run(capsys, argv)[:2] for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subcommand evaluated a profile or integrated")
+
+    # every binding of the two names, wherever a module imported them
+    for name, module in list(sys.modules.items()):
+        if name == "fucik" or name.startswith("fucik."):
+            for attr in ("evaluate", "integrate"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    for argv, want in zip(argvs, unpatched):
+        assert run(capsys, argv)[:2] == want, argv[0]
 
 
 def test_gram_subcommand(capsys, write_spec, tmp_path):
@@ -344,7 +389,7 @@ WRITER_PINS = {
     "region-svg": (REGION_ARGV + ["--svg", "{out}"],
                    "6600433ca13192751ce9b67cb4ad59d86db88e0955afa9046af58ced85279abb"),
     "coeffs": (["coeffs", "--gamma", "6.25", "--kmax", "6"],
-               "1d35512722cffcd5807d5f364ae08c2eb1399b57ff5ff92d15462593d0bfd381"),
+               "e0303fa54c73b942f1416b4e2c5a509c00ea1d157dab32441e5d69b48e00f521"),
     "gram-csv": (["gram", "--spec", "{spec}", "--n", "8", "--csv", "{out}"],
                  "3cc1d68c0b6328eb0a289b6e876fee92a631af750eff0d6600d132877529125b"),
     "gram-json": (["gram", "--spec", "{spec}", "--n", "8"],

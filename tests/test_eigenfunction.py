@@ -169,6 +169,10 @@ def test_evaluate_rejects_points_outside_domain():
         evaluate(f, math.pi + 0.1)
     with pytest.raises(ValueError):
         evaluate(f, np.array([0.5, 3.5]))
+    with pytest.raises(ValueError, match=r"\[0, pi\]"):
+        evaluate(f, float("nan"))
+    with pytest.raises(ValueError, match=r"\[0, pi\]"):
+        evaluate(f, np.array([0.5, np.nan]))
 
 
 def test_ode_residual_small_inside_arcs():

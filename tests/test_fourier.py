@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import apply_dilation
+from reference import apply_dilation, quadrature_coefficient
 
 from fucik.cli import main
 from fucik.eigenfunction import build, evaluate
-from fucik.fourier import coefficient, dilation_norm_bound, quadrature_coefficient
+from fucik.fourier import coefficient, dilation_norm_bound
 from fucik.quadrature import integrate
 from fucik.spectrum import FucikPoint, point_from_gamma, solve_beta
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import quadrature_coefficient
 
 import fucik.certify
 import fucik.eigenfunction
@@ -13,7 +14,6 @@ import fucik.quadrature
 from fucik.certify import SystemSpec, certify_system, parse_system, profile_scaling
 from fucik.cli import main
 from fucik.eigenfunction import build, build_batch, evaluate, moments
-from fucik.fourier import quadrature_coefficient
 from fucik.gram import _exact_gram, extremal_eigenvalues, gram_matrix, gram_witness
 from fucik.spectrum import (
     FucikPoint,
