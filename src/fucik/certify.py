@@ -152,12 +152,6 @@ class SystemSpec:
                     raise InputError(f"split index {n} has no entry")
             object.__setattr__(self, "split", split)
 
-    def point(self, n: int) -> FucikPoint | None:
-        for p in self.entries:
-            if p.n == n:
-                return p
-        return None
-
 
 def parse_system(obj: dict) -> SystemSpec:
     """Build a SystemSpec from plain JSON data.

@@ -5,8 +5,8 @@ sine coefficients from the unperturbed pattern (1 at k = 2, 0 elsewhere)
 admits simple increasing majorants bound_1(gamma), bound_2(gamma), ...  The
 envelope combines them, weighted by the compression operator norms, into a
 single increasing function of gamma that vanishes at 4 and crosses 1 just
-below 6.5.  The infinite part of the sum collapses to a closed form built
-from the cotangent value of the series sum_{k>=1} 1/(k^2 - a^2).
+below 6.5.  The infinite part of the sum is one series of positive terms
+over the Hurwitz values zeta(2j + 2, 5), the library's one zeta routine.
 """
 
 from __future__ import annotations
@@ -54,12 +54,13 @@ def coefficient_bound(k: int, gamma: float) -> float:
     if k in (1, 3):
         return abs(coefficient(g, k))
     s = math.sqrt(g)
+    q = (g - 4.0) / (s + 2.0)  # s - 2 without cancellation
     if k == 2:
         pi_sq = math.pi * math.pi
-        num = ((3.0 + pi_sq) * g + (9.0 - 2.0 * pi_sq) * s - 6.0) * (s - 2.0)
+        num = ((3.0 + pi_sq) * g + (9.0 - 2.0 * pi_sq) * s - 6.0) * q
         den = 3.0 * (s - 1.0) * (s + 2.0) * (3.0 * s - 2.0)
         return num / den
-    pref = (2.0 / math.pi) * g * g * (s - 2.0) / (s - 1.0)
+    pref = (2.0 / math.pi) * g * g * q / (s - 1.0)
     return pref / ((k * k - g) * ((k - 1) * s - k) * ((k + 1) * s - k))
 
 
@@ -73,7 +74,7 @@ def zeta(s: float, a: float = 1.0) -> float:
 
     Ten direct terms plus the Euler-Maclaurin remainder at x = a + 10
     through B14, summed by fsum: within 2.2e-16 relative of mpmath for s in
-    (1, 501] and a in {1, 3/2}.  zeta(s) is the Riemann zeta function.
+    (1, 501] and a in {1, 3/2, 5}.  zeta(s) is the Riemann zeta function.
     """
     s = float(s)
     a = float(a)
@@ -92,60 +93,40 @@ def zeta(s: float, a: float = 1.0) -> float:
     return math.fsum(terms)
 
 
-# 2 zeta(2j) for j = 1..16: the Taylor coefficients of 1/r - pi cot(pi r)
-_COT_COEFFS = tuple(2.0 * zeta(2.0 * j) for j in range(1, 17))
-
-
-def _h_cot(r: float) -> float:
-    """1/r - pi*cot(pi*r) on |r| <= 1/2, analytic straight through r = 0."""
-    if abs(r) > 0.25:
-        return 1.0 / r - math.pi * math.cos(math.pi * r) / math.sin(math.pi * r)
-    t = r * r
-    acc = 0.0
-    for c in reversed(_COT_COEFFS):
-        acc = acc * t + c
-    # the factor 2 is already inside the table entries
-    return r * acc
-
-
-def _tail_inverse_quadratic_sum(a: float, a_sq: float, m: int, r: float) -> float:
-    """sum_{k>=5} 1/(k^2 - a^2) with the pole at the nearest index removed.
-
-    Folding the k = m term into the cotangent identity cancels the 1/r
-    singularity in exact arithmetic, so it must be cancelled analytically
-    too: r is the caller's stable value of a - m, and the remaining pieces
-    are all O(1).  Requires 1 <= m <= 4 and |r| <= 1/2.
-    """
-    base = 1.0 / (2.0 * a_sq) + _h_cot(r) / (2.0 * a) + 1.0 / (2.0 * a * (a + m))
-    correction = math.fsum(1.0 / (k * k - a_sq) for k in range(1, 5) if k != m)
-    return base - correction
+# zeta(2j + 2, 5) for j = 1..44: the k >= 5 tail of the power sums in 1/k^2
+_TAIL_ZETAS = tuple(zeta(2.0 * j + 2.0, 5.0) for j in range(1, 45))
 
 
 def _tail_closed_form(g: float) -> float:
-    """Weighted k >= 5 sum via partial fractions and the cotangent form.
+    """Weighted k >= 5 sum as one positive Hurwitz-zeta series.
 
     The product denominator splits over k^2 - s^2 and k^2 - b^2 with
-    b = s/(s-1).  Both inverse-quadratic sums are evaluated with their
-    near-integer pole stripped out: as gamma drops toward 4 both s and b
-    close in on 2, and the raw cotangent form loses accuracy like
-    1/(gamma - 4)^2 there.
+    b = s/(s-1), and expanding both in powers of 1/k^2 gives
+    sum_{j>=1} d_j zeta(2j+2, 5) with d_j = s^(2j) - b^(2j).  As b <= 2 <= s,
+    d_1 = (s - b)(s + b) takes s - b = s (s - 2)/(s - 1) with s - 2 as a
+    quotient, and d_{j+1} = g d_j + b^(2j) d_1 adds only positive terms, so
+    nothing cancels even as gamma drops to 4.  Each term is at most (3/5)^2
+    of the one before, so the remainder after a term below 1e-17 of the sum
+    is smaller still.
     """
-    if g == 4.0:
-        return 0.0
     s = math.sqrt(g)
     q = (g - 4.0) / (s + 2.0)  # s - 2 without cancellation
     b = s / (s - 1.0)
-    if s < 2.5:
-        sum_s = _tail_inverse_quadratic_sum(s, g, 2, q)
-    else:
-        sum_s = _tail_inverse_quadratic_sum(s, g, 3, s - 3.0)
-    sum_b = _tail_inverse_quadratic_sum(b, b * b, 2, -q / (s - 1.0))
-    return TAIL_WEIGHT * (2.0 * s / (math.pi * (s - 1.0))) * (sum_s - sum_b)
+    d1 = s * q / (s - 1.0) * (s + b)
+    d, b_pow, total = d1, 1.0, 0.0
+    for z in _TAIL_ZETAS:
+        term = d * z
+        total += term
+        if term <= 1e-17 * total:
+            break
+        b_pow *= b * b
+        d = g * d + b_pow * d1
+    return TAIL_WEIGHT * (2.0 * s / (math.pi * (s - 1.0))) * total
 
 
 def envelope(gamma: float) -> EnvelopeEval:
     """Envelope at gamma with the five summands recorded separately; the
-    k >= 5 tail is the exact closed form."""
+    k >= 5 tail is summed in full, not truncated."""
     g = _check_gamma(gamma)
     summands = (
         dilation_norm_bound(1) * coefficient_bound(1, g),

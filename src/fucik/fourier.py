@@ -31,16 +31,16 @@ def _alpha_major(gamma: float, k: int) -> float:
     if gamma == 4.0:
         return 1.0 if k == 2 else 0.0
     s = math.sqrt(gamma)
+    q = (gamma - 4.0) / (s + 2.0)  # equals s - 2 without cancellation
     pref = (2.0 / math.pi) * gamma * gamma / (s - 1.0)
     if k == 2:
-        u = (gamma - 4.0) / (s + 2.0)  # equals s - 2 without cancellation
-        ratio = math.sin(math.pi * u / s) / u
+        ratio = math.sin(math.pi * q / s) / q
         return pref * ratio / ((s + 2.0) * (3.0 * s - 2.0))
     if k == 3:
         u = (9.0 - gamma) / (3.0 + s)  # equals 3 - s without cancellation
         ratio = math.sin(math.pi * u / s) / u
-        return pref * (s - 2.0) * ratio / ((3.0 + s) * (2.0 * s - 3.0) * (4.0 * s - 3.0))
-    num = pref * (2.0 - s) * _sin_pi_ratio(k, s)
+        return pref * q * ratio / ((3.0 + s) * (2.0 * s - 3.0) * (4.0 * s - 3.0))
+    num = -pref * q * _sin_pi_ratio(k, s)
     den = (k * k - gamma) * ((k - 1) * s - k) * ((k + 1) * s - k)
     return num / den
 

@@ -428,7 +428,7 @@ def test_zeta_reference_values():
     assert zeta(1.5) == pytest.approx(2.6123753486854877, abs=1e-10)
     # Hurwitz form, against mpmath from just above the pole to s = 501
     for s in (1.0 + 1e-9, 1.5, 2.0, 7.25, 32.0, 100.0, 501.0):
-        for a in (1.0, 1.5):
+        for a in (1.0, 1.5, 5.0):
             want = float(mpmath.zeta(s, a))
             assert zeta(s, a) == pytest.approx(want, rel=3e-16, abs=0.0)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference import envelope_tail_series
@@ -67,6 +68,41 @@ def test_tail_series_matches_closed_form():
         assert series == pytest.approx(ev.summands[4], abs=1e-10)
     with pytest.raises(ValueError):
         envelope_tail_series(5.0, 3)
+
+
+def _summands_at_40_digits(gamma):
+    """Every envelope summand at 40 digits from its defining form: the
+    majorant times the compression constant, the k >= 5 tail by nsum."""
+    with mpmath.workdps(40):
+        g = mpmath.mpf(gamma)
+        s = mpmath.sqrt(g)
+        pi = mpmath.pi
+        pref = 2 / pi * g * g * (s - 2) / (s - 1)
+
+        def body(k):
+            return 1 / ((k * k - g) * ((k - 1) * s - k) * ((k + 1) * s - k))
+
+        k2 = ((3 + pi**2) * g + (9 - 2 * pi**2) * s - 6) * (s - 2) / (
+            3 * (s - 1) * (s + 2) * (3 * s - 2))
+        tail = mpmath.sqrt(mpmath.mpf(6) / 5) * pref * mpmath.nsum(body, [5, mpmath.inf])
+        return (
+            mpmath.sqrt(2) * abs(pref * mpmath.sin(pi / s) * body(1)),
+            k2,
+            mpmath.sqrt(mpmath.mpf(4) / 3) * abs(pref * mpmath.sin(3 * pi / s) * body(3)),
+            pref * body(4),
+            tail,
+        )
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [4 + 1e-12, 4 + 1.39e-13, 4 + 1e-9, 4 + 1e-6, 4.5, 5.0, 6.4927893685, 8.9, GAMMA_MAX],
+)
+def test_summands_match_40_digit_sums(gamma):
+    # s - 2 taken by subtraction loses all but a few digits just above 4
+    ev = envelope(gamma)
+    for got, want in zip(ev.summands, _summands_at_40_digits(gamma)):
+        assert abs(got - want) <= 2e-15 * want
 
 
 def test_domain_is_half_open_below_nine():

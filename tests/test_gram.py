@@ -30,13 +30,16 @@ from fucik.spectrum import (
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
+def spec_points(spec, n_trunc):
+    """The spec's point at each n <= n_trunc, the diagonal point elsewhere."""
+    given = {p.n: p for p in spec.entries}
+    return [given.get(n) or FucikPoint(n, float(n * n), float(n * n)) for n in range(1, n_trunc + 1)]
+
+
 def reference_gram(spec, n_trunc, rescale=True):
     """Gram matrix by Gauss-Legendre quadrature of every pair: the reference
     that the closed-form engine of fucik.gram is held to."""
-    profiles = []
-    for n in range(1, n_trunc + 1):
-        p = spec.point(n)
-        profiles.append(build(p if p is not None else FucikPoint(n, float(n * n), float(n * n))))
+    profiles = [build(p) for p in spec_points(spec, n_trunc)]
     factors = np.ones(n_trunc)
     if rescale:
         for i, f in enumerate(profiles):
@@ -86,18 +89,14 @@ def test_closed_form_matches_the_quadrature_reference(name, size, rescale):
 def test_unscaled_diagonal_is_the_closed_form_norm(name):
     spec = REFERENCE_SPECS[name]
     m = gram_matrix(spec, 32, rescale=False)
-    for n in range(1, 33):
-        p = spec.point(n) or FucikPoint(n, float(n * n), float(n * n))
-        assert abs(m[n - 1, n - 1] - moments(build(p), n)[0]) <= 1e-15
+    for p in spec_points(spec, 32):
+        assert abs(m[p.n - 1, p.n - 1] - moments(build(p), p.n)[0]) <= 1e-15
 
 
 def all_pairs_gram(spec, n_trunc, rescale):
     """Every profile n <= n_trunc through the arc-overlap engine, then the
     scaling factors: the Gram matrix before it was assembled by blocks."""
-    batch = build_batch(
-        spec.point(n) or FucikPoint(n, float(n * n), float(n * n))
-        for n in range(1, n_trunc + 1)
-    )
+    batch = build_batch(spec_points(spec, n_trunc))
     profiles = [batch[k] for k in range(len(batch))]
     g = _exact_gram(batch)
     if rescale:
