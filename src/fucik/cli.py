@@ -43,6 +43,9 @@ MAX_KMAX = 200
 MAX_RESOLUTION = 100_000
 MAX_REGION_POINTS = 1_000_000  # nmax * resolution
 
+# Values the writers turn into Python floats at a time.
+_SLICE = 4096
+
 
 def _fmt(value: float) -> str:
     return format(float(value), ".12g")
@@ -155,24 +158,31 @@ def _cmd_gram(args) -> int:
 
 def _even_arc(n: int, sup: float, resolution: int):
     if sup <= 4.0:
-        a = float(n * n)
-        return [(a, a)]
-    pts = []
-    for i in range(resolution):
-        gamma = 4.0 + (sup - 4.0) * i / (resolution - 1)
-        alpha = gamma * n * n / 4.0
-        pts.append((alpha, solve_beta(n, alpha)))
-    return pts
+        square = np.array([float(n * n)])
+        return square, square
+    # alpha = gamma n^2 / 4 at resolution values of gamma from 4 to sup
+    alphas = np.fromiter(
+        ((4.0 + (sup - 4.0) * i / (resolution - 1)) * n * n / 4.0 for i in range(resolution)),
+        float,
+        resolution,
+    )
+    return alphas, np.fromiter((solve_beta(n, a) for a in alphas.tolist()), float, resolution)
 
 
 def _odd_arcs(n: int, epsilon: float, budget: float, resolution: int):
     cap = deviation_cap(n, epsilon, budget)
     floor = float(n * n)
     if cap <= floor * (1.0 + 1e-14):
-        return [(floor, floor)], None
-    major = [floor + (cap - floor) * i / (resolution - 1) for i in range(resolution)]
-    alpha_side = [(a, solve_beta(n, a)) for a in major]
-    beta_side = [(solve_alpha(n, b), b) for b in major]
+        square = np.array([floor])
+        return (square, square), None
+    major = np.fromiter(
+        (floor + (cap - floor) * i / (resolution - 1) for i in range(resolution)),
+        float,
+        resolution,
+    )
+    floats = major.tolist()
+    alpha_side = (major, np.fromiter((solve_beta(n, a) for a in floats), float, resolution))
+    beta_side = (np.fromiter((solve_alpha(n, b) for b in floats), float, resolution), major)
     return alpha_side, beta_side
 
 
@@ -181,14 +191,15 @@ def region_rows(
     nmax: int = 9,
     resolution: int = 100,
     epsilon: float | None = None,
-) -> list[tuple[str, list[tuple[float, float]]]]:
-    """Polylines of the admissible region as (curve_id, [(alpha, beta), ...]).
+) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """Polylines of the admissible region as (curve_id, alphas, betas).
 
-    The two sector lines come first.  Even curves carry the arc with
-    dilation parameter up to sup; with an epsilon the odd curves up to nmax
-    carry their admissible segments around the symmetric points under the
-    total deviation budget.  At sup = 4 the sector collapses to the diagonal
-    and arcs degenerate to single points.
+    Each polyline is two float64 arrays of equal length.  The two sector
+    lines come first.  Even curves carry the arc with dilation parameter up
+    to sup; with an epsilon the odd curves up to nmax carry their admissible
+    segments around the symmetric points under the total deviation budget.
+    At sup = 4 the sector collapses to the diagonal and arcs degenerate to
+    single points.
     """
     sup = float(sup)
     root = envelope_root()
@@ -207,12 +218,12 @@ def region_rows(
     if nmax * resolution > MAX_REGION_POINTS:
         raise InputError(f"nmax * resolution must be at most {MAX_REGION_POINTS}")
 
-    arcs: list[tuple[str, list]] = []
+    arcs: list[tuple[str, np.ndarray, np.ndarray]] = []
     for n in range(2, nmax + 1, 2):
-        pts = _even_arc(n, sup, resolution)
-        arcs.append((f"even-{n}-alpha", pts))
-        if len(pts) > 1:
-            arcs.append((f"even-{n}-beta", [(b, a) for a, b in pts]))
+        alphas, betas = _even_arc(n, sup, resolution)
+        arcs.append((f"even-{n}-alpha", alphas, betas))
+        if len(alphas) > 1:
+            arcs.append((f"even-{n}-beta", betas, alphas))
     if epsilon is not None:
         epsilon = float(epsilon)
         if not epsilon > 0.0 or not math.isfinite(epsilon):
@@ -221,22 +232,35 @@ def region_rows(
         budget = 0.0 if sup >= root else deviation_budget(epsilon, sup)
         for n in range(3, nmax + 1, 2):
             alpha_side, beta_side = _odd_arcs(n, epsilon, budget, resolution)
-            arcs.append((f"odd-{n}-alpha", alpha_side))
+            arcs.append((f"odd-{n}-alpha", *alpha_side))
             if beta_side is not None:
-                arcs.append((f"odd-{n}-beta", beta_side))
+                arcs.append((f"odd-{n}-beta", *beta_side))
 
-    extent = max(max(a, b) for _, pts in arcs for a, b in pts)
+    extent = _extent(arcs)
     slope = 1.0 / (math.sqrt(sup) - 1.0) ** 2
     return [
-        ("sector-alpha", [(0.0, 0.0), (extent, slope * extent)]),
-        ("sector-beta", [(0.0, 0.0), (slope * extent, extent)]),
+        ("sector-alpha", np.array([0.0, extent]), np.array([0.0, slope * extent])),
+        ("sector-beta", np.array([0.0, slope * extent]), np.array([0.0, extent])),
         *arcs,
     ]
 
 
+def _extent(curves: list) -> float:
+    """The largest coordinate of any point, read a fixed number of curves at a time."""
+    return max(
+        np.concatenate([xs for _, *both in curves[lo : lo + _SLICE] for xs in both]).max().item()
+        for lo in range(0, len(curves), _SLICE)
+    )
+
+
+def _points(alphas: np.ndarray, betas: np.ndarray):
+    """A polyline's (alpha, beta) pairs as floats, a fixed-size slice at a time."""
+    for lo in range(0, len(alphas), _SLICE):
+        yield from zip(alphas[lo : lo + _SLICE].tolist(), betas[lo : lo + _SLICE].tolist())
+
+
 def _svg_lines(curves):
-    extent = max(max(a, b) for _, pts in curves for a, b in pts)
-    extent = max(extent, 1.0)
+    extent = max(_extent(curves), 1.0)
     size, margin = 640, 48
     scale = (size - 2 * margin) / extent
 
@@ -255,18 +279,18 @@ def _svg_lines(curves):
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
         f'y2="{size - margin}" stroke="#444444"/>',
     )
-    for cid, pts in curves:
+    for cid, alphas, betas in curves:
         if cid.startswith("sector"):
             color = "#999999"
         elif cid.startswith("even"):
             color = "#000000"
         else:
             color = "#bb2200"
-        if len(pts) == 1:
-            a, b = pts[0]
+        if len(alphas) == 1:
+            a, b = alphas.item(), betas.item()
             yield f'<circle cx="{x(a):.2f}" cy="{y(b):.2f}" r="3" fill="{color}"/>'
         else:
-            coords = " ".join(f"{x(a):.2f},{y(b):.2f}" for a, b in pts)
+            coords = " ".join(f"{x(a):.2f},{y(b):.2f}" for a, b in _points(alphas, betas))
             yield (
                 f'<polyline points="{coords}" fill="none" stroke="{color}" '
                 'stroke-width="1.5"/>'
@@ -281,7 +305,11 @@ def _cmd_region(args) -> int:
     # the figure first, so that a path that cannot be opened leaves stdout empty
     if args.svg is not None:
         _write_lines(_svg_lines(curves), args.svg)
-    rows = (f"{cid},{_fmt(a)},{_fmt(b)}" for cid, pts in curves for a, b in pts)
+    rows = (
+        f"{cid},{_fmt(a)},{_fmt(b)}"
+        for cid, alphas, betas in curves
+        for a, b in _points(alphas, betas)
+    )
     _write_lines(itertools.chain(["curve_id,alpha,beta"], rows), args.csv)
     return 0
 
@@ -298,13 +326,12 @@ def _dump_lines(f):
     unsigned amplitude.  The arcs become Python floats a fixed-size slice at
     a time, and each is formatted only as it is written.
     """
-    chunk = 4096
     p = f.point
     last = len(f.amps) - 1
     yield f'{{\n  "alpha": {_num(p.alpha)},\n  "beta": {_num(p.beta)},\n  "bumps": ['
     start = _num(f.edges[0])
-    for lo in range(0, last + 1, chunk):
-        hi = lo + chunk
+    for lo in range(0, last + 1, _SLICE):
+        hi = lo + _SLICE
         ends, freqs, amps = f.edges[lo + 1 : hi + 1], f.freqs[lo:hi], abs(f.amps[lo:hi])
         for j, (end, freq, amp) in enumerate(
             zip(ends.tolist(), freqs.tolist(), amps.tolist()), start=lo

@@ -34,7 +34,8 @@ MAX_ARCS = 1_000_000
 # Terms (arcs x indices) one pass over several profiles may hold; a profile
 # alone may need more, up to MAX_ARCS x indices.  Passes this small keep
 # their arrays in cache: the Gram mixed block of the gamma 5 family at
-# N = 512 ran about a fifth slower in passes of MAX_ARCS terms.
+# N = 512 ran about a fifth slower in passes of MAX_ARCS terms.  The Gram
+# engine groups its rows by the same bound, counting arc overlaps as terms.
 PASS_TERMS = 1 << 16
 
 
@@ -92,8 +93,9 @@ def passes(counts, per_arc: int = 1):
     """Split consecutive profiles into runs (lo, hi) of at most PASS_TERMS terms.
 
     counts holds each profile's number of arcs and each arc costs per_arc
-    terms; a profile alone always forms a run, so one pass never holds more
-    than the largest single profile or PASS_TERMS terms, whichever is more.
+    terms (or each Gram row's number of terms, at one term each); a profile
+    alone always forms a run, so one pass never holds more than the largest
+    single profile or PASS_TERMS terms, whichever is more.
     """
     lo, held = 0, 0
     for k, count in enumerate(counts):
@@ -189,13 +191,6 @@ def evaluate(f: PiecewiseEigenfunction, x):
     return vals.reshape(arr.shape)
 
 
-def _fsum(values: np.ndarray) -> float:
-    """math.fsum of a 1-D array, read through a list, which is fastest, unless
-    it holds more than PASS_TERMS values: those it reads from the array, so
-    that no list of that size is made."""
-    return math.fsum(values.tolist() if len(values) <= PASS_TERMS else values)
-
-
 def batch_moments(batch: ProfileBatch, indices) -> tuple[np.ndarray, np.ndarray]:
     """|f_k|^2 of every profile and <f_k, sqrt(2/pi) sin(j x)> for j in row k of indices.
 
@@ -228,8 +223,15 @@ def batch_moments(batch: ProfileBatch, indices) -> tuple[np.ndarray, np.ndarray]
         squares = amps * amps * widths
         for k in range(lo, hi):
             a, b = offsets[k] - first, offsets[k + 1] - first
-            norm_sq[k] = 0.5 * _fsum(squares[a:b])
-            sums[k] = [_fsum(row) for row in arcs[:, a:b]]
+            norm, rows = squares[a:b], arcs[:, a:b]
+            # math.fsum reads lists fastest, but no list of more than
+            # PASS_TERMS values is made: a profile with more terms is listed
+            # one row at a time, and one whose rows hold more is read as it is
+            if b - a <= PASS_TERMS:
+                norm = norm.tolist()
+                rows = rows.tolist() if rows.size <= PASS_TERMS else map(np.ndarray.tolist, rows)
+            norm_sq[k] = 0.5 * math.fsum(norm)
+            sums[k] = [math.fsum(row) for row in rows]
     return norm_sq, SUP_NORM * math.pi * sums
 
 

@@ -8,9 +8,10 @@ exactly and pays only for the perturbed entries E: the unperturbed sines
 give an identity block, a member of E against a sine is one closed-form
 inner product (fucik.eigenfunction.moments), and only the members of E
 among themselves are summed as closed-form integrals of sine products over
-the overlaps of two profiles' arcs.  The Gauss-Legendre reference in
-tests/test_gram.py and the benchmark oracle (perfbench/oracle.py) check it
-independently.
+the overlaps of two profiles' arcs, many rows of the matrix to one numpy
+sweep.  The Gauss-Legendre reference in tests/test_gram.py and the
+benchmark oracle (perfbench/oracle.py) check it independently, and the
+per-row engine in tests/reference.py bit for bit.
 
 Known gap: the certificate can pass systems this check falsifies.  When
 the envelope absorbs a large constant-shape family (every even n <= N at
@@ -30,53 +31,105 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import SystemSpec, certify_system
-from .eigenfunction import ProfileBatch, batch_moments, build_batch
+from .eigenfunction import ProfileBatch, batch_moments, build_batch, passes
 from .spectrum import is_diagonal
 
 # Slack added on both sides of the certified window, for rounding noise only.
 CUSHION = 0.02
 
 
+def _firsts(counts: np.ndarray) -> np.ndarray:
+    """Where each run of the given lengths starts when the runs lie end to end."""
+    first = np.zeros(len(counts), dtype=np.intp)
+    np.cumsum(counts[:-1], out=first[1:])
+    return first
+
+
 def _exact_gram(batch: ProfileBatch) -> np.ndarray:
-    """Unscaled Gram matrix, summed exactly over arc overlaps, one row at a time.
+    """Unscaled Gram matrix, summed exactly over arc overlaps, many rows per numpy sweep.
 
     Reads the batch's concatenated arc arrays as they are.  Arcs
     A sin(w (x - s)) and B sin(v (x - t)) overlapping on [m - h, m + h]
     give AB [h cos(a - b) sinc((w - v) h) - cos(a + b) sin((w + v) h) / (w + v)]
     with a = w (m - s), b = v (m - t), sinc(y) = sin(y) / y.  Every overlap
-    starts at an arc start of one side, inside one arc of the other side.
+    starts at an arc start of one side, inside one arc of the other side, so
+    row i against its partners j >= i takes sum_j (n_i + n_j - 1) terms.
+    Consecutive rows share one sweep of at most PASS_TERMS terms (see
+    passes), and each entry is one bincount over its own terms in a fixed
+    order, so the matrix does not depend on how the rows are grouped.
     """
     off = batch.offsets
     count = np.diff(off)
     size = len(batch)
     starts, ends, amps, freqs = batch.starts, batch.ends, batch.amps, batch.freqs
-    owner = np.repeat(np.arange(size), count)
-    later = np.delete(np.arange(off[-1]), off[:-1])  # all starts but each first 0.0
+    # integer keys that order the starts exactly as their values do
+    uniques, rank = np.unique(starts, return_inverse=True)
+    stride = len(uniques)
+    partners = size - np.arange(size)
     g = np.zeros((size, size))
-    for i in range(size):
-        n_i, lo, partners = count[i], off[i], size - i
-        own = starts[lo:off[i + 1]]
-        # partner starts in (0, pi); the arc of i holding one is the last to start below it
-        theirs = later[np.searchsorted(later, lo):]
-        pair_t = owner[theirs] - i
-        below = np.searchsorted(own, starts[theirs])
-        # a start of i lies in the partner arc counted by the partner starts at or before it
-        hist = np.bincount(pair_t * (n_i + 1) + below, minlength=partners * (n_i + 1))
-        holder = off[i:-1, None] + np.cumsum(hist.reshape(partners, -1)[:, :n_i], axis=1)
-        ai = np.concatenate((np.tile(np.arange(lo, lo + n_i), partners), lo + below - 1))
-        aj = np.concatenate((holder.ravel(), theirs))
-        left = np.concatenate((np.tile(own, partners), starts[theirs]))
-        pair = np.concatenate((np.repeat(np.arange(partners), n_i), pair_t))
-        h = 0.5 * (np.minimum(ends[ai], ends[aj]) - left)
-        mid = left + h
+    # row i: n_i terms with each partner and one per start in (0, pi) of profiles i..
+    for r0, r1 in passes((partners * count + off[-1] - off[:-1] - partners).tolist()):
+        rows = np.arange(r0, r1)
+        part = partners[r0:r1]
+        pair_i = np.repeat(rows, part)
+        pair_j = pair_i + np.arange(len(pair_i)) - np.repeat(_firsts(part), part)
+        n_pairs = len(pair_i)
+        # pair (i, j) sums the arcs of i, each against the arc of j that
+        # holds its start, then the starts in (0, pi) of j, each against the
+        # arc of i that holds it.  The sweep lists the first kind of term for
+        # every pair, then the second; ai and aj start as the arc whose start
+        # a term lists, and the holding arcs are filled in below
+        runs = np.concatenate((count[pair_i], count[pair_j] - 1))
+        first = _firsts(runs)
+        n_own, theirs = int(first[n_pairs]), runs[n_pairs:]
+        shift = np.concatenate((off[pair_i], off[pair_j] + 1)) - first
+        ai = np.arange(first[-1] + runs[-1]) + np.repeat(shift, runs)
+        aj = ai.copy()
+        # the starts of the sweep's rows binned by rank, a stride of bins per
+        # row: the count below a partner start's bin takes every start of the
+        # earlier rows and those of its own row that lie below it
+        own = np.repeat((rows - r0) * stride, count[r0:r1]) + rank[off[r0] : off[r1]]
+        below = np.cumsum(np.bincount(own, minlength=(r1 - r0) * stride))
+        key = rank[aj[n_own:]] + np.repeat((pair_i - r0) * stride - 1, theirs)
+        np.add(below[key], off[r0] - 1, out=ai[n_own:])
+        # a start of i lies in the arc of j counted by the starts of j below
+        # it: bin those by the arc of i holding them and count the bins before
+        key = ai[n_own:] + np.repeat(first[:n_pairs] - off[pair_i], theirs)
+        held = np.bincount(key, minlength=n_own)
+        aj[:n_own] = np.repeat(off[pair_j] - first[n_pairs:] + n_own, runs[:n_pairs])
+        aj[1:n_own] += np.cumsum(held[:-1])
+        # the formula step by step, each operation on the operands and in
+        # the order it has there, in place where one is free: the sweep's
+        # arrays then stay in cache, and every term comes out bit for bit
+        s, t = starts[ai], starts[aj]
+        left = np.maximum(s, t)
+        h = np.minimum(ends[ai], ends[aj])
+        h -= left
+        h *= 0.5
+        mid = np.add(left, h, out=left)
         w, v = freqs[ai], freqs[aj]
-        a = w * (mid - starts[ai])
-        b = v * (mid - starts[aj])
-        vals = amps[ai] * amps[aj] * (
-            h * np.cos(a - b) * np.sinc((w - v) * (h / math.pi))
-            - np.cos(a + b) * np.sin((w + v) * h) / (w + v)
-        )
-        g[i, i:] = np.bincount(pair, weights=vals, minlength=partners)
+        a = np.subtract(mid, s, out=s)
+        a *= w
+        b = np.subtract(mid, t, out=t)
+        b *= v
+        near = np.subtract(a, b, out=mid)
+        a += b
+        y = np.subtract(w, v, out=b)
+        y *= h / math.pi
+        np.cos(near, out=near)
+        near *= h
+        near *= np.sinc(y)
+        w += v
+        far = np.cos(a, out=a)
+        h *= w
+        far *= np.sin(h, out=h)
+        far /= w
+        near -= far
+        vals = amps[ai] * amps[aj]
+        vals *= near
+        # bincount adds in input order: within a pair, arcs of i before starts of j
+        pair = np.repeat(np.tile(np.arange(n_pairs), 2), runs)
+        g[pair_i, pair_j] = np.bincount(pair, weights=vals, minlength=n_pairs)
     return g + np.triu(g, 1).T
 
 

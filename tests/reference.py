@@ -1,7 +1,7 @@
 """Test-only references: quadrature and series oracles for the closed forms
-of the library, the abstract criterion and dilation operator that the tests
-check on their own, and the ODE residual of a profile.  Nothing in fucik
-imports this module.
+of the library, the per-row Gram engine that the swept one is held to, the
+abstract criterion and dilation operator that the tests check on their own,
+and the ODE residual of a profile.  Nothing in fucik imports this module.
 """
 
 import math
@@ -9,7 +9,13 @@ import math
 import numpy as np
 
 from fucik.certify import InputError
-from fucik.eigenfunction import SUP_NORM, PiecewiseEigenfunction, build, evaluate
+from fucik.eigenfunction import (
+    SUP_NORM,
+    PiecewiseEigenfunction,
+    ProfileBatch,
+    build,
+    evaluate,
+)
 from fucik.envelope import GAMMA_MAX, TAIL_WEIGHT
 from fucik.quadrature import integrate
 from fucik.spectrum import FucikPoint
@@ -84,6 +90,46 @@ def profile_moments(f: PiecewiseEigenfunction, n: int) -> tuple[float, float]:
     mids = f.edges[:-1] + 0.5 * widths
     arcs = f.amps * np.sin(n * mids) * np.sinc((f.freqs - n) / (2.0 * f.freqs)) / (f.freqs + n)
     return 0.5 * math.fsum(f.amps * f.amps * widths), SUP_NORM * math.pi * math.fsum(arcs)
+
+
+def per_row_gram(batch: ProfileBatch) -> np.ndarray:
+    """Unscaled Gram matrix of a batch by the arc-overlap formula of
+    fucik.gram._exact_gram, one row at a time: row i finds the arcs holding
+    each start with searchsorted and sums its pair (i, j) terms, the arcs of
+    i before the starts of j, with one bincount.  The swept engine is held
+    to it bit for bit."""
+    off = batch.offsets
+    count = np.diff(off)
+    size = len(batch)
+    starts, ends, amps, freqs = batch.starts, batch.ends, batch.amps, batch.freqs
+    owner = np.repeat(np.arange(size), count)
+    later = np.delete(np.arange(off[-1]), off[:-1])  # all starts but each first 0.0
+    g = np.zeros((size, size))
+    for i in range(size):
+        n_i, lo, partners = count[i], off[i], size - i
+        own = starts[lo:off[i + 1]]
+        # partner starts in (0, pi); the arc of i holding one is the last to start below it
+        theirs = later[np.searchsorted(later, lo):]
+        pair_t = owner[theirs] - i
+        below = np.searchsorted(own, starts[theirs])
+        # a start of i lies in the partner arc counted by the partner starts at or before it
+        hist = np.bincount(pair_t * (n_i + 1) + below, minlength=partners * (n_i + 1))
+        holder = off[i:-1, None] + np.cumsum(hist.reshape(partners, -1)[:, :n_i], axis=1)
+        ai = np.concatenate((np.tile(np.arange(lo, lo + n_i), partners), lo + below - 1))
+        aj = np.concatenate((holder.ravel(), theirs))
+        left = np.concatenate((np.tile(own, partners), starts[theirs]))
+        pair = np.concatenate((np.repeat(np.arange(partners), n_i), pair_t))
+        h = 0.5 * (np.minimum(ends[ai], ends[aj]) - left)
+        mid = left + h
+        w, v = freqs[ai], freqs[aj]
+        a = w * (mid - starts[ai])
+        b = v * (mid - starts[aj])
+        vals = amps[ai] * amps[aj] * (
+            h * np.cos(a - b) * np.sinc((w - v) * (h / math.pi))
+            - np.cos(a + b) * np.sin((w + v) * h) / (w + v)
+        )
+        g[i, i:] = np.bincount(pair, weights=vals, minlength=partners)
+    return g + np.triu(g, 1).T
 
 
 def combined_criterion(residual_defect: float, families) -> tuple[float, bool]:

@@ -16,6 +16,7 @@ from reference import combined_criterion, defect_details, profile_moments
 from test_acceptance import sampled_defects, sampled_points
 
 import fucik.certify
+import fucik.eigenfunction
 import fucik.fourier
 import fucik.quadrature
 from fucik.certify import (
@@ -348,6 +349,19 @@ def test_one_pass_gives_what_each_profile_gives_alone(entries, data):
         assert np.array_equal(inner[k], want_inner)
         for j, m in enumerate((p.n, 1, 7)):
             assert (norm_sq[k], inner[k, j]) == profile_moments(alone, m)
+
+
+@pytest.mark.parametrize("cap", [8, 64])
+def test_moments_past_the_pass_cap_are_unchanged(monkeypatch, cap):
+    # at 64 the profile n = 40 holds more terms than a pass, but its rows
+    # fit; at 8 the rows of n = 10 and n = 40 hold more than a pass too
+    monkeypatch.setattr(fucik.eigenfunction, "PASS_TERMS", cap)
+    points = [_point(n, "alpha side", 1.3) for n in (2, 10, 40)]
+    indices = np.array([[p.n, 1, 7] for p in points])
+    norm_sq, inner = batch_moments(build_batch(points), indices)
+    for k, p in enumerate(points):
+        for j, m in enumerate(indices[k].tolist()):
+            assert (norm_sq[k], inner[k, j]) == profile_moments(build(p), m)
 
 
 def test_certify_at_the_profile_cap_stays_small():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import quadrature_coefficient
+from reference import per_row_gram, quadrature_coefficient
 
 import fucik.certify
 import fucik.eigenfunction
@@ -144,6 +144,27 @@ def test_blocks_match_the_all_pairs_engine(entries, n_trunc, rescale):
         for k in sines:
             entry = rho * moments(f, k + 1)[1]
             assert m[n - 1, k] == entry and m[k, n - 1] == entry
+
+
+def assert_sweeps_match_per_row(batch):
+    want = per_row_gram(batch)
+    # one row per sweep, the default sweeps, and every row in one sweep
+    for cap in (1, fucik.eigenfunction.PASS_TERMS, 2**40):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fucik.eigenfunction, "PASS_TERMS", cap)
+            assert np.array_equal(_exact_gram(batch), want), cap
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ENTRIES)
+def test_sweeps_match_the_per_row_engine(entries):
+    points = [_curve_point(n, *entries[n]) for n in sorted(entries)]
+    assert_sweeps_match_per_row(build_batch(points))
+
+
+def test_sweeps_match_the_per_row_engine_on_the_family():
+    spec = constant_shape_even_family(5.0, 64)
+    assert_sweeps_match_per_row(build_batch(spec.entries))
 
 
 def test_only_perturbed_entries_build_a_profile(monkeypatch, capsys, write_spec):
