@@ -23,13 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .eigenfunction import (
-    PiecewiseEigenfunction,
-    batch_moments,
-    build_batch,
-    moments,
-    passes,
-)
+from .eigenfunction import PiecewiseEigenfunction, batch_moments, moments
 from .envelope import GAMMA_MAX, envelope_root, envelope_value, zeta
 from .spectrum import (
     FucikPoint,
@@ -64,20 +58,18 @@ def projection_defect(p: FucikPoint) -> float:
 
 
 def _projection_defects(points) -> list[float]:
-    """projection_defect of every point, bit for bit, from shared passes.
+    """projection_defect of every point, bit for bit, from one batch_moments.
 
-    The profiles that are not modes are built and summed together, one
-    build_batch and one batch_moments per pass (see passes), so one pass
-    never holds more than a capped profile alone.  A profile that cannot be
-    built raises SpectrumError, the first one in order.
+    The points that are not modes share one closed-form call, which builds
+    no profile.  A point whose profile cannot be built raises SpectrumError,
+    the first one in order.
     """
     values = [0.0] * len(points)
     todo = [k for k, p in enumerate(points) if not is_diagonal(p)]
-    for lo, hi in passes([points[k].n for k in todo]):
-        group = [points[k] for k in todo[lo:hi]]
-        norm_sq, inner = batch_moments(build_batch(group), [[p.n] for p in group])
-        for k, sq, dot in zip(todo[lo:hi], norm_sq.tolist(), inner[:, 0].tolist()):
-            values[k] = 1.0 - dot * dot / sq
+    group = [points[k] for k in todo]
+    norm_sq, inner = batch_moments(group, [[p.n] for p in group])
+    for k, sq, dot in zip(todo, norm_sq.tolist(), inner.ravel().tolist()):
+        values[k] = 1.0 - dot * dot / sq
     return values
 
 
@@ -234,11 +226,12 @@ def certify_system(spec: SystemSpec) -> Certificate:
     The total is the sum of squared projection defects over entries outside
     the envelope set plus the squared envelope at the largest dilation
     parameter inside it.  "exact" mode takes each defect in closed form (the
-    label "quadrature-defect" is kept; nothing is integrated), all from one
-    pass over the profiles before the split is chosen: the entries left
-    outside the candidates for "default" and explicit splits, every entry
-    for "auto".  "bound" mode takes each defect's closed-form majorant as
-    the split needs it, builds no profile, and certifies fewer systems.
+    label "quadrature-defect" is kept; nothing is integrated and no profile
+    is built), all from one batch_moments before the split is chosen: the
+    entries left outside the candidates for "default" and explicit splits,
+    every entry for "auto".  "bound" mode takes each defect's closed-form
+    majorant as the split needs it, builds no profile, and certifies fewer
+    systems.
 
     The candidates for the envelope set are the split indices, or every
     non-symmetric even entry for "default" and "auto".  "default" absorbs all

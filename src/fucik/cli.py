@@ -23,7 +23,7 @@ from .certify import (
     deviation_cap,
     parse_system,
 )
-from .eigenfunction import build, moments
+from .eigenfunction import batch_moments, build
 from .envelope import envelope, envelope_root
 from .fourier import coefficient
 from .gram import gram_matrix, gram_witness
@@ -128,12 +128,14 @@ def _cmd_root(args) -> int:
 def _cmd_coeffs(args) -> int:
     if not 1 <= args.kmax <= MAX_KMAX:
         raise InputError(f"kmax must lie in [1, {MAX_KMAX}]")
-    # the per-arc closed form of moments shares no code with coefficient's
-    # two-arc formula, so each row checks one against the other
-    f = build(point_from_gamma(2, args.gamma))
-    _, arc_sums = moments(f, np.arange(1, args.kmax + 1))
+    if not 4.0 <= args.gamma < 9.0:
+        raise InputError("gamma must lie in [4, 9)")
+    # batch_moments sums the profile's arcs in closed form and shares no
+    # code with coefficient's two-arc formula, so each row checks one
+    # against the other
+    _, arc_sums = batch_moments((point_from_gamma(2, args.gamma),), [range(1, args.kmax + 1)])
     lines = ["k,coefficient,reflected_coefficient,arc_sum,abs_error"]
-    for k, arc_sum in enumerate(arc_sums.tolist(), start=1):
+    for k, arc_sum in enumerate(arc_sums[0].tolist(), start=1):
         direct = coefficient(args.gamma, k)
         reflected = -direct if k % 2 else direct  # the mirrored profile
         lines.append(
@@ -385,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.set_defaults(handler=_cmd_root)
 
     k = sub.add_parser(
-        "coeffs", help="coefficient table cross-checked against the per-arc closed form"
+        "coeffs", help="coefficient table cross-checked against the summed arcs"
     )
     k.add_argument("--gamma", type=float, required=True)
     k.add_argument("--kmax", type=int, default=20)

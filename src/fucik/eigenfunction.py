@@ -8,10 +8,12 @@ negative-arc width so the chain tiles (0, pi) exactly in floating point,
 which keeps the boundary zeros at machine accuracy for any admissible index.
 
 Every profile comes from build_batch, which builds the arcs of many
-profiles end to end in one numpy pass, and every norm and sine inner
-product from batch_moments, one broadcast over all of them; build and
-moments are the same routines on a batch of one, so a profile's numbers
-do not depend on the company it is computed in.
+profiles end to end in one numpy pass.  Norms and sine inner products need
+no profile: the arcs of one sign are equally spaced, so batch_moments sums
+them in closed form from each point's arc counts, widths and amplitudes,
+O(1) per (point, index).  build and moments are the same routines on a
+batch of one, so a profile's numbers do not depend on the company it is
+computed in.
 """
 
 from __future__ import annotations
@@ -26,17 +28,21 @@ from .spectrum import FucikPoint, SpectrumError
 
 SUP_NORM = math.sqrt(2.0 / math.pi)
 
-# Largest index build accepts, so that an oversized index fails with
-# SpectrumError: at the cap a profile holds 24 MB of arrays, and `dump`
-# peaks at about 76 MB of resident memory.
+# Largest index build and batch_moments accept, so that an oversized index
+# fails with SpectrumError: at the cap a profile holds 24 MB of arrays, and
+# `dump` peaks at about 76 MB of resident memory.
 MAX_ARCS = 1_000_000
 
-# Terms (arcs x indices) one pass over several profiles may hold; a profile
-# alone may need more, up to MAX_ARCS x indices.  Passes this small keep
-# their arrays in cache: the Gram mixed block of the gamma 5 family at
-# N = 512 ran about a fifth slower in passes of MAX_ARCS terms.  The Gram
-# engine groups its rows by the same bound, counting arc overlaps as terms.
-PASS_TERMS = 1 << 16
+# Arcs at least this wide keep a positive width in floats: each float edge
+# is within 2 ulp(pi) of its exact place, and the tiling within 2 ulp(pi)
+# of pi, so only a narrower arc can close up.
+_NARROW = 16.0 * math.ulp(math.pi)
+
+# Far below any phase batch_moments meets that is not exactly 0.
+_TINY = 1e-300
+
+# sqrt(2/pi) pi / 2, the factor of A w in each arc's inner product.
+_WEIGHT = 0.5 * SUP_NORM * math.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,23 +95,25 @@ class ProfileBatch:
         return ends
 
 
-def passes(counts, per_arc: int = 1):
-    """Split consecutive profiles into runs (lo, hi) of at most PASS_TERMS terms.
+def _arc_row(p: FucikPoint) -> tuple[float, ...]:
+    """Positive and negative arc counts, widths and signed amplitudes of p's profile.
 
-    counts holds each profile's number of arcs and each arc costs per_arc
-    terms (or each Gram row's number of terms, at one term each); a profile
-    alone always forms a run, so one pass never holds more than the largest
-    single profile or PASS_TERMS terms, whichever is more.
+    An index past MAX_ARCS raises SpectrumError.
     """
-    lo, held = 0, 0
-    for k, count in enumerate(counts):
-        terms = count * per_arc
-        if k > lo and held + terms > PASS_TERMS:
-            yield lo, k
-            lo, held = k, 0
-        held += terms
-    if lo < len(counts):
-        yield lo, len(counts)
+    n = p.n
+    if n > MAX_ARCS:
+        raise SpectrumError(f"n = {n} exceeds the cap of {MAX_ARCS} arcs per profile")
+    if n == 1:
+        return 1.0, 0.0, math.pi, 0.0, SUP_NORM, 0.0
+    w_pos = math.pi / math.sqrt(p.alpha)
+    # refit the negative width so the counted arcs sum to pi exactly
+    w_neg = (math.pi - (n + 1) // 2 * w_pos) / (n // 2)
+    # slope matching at the zeros: amp_pos sqrt(alpha) = amp_neg sqrt(beta)
+    ratio = math.sqrt(p.alpha / p.beta)
+    counts = float((n + 1) // 2), float(n // 2)
+    if ratio >= 1.0:
+        return *counts, w_pos, w_neg, SUP_NORM / ratio, -SUP_NORM
+    return *counts, w_pos, w_neg, SUP_NORM, -SUP_NORM * ratio
 
 
 def build_batch(points) -> ProfileBatch:
@@ -119,28 +127,11 @@ def build_batch(points) -> ProfileBatch:
     collapses to sqrt(2/pi) sin(n x).
     """
     points = tuple(points)
-    counts, rows = [], []
-    for p in points:
-        n = p.n
-        if n > MAX_ARCS:
-            raise SpectrumError(f"n = {n} exceeds the cap of {MAX_ARCS} arcs per profile")
-        counts.append(n)
-        if n == 1:
-            rows.append((math.pi, 0.0, SUP_NORM, 0.0))
-            continue
-        w_pos = math.pi / math.sqrt(p.alpha)
-        # refit the negative width so the counted arcs sum to pi exactly
-        w_neg = (math.pi - (n + 1) // 2 * w_pos) / (n // 2)
-        # slope matching at the zeros: amp_pos sqrt(alpha) = amp_neg sqrt(beta)
-        ratio = math.sqrt(p.alpha / p.beta)
-        if ratio >= 1.0:
-            rows.append((w_pos, w_neg, SUP_NORM / ratio, -SUP_NORM))
-        else:
-            rows.append((w_pos, w_neg, SUP_NORM, -SUP_NORM * ratio))
     size = len(points)
+    table = np.array([_arc_row(p) for p in points]).reshape(size, 6)
+    counts = [p.n for p in points]
     offsets = np.array(list(itertools.accumulate(counts, initial=0)))
     counts = np.array(counts, dtype=np.intp)
-    table = np.array(rows).reshape(size, 4)
     # in place where the types allow, as the arrays hold up to MAX_ARCS
     # values: the local index j of every arc, then its parity, which picks
     # the signed amplitude, then (j + 1) // 2, since arc j starts after
@@ -149,12 +140,12 @@ def build_batch(points) -> ProfileBatch:
     local -= offsets[:-1].repeat(counts)
     half = local >> 1
     local &= 1
-    pick = (4 * np.arange(size) + 2).repeat(counts)
+    pick = (6 * np.arange(size) + 4).repeat(counts)
     pick += local
     amps = table.ravel()[pick]
     local += half
-    starts = local * table[:, 0].repeat(counts)
-    starts += half * table[:, 1].repeat(counts)
+    starts = local * table[:, 2].repeat(counts)
+    starts += half * table[:, 3].repeat(counts)
     last = offsets[1:] - 1
     widths = np.empty_like(starts)
     np.subtract(starts[1:], starts[:-1], out=widths[:-1])
@@ -191,59 +182,73 @@ def evaluate(f: PiecewiseEigenfunction, x):
     return vals.reshape(arr.shape)
 
 
-def batch_moments(batch: ProfileBatch, indices) -> tuple[np.ndarray, np.ndarray]:
-    """|f_k|^2 of every profile and <f_k, sqrt(2/pi) sin(j x)> for j in row k of indices.
+def batch_moments(points, indices) -> tuple[np.ndarray, np.ndarray]:
+    """|f_k|^2 of every point's profile and <f_k, sqrt(2/pi) sin(j x)> for j in row k of indices.
 
-    indices is a 2-D integer array with one row per profile.  All terms are
-    taken by one broadcast per pass (see passes), and each (profile, index)
-    arc sum is one math.fsum, so every value is bit for bit what the profile
-    gives alone.  The arc A sin(w (x - a)) over its half period pi/w,
-    midpoint m, adds A^2 pi/(2w) and
-    sqrt(2/pi) pi A sin(j m) sinc((w - j)/(2w)) / (w + j);
-    numpy's normalized sinc removes the singularity at w = j.
+    indices holds one row of integers per point.  No profile is built: each
+    value is O(1) in closed form and elementwise, so it is bit for bit what
+    the point gives alone.  A point with P positive arcs of width w+ and
+    amplitude A+ and Q negative ones of width w- and amplitude A- has
+    |f|^2 = (P A+^2 w+ + Q A-^2 w-) / 2.  An arc A sin(pi (x - a) / w) with
+    midpoint m adds sqrt(2/pi) pi A sin(j m) sin(s) / s w / (pi + j w),
+    s = (pi - j w) / 2, and the K midpoints of one sign lie L = w+ + w-
+    apart, so their sines sum to sin(theta) sin(K x) / sin(x), x = j L / 2,
+    theta the phase of their middle.  The tiling P w+ + Q w- = pi reduces
+    both phases exactly: x - p pi = delta = (pi (j - 2 P p) + j (P - Q) w-)
+    / (2 P) with p = rint(j / 2P), where j - 2 P p is an exact integer, and
+    theta = j pi / 2 - j (Q + 1 - P) w- / 2 for the positive arcs,
+    j pi / 2 + j (Q + 1 - P) w+ / 2 for the negative ones.  The first point
+    in order whose profile build refuses raises build's SpectrumError.
     """
-    indices = np.asarray(indices)
-    width = indices.shape[1]
-    offsets = batch.offsets.tolist()
-    counts = [hi - lo for lo, hi in zip(offsets, offsets[1:])]
-    # arrays rather than lists of floats: floats kept across passes would pin
-    # the interpreter's memory arenas that each pass's lists fill
-    norm_sq, sums = np.empty(len(batch)), np.empty((len(batch), width))
-    for lo, hi in passes(counts, width):
-        first, last = offsets[lo], offsets[hi]
-        amps, freqs = batch.amps[first:last], batch.freqs[first:last]
-        widths = math.pi / freqs
-        mids = batch.starts[first:last] + 0.5 * widths
-        # one row of arc terms per index, each arc against its own profile's
-        # row; a lone profile's indices broadcast as they are
-        col = indices[lo:hi].T.astype(float)
-        if hi - lo > 1:
-            col = np.repeat(col, counts[lo:hi], axis=1)
-        arcs = amps * np.sin(col * mids) * np.sinc((freqs - col) / (2.0 * freqs)) / (freqs + col)
-        squares = amps * amps * widths
-        for k in range(lo, hi):
-            a, b = offsets[k] - first, offsets[k + 1] - first
-            norm, rows = squares[a:b], arcs[:, a:b]
-            # math.fsum reads lists fastest, but no list of more than
-            # PASS_TERMS values is made: a profile with more terms is listed
-            # one row at a time, and one whose rows hold more is read as it is
-            if b - a <= PASS_TERMS:
-                norm = norm.tolist()
-                rows = rows.tolist() if rows.size <= PASS_TERMS else map(np.ndarray.tolist, rows)
-            norm_sq[k] = 0.5 * math.fsum(norm)
-            sums[k] = [math.fsum(row) for row in rows]
-    return norm_sq, SUP_NORM * math.pi * sums
+    points = tuple(points)
+    # one row per sign and point, the positive arcs of every point first:
+    # 2P, pi / 2P, (P - Q) w- / 2P, K, 2 (K - 1), w / 2, theta / j - pi / 2,
+    # sqrt(2/pi) pi A w / 2, and |f|^2
+    plus, minus = [], []
+    for p in points:
+        pos, neg, w_pos, w_neg, a_pos, a_neg = _arc_row(p)
+        if neg and not min(w_pos, w_neg) > _NARROW:
+            build(p)  # which refuses an arc of no width
+        twice = 2.0 * pos
+        shared = (twice, math.pi / twice, (pos - neg) * w_neg / twice)
+        lag = 0.5 * (neg + 1.0 - pos)
+        norm_sq = 0.5 * (pos * a_pos * a_pos * w_pos + neg * a_neg * a_neg * w_neg)
+        plus += (*shared, pos, 2.0 * pos - 2.0, 0.5 * w_pos, -lag * w_neg,
+                 _WEIGHT * a_pos * w_pos, norm_sq)
+        minus += (*shared, neg, 2.0 * neg - 2.0, 0.5 * w_neg, lag * w_pos,
+                  _WEIGHT * a_neg * w_neg, norm_sq)
+    size = len(points)
+    table = np.array(plus + minus).reshape(2 * size, 9).T[:, :, None]
+    twice, unit, drift, counts, less, half_widths, lags, weights = table[:8]
+
+    # every operand has 2 * size rows, so numpy never broadcasts a row
+    j = np.asarray(indices, dtype=float)
+    j = np.concatenate((j, j))
+    turns = np.rint(j / twice)
+    # delta and s are 0 or far above _TINY, which moves them off the
+    # removable singularities: sin(K x) / sin(x) -> +-K and sin(s) / s -> 1
+    delta = (j - twice * turns) * unit + j * drift + _TINY
+    dirichlet = np.sin(counts * delta) / np.sin(delta)
+    # sin(j pi / 2 + phi) = (-1)^floor(j / 2) sin(phi + (j mod 2) pi / 2), exact
+    # at phi = 0, as for every odd index; sin(K x) / sin(delta) carries
+    # (-1)^((K - 1) p), so the sign is 1 - (2 floor(j / 2) + 2 (K - 1) p mod 4)
+    odd = np.fmod(j, 2.0)
+    sines = np.sin(lags * j + odd * (0.5 * math.pi))
+    signs = 1.0 - np.mod(j - odd + less * turns, 4.0)
+    # A sin(s) / s w / (pi + j w) = (A w / 2) sin(s) / (s (pi - s))
+    s = 0.5 * math.pi - j * half_widths + _TINY
+    terms = weights * np.sin(s) / (s * (math.pi - s)) * dirichlet * sines * signs
+    return table[8, :size, 0], terms[:size] + terms[size:]
 
 
 def moments(
     f: PiecewiseEigenfunction, n: int | np.ndarray
 ) -> tuple[float, float | np.ndarray]:
-    """|f|^2 and <f, sqrt(2/pi) sin(n x)> in closed form: batch_moments of one.
+    """|f|^2 and <f, sqrt(2/pi) sin(n x)> in closed form: batch_moments of f's point alone.
 
     n is one index, giving the inner product as a float, or a 1-D numpy
     array of indices, giving an array of inner products in the same order.
     """
-    batch = ProfileBatch((f.point,), f.edges[:-1], f.amps, f.freqs, np.array([0, len(f.amps)]))
     many = isinstance(n, np.ndarray)
-    norm_sq, inner = batch_moments(batch, n[None, :] if many else [[n]])
+    norm_sq, inner = batch_moments((f.point,), n[None, :] if many else [[n]])
     return float(norm_sq[0]), inner[0] if many else float(inner[0, 0])

@@ -5,13 +5,13 @@ orthonormal basis by at most theta = sqrt(total) in the Bessel/frame sense,
 so every truncation's eigenvalues must land inside
 [(1 - theta)^2, (1 + theta)^2].  This module builds those truncations
 exactly and pays only for the perturbed entries E: the unperturbed sines
-give an identity block, a member of E against a sine is one closed-form
-inner product (fucik.eigenfunction.moments), and only the members of E
-among themselves are summed as closed-form integrals of sine products over
-the overlaps of two profiles' arcs, many rows of the matrix to one numpy
-sweep.  The Gauss-Legendre reference in tests/test_gram.py and the
-benchmark oracle (perfbench/oracle.py) check it independently, and the
-per-row engine in tests/reference.py bit for bit.
+give an identity block, a member of E against a sine is one O(1)
+closed-form inner product (fucik.eigenfunction.batch_moments), and only
+the members of E among themselves are summed as closed-form integrals of
+sine products over the overlaps of two profiles' arcs, many rows of the
+matrix to one numpy sweep.  The Gauss-Legendre reference in
+tests/test_gram.py and the benchmark oracle (perfbench/oracle.py) check it
+independently, and the per-row engine in tests/reference.py bit for bit.
 
 Known gap: the certificate can pass systems this check falsifies.  When
 the envelope absorbs a large constant-shape family (every even n <= N at
@@ -31,11 +31,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import SystemSpec, certify_system
-from .eigenfunction import ProfileBatch, batch_moments, build_batch, passes
+from .eigenfunction import ProfileBatch, batch_moments, build_batch
 from .spectrum import is_diagonal
 
 # Slack added on both sides of the certified window, for rounding noise only.
 CUSHION = 0.02
+
+# Overlap terms one sweep of the Gram engine may hold; a row alone may need
+# more.  Sweeps this small keep their arrays in cache.
+PASS_TERMS = 1 << 16
+
+
+def passes(counts):
+    """Split consecutive rows into runs (lo, hi) of at most PASS_TERMS terms.
+
+    counts holds each row's number of terms; a row alone always forms a
+    run, so one sweep never holds more than the largest single row or
+    PASS_TERMS terms, whichever is more.
+    """
+    lo, held = 0, 0
+    for k, terms in enumerate(counts):
+        if k > lo and held + terms > PASS_TERMS:
+            yield lo, k
+            lo, held = k, 0
+        held += terms
+    if lo < len(counts):
+        yield lo, len(counts)
 
 
 def _firsts(counts: np.ndarray) -> np.ndarray:
@@ -141,11 +162,12 @@ def gram_matrix(spec: SystemSpec, n_trunc: int, rescale: bool = True) -> np.ndar
     With rescale, each member of E is multiplied by its optimal scaling
     factor rho_n, matching what the certificate is actually about.  The
     matrix is assembled in three blocks, and only E's profiles are built,
-    all in one build_batch: the sines among themselves give exactly the
-    identity; a member n of E against a sine m gives rho_n moments(f_n, m)[1],
-    taken with rho_n = profile_scaling(f_n) from one batch_moments over every
-    member and every such m; the members of E among themselves go through
-    the arc-overlap engine, which reads the batch's arrays as they are.
+    all in one build_batch, for the last block: the sines among themselves
+    give exactly the identity; a member n of E against a sine m gives
+    rho_n moments(f_n, m)[1], taken with rho_n = profile_scaling(f_n) from
+    one batch_moments over every member and every such m, which builds
+    nothing; the members of E among themselves go through the arc-overlap
+    engine, which reads the batch's arrays as they are.
     """
     if isinstance(n_trunc, bool) or not isinstance(n_trunc, int) or n_trunc < 1:
         raise ValueError("n_trunc must be a positive integer")
@@ -158,7 +180,7 @@ def gram_matrix(spec: SystemSpec, n_trunc: int, rescale: bool = True) -> np.ndar
     sines = np.delete(np.arange(n_trunc), rows)
     # each profile against its own mode, for rho, then against every sine
     wanted = np.column_stack((rows, np.broadcast_to(sines, (len(rows), len(sines))))) + 1
-    norm_sq, inner = batch_moments(batch, wanted)
+    norm_sq, inner = batch_moments(perturbed, wanted)
     factors = inner[:, 0] / norm_sq if rescale else np.ones(len(rows))
     g[np.ix_(rows, sines)] = mixed = factors[:, None] * inner[:, 1:]
     g[np.ix_(sines, rows)] = mixed.T

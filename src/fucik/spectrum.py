@@ -150,7 +150,9 @@ def point_from_gamma(n: int, gamma: float) -> FucikPoint:
     if isinstance(n, bool) or not isinstance(n, int) or n < 2 or n % 2 == 1:
         raise SpectrumError("gamma parametrization targets even indices n >= 2")
     gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma < 4.0:
+    if not math.isfinite(gamma):
+        raise SpectrumError("the dilation parameter must be finite")
+    if gamma < 4.0:
         raise SpectrumError("the dilation parameter is at least 4")
     alpha = gamma * n * n / 4.0
     return FucikPoint(n, alpha, solve_beta(n, alpha))

@@ -1,7 +1,8 @@
-"""Test-only references: quadrature and series oracles for the closed forms
-of the library, the per-row Gram engine that the swept one is held to, the
-abstract criterion and dilation operator that the tests check on their own,
-and the ODE residual of a profile.  Nothing in fucik imports this module.
+"""Test-only references: quadrature, series and arc-sum oracles for the
+closed forms of the library, the per-row Gram engine that the swept one is
+held to, the abstract criterion and dilation operator that the tests check
+on their own, and the ODE residual of a profile.  Nothing in fucik imports
+this module.
 """
 
 import math
@@ -82,10 +83,9 @@ def quadrature_coefficient(p: FucikPoint, k: int) -> float:
 
 
 def profile_moments(f: PiecewiseEigenfunction, n: int) -> tuple[float, float]:
-    """|f|^2 and <f, sqrt(2/pi) sin(n x)> by the per-profile closed form that
-    moments ran before profiles were batched: one 1-D broadcast over the
-    arcs of f with a scalar index, each sum one math.fsum.  The batched
-    routine is held to it bit for bit."""
+    """|f|^2 and <f, sqrt(2/pi) sin(n x)> summed arc by arc over the built
+    profile f, each sum one math.fsum: the oracle that the O(1) closed form
+    of fucik.eigenfunction.batch_moments is held to, to rounding."""
     widths = math.pi / f.freqs
     mids = f.edges[:-1] + 0.5 * widths
     arcs = f.amps * np.sin(n * mids) * np.sinc((f.freqs - n) / (2.0 * f.freqs)) / (f.freqs + n)

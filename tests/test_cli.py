@@ -312,6 +312,12 @@ def test_coeffs_table(capsys, tmp_path):
     assert lines[2].split(",")[1] == "0.787448892078"
 
 
+@pytest.mark.parametrize("gamma", ["3.9", "nan", "9", "20", "inf"])
+def test_coeffs_gamma_outside_its_range_exits_two(capsys, gamma):
+    code, out, err = run(capsys, ["coeffs", "--gamma", gamma, "--kmax", "6"])
+    assert (code, out, err) == (2, "", "error: gamma must lie in [4, 9)\n")
+
+
 @pytest.mark.parametrize("gamma", [4.0, 4.25, 5.0, 6.25, 8.75, 8.999])
 def test_coeffs_cross_check_is_the_arc_closed_form(capsys, gamma):
     code, out, err = run(capsys, ["coeffs", "--gamma", repr(gamma), "--kmax", "200"])
@@ -389,7 +395,7 @@ WRITER_PINS = {
     "region-svg": (REGION_ARGV + ["--svg", "{out}"],
                    "6600433ca13192751ce9b67cb4ad59d86db88e0955afa9046af58ced85279abb"),
     "coeffs": (["coeffs", "--gamma", "6.25", "--kmax", "6"],
-               "e0303fa54c73b942f1416b4e2c5a509c00ea1d157dab32441e5d69b48e00f521"),
+               "55dfc5ffe55328656d47609ee464cb1321876037eb8b175717418ac70b043a24"),
     "gram-csv": (["gram", "--spec", "{spec}", "--n", "8", "--csv", "{out}"],
                  "3cc1d68c0b6328eb0a289b6e876fee92a631af750eff0d6600d132877529125b"),
     "gram-json": (["gram", "--spec", "{spec}", "--n", "8"],

@@ -1,14 +1,17 @@
 import json
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import JunctionError, ode_residual
+from reference import JunctionError, ode_residual, profile_moments
 
+import fucik.eigenfunction
 from fucik.cli import main
-from fucik.eigenfunction import SUP_NORM, build, build_batch, evaluate
+from fucik.eigenfunction import SUP_NORM, batch_moments, build, build_batch, evaluate, moments
 from fucik.spectrum import FucikPoint, SpectrumError, point_from_gamma, solve_alpha, solve_beta
 
 
@@ -161,6 +164,31 @@ def test_build_refuses_arcs_of_no_width(alpha, beta):
         build(FucikPoint(3, alpha, beta))
 
 
+@pytest.mark.parametrize("alpha, beta", [
+    (1e200, 1.0),
+    ((2.0 / (1.0 + 1e-11)) ** 2, 1e300),
+])
+def test_moments_refuse_what_build_refuses(alpha, beta):
+    good = point_from_gamma(2, 5.0)
+    with pytest.raises(SpectrumError, match=r"\(1e\+200, 1.0\) leaves|1e\+300\) leaves"):
+        batch_moments([good, FucikPoint(3, alpha, beta), good], [[2], [3], [2]])
+
+
+def test_narrow_arcs_that_build_get_closed_form_moments(monkeypatch):
+    # w+ = pi * 1e-15 is below the bound that keeps float widths positive,
+    # so build_batch decides, and here it builds
+    p = FucikPoint(3, 1e30, solve_beta(3, 1e30))
+    checked = []
+    monkeypatch.setattr(fucik.eigenfunction, "build_batch",
+                        lambda points: checked.extend(points) or build_batch(points))
+    norm_sq, inner = batch_moments([point_from_gamma(2, 5.0), p], [[2, 1], [3, 1]])
+    assert checked == [p]
+    f = build_batch([p])[0]
+    for value, j in zip(inner[1].tolist(), (3, 1)):
+        assert abs(value - profile_moments(f, j)[1]) <= 1e-15
+    assert abs(norm_sq[1] - profile_moments(f, 3)[0]) <= 1e-15
+
+
 def test_evaluate_rejects_points_outside_domain():
     f = build(FucikPoint(2, 4.0, 4.0))
     with pytest.raises(ValueError):
@@ -231,3 +259,86 @@ def test_odd_profiles_solve_the_equation(n, rel):
     for start, end in zip(f.edges[:2], f.edges[1:3]):
         x = 0.5 * (start + end)
         assert abs(ode_residual(f, x)) < 1e-9
+
+
+def _mp_moments(p, indices, geometric=False):
+    """|f|^2 and <f, sqrt(2/pi) sin(j x)> for j in indices at 40 digits, from
+    the exact arc parameters of p: arc by arc, or with each sign's arcs
+    summed as a geometric series where there are too many to visit."""
+    mp = mpmath.mp
+    norm = mp.sqrt(2 / mp.pi)
+    if p.n == 1:
+        pos, neg, w_pos, w_neg, a_pos, a_neg = 1, 0, mp.pi, mp.mpf(0), norm, mp.mpf(0)
+    else:
+        pos, neg = (p.n + 1) // 2, p.n // 2
+        w_pos = mp.pi / mp.sqrt(p.alpha)
+        w_neg = (mp.pi - pos * w_pos) / neg
+        ratio = mp.sqrt(mp.mpf(p.alpha) / p.beta)
+        a_pos, a_neg = (norm / ratio, -norm) if ratio >= 1 else (norm, -norm * ratio)
+    period = w_pos + w_neg
+    signs = ((pos, w_pos / 2, w_pos, a_pos), (neg, w_pos + w_neg / 2, w_neg, a_neg))
+    inner = []
+    for j in indices:
+        total = mp.mpf(0)
+        for count, first, width, amp in signs:
+            arc = amp * mp.sinc((mp.pi - j * width) / 2) * width / (mp.pi + j * width)
+            if not geometric:
+                total += arc * mp.fsum(mp.sin(j * (first + k * period)) for k in range(count))
+                continue
+            x = j * period / 2
+            # sin(K x) / sin(x) tends to K cos(K x) / cos(x) where sin(x) vanishes
+            if abs(mp.sin(x)) < mp.mpf(10) ** -25:
+                ratio = count * mp.cos(count * x) / mp.cos(x)
+            else:
+                ratio = mp.sin(count * x) / mp.sin(x)
+            total += arc * mp.sin(j * (first + (count - 1) * period / 2)) * ratio
+        inner.append(norm * mp.pi * total)
+    return (pos * a_pos**2 * w_pos + neg * a_neg**2 * w_neg) / 2, inner
+
+
+def _moment_sample():
+    """Seeded (point, indices) pairs: 80 odd and even n below 120 at resonances
+    j = n, n +- 1, 2n and 3n (even n) and one random j, then n = 1 and
+    n = 999,999 and 999,998."""
+    rng = random.Random(20211)
+    pairs = [(FucikPoint(1, 1.0, 1.0), [1, 2, 3, 4])]
+    for _ in range(80):
+        n = rng.randrange(2, 120)
+        major = n * n * rng.uniform(1.0, 2.2)
+        if n % 2 == 0:
+            p = point_from_gamma(n, 4.0 * major / (n * n))
+        elif rng.random() < 0.5:
+            p = FucikPoint(n, major, solve_beta(n, major))
+        else:
+            p = FucikPoint(n, solve_alpha(n, major), major)
+        wanted = {n - 1, n, n + 1, 2 * n, rng.randrange(1, 2 * n + 3)}
+        if n % 2 == 0:
+            wanted.add(3 * n)
+        pairs.append((p, sorted(wanted)))
+    for n in (999_999, 999_998):
+        major = (n + 0.2) ** 2
+        pairs.append((FucikPoint(n, major, solve_beta(n, major)), [1, n - 1, n, n + 1, 2 * n]))
+    return pairs
+
+
+def test_closed_form_moments_are_as_accurate_as_the_arc_sum():
+    errors = {"closed": [0.0, 0.0], "arc sum": [0.0, 0.0]}
+    sample = _moment_sample()
+    with mpmath.workdps(40):
+        # the geometric series is the arc sum, to the working precision
+        for p, indices in sample[:8]:
+            by_arc, by_series = _mp_moments(p, indices)[1], _mp_moments(p, indices, True)[1]
+            assert max(abs(a - b) for a, b in zip(by_arc, by_series)) < 1e-30
+        for p, indices in sample:
+            want_sq, want = _mp_moments(p, indices, geometric=p.n > 1000)
+            f = build(p)
+            norm_sq, inner = moments(f, np.array(indices))
+            for j, value, exact in zip(indices, inner.tolist(), want):
+                arc_sq, arc = profile_moments(f, j)
+                for name, sq, got in (("closed", norm_sq, value), ("arc sum", arc_sq, arc)):
+                    worst = errors[name]
+                    worst[0] = max(worst[0], float(abs(sq - want_sq)))
+                    worst[1] = max(worst[1], float(abs(got - exact)))
+    closed, arc_sum = errors["closed"], errors["arc sum"]
+    assert closed[0] <= arc_sum[0] and closed[1] <= arc_sum[1], errors
+    assert max(closed) <= 1e-15, errors

@@ -149,9 +149,9 @@ def test_blocks_match_the_all_pairs_engine(entries, n_trunc, rescale):
 def assert_sweeps_match_per_row(batch):
     want = per_row_gram(batch)
     # one row per sweep, the default sweeps, and every row in one sweep
-    for cap in (1, fucik.eigenfunction.PASS_TERMS, 2**40):
+    for cap in (1, fucik.gram.PASS_TERMS, 2**40):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fucik.eigenfunction, "PASS_TERMS", cap)
+            mp.setattr(fucik.gram, "PASS_TERMS", cap)
             assert np.array_equal(_exact_gram(batch), want), cap
 
 
@@ -176,13 +176,14 @@ def test_only_perturbed_entries_build_a_profile(monkeypatch, capsys, write_spec)
         return build_batch(points)
 
     # every profile, batched or alone, comes from build_batch
-    for module in (fucik.eigenfunction, fucik.certify, fucik.gram):
+    for module in (fucik.eigenfunction, fucik.gram):
         monkeypatch.setattr(module, "build_batch", counting_build_batch)
-    spec = parse_system({"entries": [
+    entries = [
         {"n": 1}, {"n": 2, "alpha": 6.4}, {"n": 3, "alpha": 10.0},
         {"n": 4, "alpha": 16.0, "beta": 16.0}, {"n": 5, "alpha": 30.0},
         {"n": 40, "alpha": 2000.0},
-    ]})
+    ]
+    spec = parse_system({"entries": entries})
     gram_matrix(spec, 16)
     assert sorted(built) == [2, 3, 5]  # not the 16 an all-pairs engine builds
 
@@ -191,6 +192,16 @@ def test_only_perturbed_entries_build_a_profile(monkeypatch, capsys, write_spec)
     assert main(["gram", "--spec", path, "--n", "1024"]) == 0  # the cap, MAX_GRAM_N
     assert json.loads(capsys.readouterr().out)["size"] == 1024
     assert built == [2]
+
+    # exact defects, scalings and the coefficient table take no profile
+    built.clear()
+    for split in ("default", "auto", [2, 40]):
+        cert = certify_system(parse_system({"entries": entries, "split": split}))
+        assert cert.mode == "exact" and cert.defect_sum > 0.0
+    assert profile_scaling(build(spec.entries[1])) > 1.0
+    assert main(["coeffs", "--gamma", "6.25", "--kmax", "200"]) == 0
+    capsys.readouterr()
+    assert built == [2]  # the build above
 
 
 def test_gram_matrix_never_evaluates_or_integrates(monkeypatch):

@@ -93,8 +93,11 @@ def test_point_from_gamma_places_alpha_on_major_side():
     assert is_diagonal(point_from_gamma(4, 4.0))
     with pytest.raises(SpectrumError):
         point_from_gamma(3, 5.0)
-    with pytest.raises(SpectrumError):
+    with pytest.raises(SpectrumError, match="at least 4"):
         point_from_gamma(2, 3.9)
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(SpectrumError, match="must be finite"):
+            point_from_gamma(2, gamma)
 
 
 @given(
