@@ -7,8 +7,13 @@ from the sine basis by an explicit envelope, and certifies the Riesz-basis
 property through a Paley-Wiener-style perturbation criterion.  Gram
 matrices are an independent cross-check that certification never runs.
 No runtime path uses quadrature: fucik.quadrature is the adaptive Simpson
-rule that the tests hold the closed forms to.
+rule that the tests hold the closed forms to.  The numpy-backed layers,
+fucik.eigenfunction and fucik.gram, load on first use of one of their names,
+so the scalar envelope, spectrum and bound-mode certification start without
+numpy.
 """
+
+import importlib
 
 from .certify import (
     Certificate,
@@ -22,12 +27,6 @@ from .certify import (
     projection_defect,
     projection_defect_bound,
 )
-from .eigenfunction import (
-    SUP_NORM,
-    PiecewiseEigenfunction,
-    build,
-    evaluate,
-)
 from .envelope import (
     GAMMA_MAX,
     EnvelopeEval,
@@ -38,7 +37,6 @@ from .envelope import (
     zeta,
 )
 from .fourier import coefficient, dilation_norm_bound
-from .gram import GramWitness, extremal_eigenvalues, gram_matrix, gram_witness
 from .spectrum import (
     MEMBERSHIP_TOL,
     FucikPoint,
@@ -92,3 +90,30 @@ __all__ = [
     "zeta",
     "__version__",
 ]
+
+# names exported from the numpy-backed layers, by the submodule that holds them
+_LAZY = {
+    "SUP_NORM": "eigenfunction",
+    "PiecewiseEigenfunction": "eigenfunction",
+    "build": "eigenfunction",
+    "evaluate": "eigenfunction",
+    "GramWitness": "gram",
+    "extremal_eigenvalues": "gram",
+    "gram_matrix": "gram",
+    "gram_witness": "gram",
+}
+
+
+def __getattr__(name: str):
+    """Import the submodule that holds a lazy export and cache the value (PEP 562)."""
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -20,10 +20,11 @@ check in fucik.gram falsifies such a pass: at gamma = 5, N = 64 the total is
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .eigenfunction import PiecewiseEigenfunction, batch_moments, moments
 from .envelope import GAMMA_MAX, envelope_root, envelope_value, zeta
 from .spectrum import (
     FucikPoint,
@@ -33,6 +34,9 @@ from .spectrum import (
     solve_alpha,
     solve_beta,
 )
+
+if TYPE_CHECKING:
+    from .eigenfunction import PiecewiseEigenfunction
 
 MODES = ("exact", "bound")
 SPLIT_DEFAULT = "default"
@@ -44,6 +48,18 @@ _NOTE = (
 )
 
 
+@functools.cache
+def _eigenfunction():
+    """fucik.eigenfunction, imported on first use.
+
+    Bound mode thus never loads numpy, and the cache spares every exact
+    certification an import statement, which costs more than the lookup.
+    """
+    from . import eigenfunction
+
+    return eigenfunction
+
+
 class InputError(ValueError):
     """Malformed system description."""
 
@@ -52,7 +68,8 @@ def projection_defect(p: FucikPoint) -> float:
     """1 - <f, mode>^2 / |f|^2 for the profile of p, in closed form.
 
     Exactly zero at index 1 and at symmetric points, where the profile is
-    the mode itself.
+    the mode itself.  A squared distance, so rounding below zero is clamped
+    to zero.
     """
     return _projection_defects((p,))[0]
 
@@ -67,9 +84,10 @@ def _projection_defects(points) -> list[float]:
     values = [0.0] * len(points)
     todo = [k for k, p in enumerate(points) if not is_diagonal(p)]
     group = [points[k] for k in todo]
-    norm_sq, inner = batch_moments(group, [[p.n] for p in group])
+    norm_sq, inner = _eigenfunction().batch_moments(group, [[p.n] for p in group])
     for k, sq, dot in zip(todo, norm_sq.tolist(), inner.ravel().tolist()):
-        values[k] = 1.0 - dot * dot / sq
+        # defect first, so that a NaN reaches the finiteness check
+        values[k] = max(1.0 - dot * dot / sq, 0.0)
     return values
 
 
@@ -102,7 +120,7 @@ def profile_scaling(f: PiecewiseEigenfunction) -> float:
     p = f.point
     if is_diagonal(p):
         return 1.0
-    norm_sq, inner = moments(f, p.n)
+    norm_sq, inner = _eigenfunction().moments(f, p.n)
     return inner / norm_sq
 
 

@@ -13,8 +13,7 @@ import itertools
 import json
 import math
 import sys
-
-import numpy as np
+from array import array
 
 from .certify import (
     InputError,
@@ -23,10 +22,8 @@ from .certify import (
     deviation_cap,
     parse_system,
 )
-from .eigenfunction import batch_moments, build
 from .envelope import envelope, envelope_root
 from .fourier import coefficient
-from .gram import gram_matrix, gram_witness
 from .spectrum import (
     FucikPoint,
     SpectrumError,
@@ -43,7 +40,7 @@ MAX_KMAX = 200
 MAX_RESOLUTION = 100_000
 MAX_REGION_POINTS = 1_000_000  # nmax * resolution
 
-# Values the writers turn into Python floats at a time.
+# Arcs the dump writer turns into Python floats at a time.
 _SLICE = 4096
 
 
@@ -130,6 +127,8 @@ def _cmd_coeffs(args) -> int:
         raise InputError(f"kmax must lie in [1, {MAX_KMAX}]")
     if not 4.0 <= args.gamma < 9.0:
         raise InputError("gamma must lie in [4, 9)")
+    from .eigenfunction import batch_moments
+
     # batch_moments sums the profile's arcs in closed form and shares no
     # code with coefficient's two-arc formula, so each row checks one
     # against the other
@@ -148,6 +147,8 @@ def _cmd_coeffs(args) -> int:
 def _cmd_gram(args) -> int:
     if args.n > MAX_GRAM_N:
         raise InputError(f"n must be at most {MAX_GRAM_N}")
+    from .gram import gram_matrix, gram_witness
+
     spec = _load_system(args.spec, None, None)
     matrix = gram_matrix(spec, args.n, rescale=not args.no_rescale)
     witness = gram_witness(spec, args.n, matrix)
@@ -160,31 +161,27 @@ def _cmd_gram(args) -> int:
 
 def _even_arc(n: int, sup: float, resolution: int):
     if sup <= 4.0:
-        square = np.array([float(n * n)])
+        square = array("d", [float(n * n)])
         return square, square
     # alpha = gamma n^2 / 4 at resolution values of gamma from 4 to sup
-    alphas = np.fromiter(
+    alphas = array(
+        "d",
         ((4.0 + (sup - 4.0) * i / (resolution - 1)) * n * n / 4.0 for i in range(resolution)),
-        float,
-        resolution,
     )
-    return alphas, np.fromiter((solve_beta(n, a) for a in alphas.tolist()), float, resolution)
+    return alphas, array("d", (solve_beta(n, a) for a in alphas))
 
 
 def _odd_arcs(n: int, epsilon: float, budget: float, resolution: int):
     cap = deviation_cap(n, epsilon, budget)
     floor = float(n * n)
     if cap <= floor * (1.0 + 1e-14):
-        square = np.array([floor])
+        square = array("d", [floor])
         return (square, square), None
-    major = np.fromiter(
-        (floor + (cap - floor) * i / (resolution - 1) for i in range(resolution)),
-        float,
-        resolution,
+    major = array(
+        "d", (floor + (cap - floor) * i / (resolution - 1) for i in range(resolution))
     )
-    floats = major.tolist()
-    alpha_side = (major, np.fromiter((solve_beta(n, a) for a in floats), float, resolution))
-    beta_side = (np.fromiter((solve_alpha(n, b) for b in floats), float, resolution), major)
+    alpha_side = (major, array("d", (solve_beta(n, a) for a in major)))
+    beta_side = (array("d", (solve_alpha(n, b) for b in major)), major)
     return alpha_side, beta_side
 
 
@@ -193,15 +190,15 @@ def region_rows(
     nmax: int = 9,
     resolution: int = 100,
     epsilon: float | None = None,
-) -> list[tuple[str, np.ndarray, np.ndarray]]:
+) -> list[tuple[str, array, array]]:
     """Polylines of the admissible region as (curve_id, alphas, betas).
 
-    Each polyline is two float64 arrays of equal length.  The two sector
-    lines come first.  Even curves carry the arc with dilation parameter up
-    to sup; with an epsilon the odd curves up to nmax carry their admissible
-    segments around the symmetric points under the total deviation budget.
-    At sup = 4 the sector collapses to the diagonal and arcs degenerate to
-    single points.
+    Each polyline is a pair of `array('d')` coordinate arrays of equal
+    length.  The two sector lines come first.  Even curves carry the arc
+    with dilation parameter up to sup; with an epsilon the odd curves up to
+    nmax carry their admissible segments around the symmetric points under
+    the total deviation budget.  At sup = 4 the sector collapses to the
+    diagonal and arcs degenerate to single points.
     """
     sup = float(sup)
     root = envelope_root()
@@ -220,7 +217,7 @@ def region_rows(
     if nmax * resolution > MAX_REGION_POINTS:
         raise InputError(f"nmax * resolution must be at most {MAX_REGION_POINTS}")
 
-    arcs: list[tuple[str, np.ndarray, np.ndarray]] = []
+    arcs: list[tuple[str, array, array]] = []
     for n in range(2, nmax + 1, 2):
         alphas, betas = _even_arc(n, sup, resolution)
         arcs.append((f"even-{n}-alpha", alphas, betas))
@@ -241,24 +238,15 @@ def region_rows(
     extent = _extent(arcs)
     slope = 1.0 / (math.sqrt(sup) - 1.0) ** 2
     return [
-        ("sector-alpha", np.array([0.0, extent]), np.array([0.0, slope * extent])),
-        ("sector-beta", np.array([0.0, slope * extent]), np.array([0.0, extent])),
+        ("sector-alpha", array("d", [0.0, extent]), array("d", [0.0, slope * extent])),
+        ("sector-beta", array("d", [0.0, slope * extent]), array("d", [0.0, extent])),
         *arcs,
     ]
 
 
 def _extent(curves: list) -> float:
-    """The largest coordinate of any point, read a fixed number of curves at a time."""
-    return max(
-        np.concatenate([xs for _, *both in curves[lo : lo + _SLICE] for xs in both]).max().item()
-        for lo in range(0, len(curves), _SLICE)
-    )
-
-
-def _points(alphas: np.ndarray, betas: np.ndarray):
-    """A polyline's (alpha, beta) pairs as floats, a fixed-size slice at a time."""
-    for lo in range(0, len(alphas), _SLICE):
-        yield from zip(alphas[lo : lo + _SLICE].tolist(), betas[lo : lo + _SLICE].tolist())
+    """The largest coordinate of any point."""
+    return max(max(xs) for _, *both in curves for xs in both)
 
 
 def _svg_lines(curves):
@@ -289,10 +277,10 @@ def _svg_lines(curves):
         else:
             color = "#bb2200"
         if len(alphas) == 1:
-            a, b = alphas.item(), betas.item()
+            a, b = alphas[0], betas[0]
             yield f'<circle cx="{x(a):.2f}" cy="{y(b):.2f}" r="3" fill="{color}"/>'
         else:
-            coords = " ".join(f"{x(a):.2f},{y(b):.2f}" for a, b in _points(alphas, betas))
+            coords = " ".join(f"{x(a):.2f},{y(b):.2f}" for a, b in zip(alphas, betas))
             yield (
                 f'<polyline points="{coords}" fill="none" stroke="{color}" '
                 'stroke-width="1.5"/>'
@@ -310,7 +298,7 @@ def _cmd_region(args) -> int:
     rows = (
         f"{cid},{_fmt(a)},{_fmt(b)}"
         for cid, alphas, betas in curves
-        for a, b in _points(alphas, betas)
+        for a, b in zip(alphas, betas)
     )
     _write_lines(itertools.chain(["curve_id,alpha,beta"], rows), args.csv)
     return 0
@@ -349,6 +337,8 @@ def _dump_lines(f):
 
 
 def _cmd_dump(args) -> int:
+    from .eigenfunction import build
+
     if args.beta is None:
         point = FucikPoint(args.n, args.alpha, solve_beta(args.n, args.alpha))
     else:

@@ -3,7 +3,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,8 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fucik
 import fucik.cli
 import fucik.eigenfunction
+import fucik.gram
 from fucik.certify import InputError
 from fucik.cli import main, region_rows
 from fucik.eigenfunction import build, moments
@@ -406,6 +410,15 @@ WRITER_PINS = {
                              "d1cfa852773549abc791dcbc3c3322d7dae31368f276dffcc7aa0c5bc25840c1"),
     "certify-readme-auto": (["certify", "--spec", "{readme}", "--split", "auto"],
                             "9c6018021222468e97fb4d85aa3765463d9328871523281b31f468caa01be0bb"),
+    # at sup = 4 every curve is a single point, drawn as a circle
+    "region-diagonal-csv": (["region", "--sup", "4", "--nmax", "4", "--resolution", "5"],
+                            "a044971f0c4e0ccb94b55c648f4644fa85c80e32449fdb206cf056677720940b"),
+    "region-diagonal-svg": (["region", "--sup", "4", "--nmax", "4", "--resolution", "5",
+                             "--svg", "{out}"],
+                            "4220f14d1d928ca6aba6fe121874798e439825d33906ff8f7309e53de981f0b6"),
+    "region-fine-csv": (["region", "--sup", "5", "--nmax", "10", "--resolution", "2000",
+                         "--epsilon", "0.5"],
+                        "d4a0308f146aad157b50ce3054191119b93f2be0563925fe19a97e17ee29ac2d"),
 }
 
 
@@ -601,3 +614,56 @@ def test_profile_cap_stops_every_route_that_builds(capsys, monkeypatch, write_sp
     # bound mode builds no profile, so the cap does not reach it
     code, out, err = run(capsys, ["certify", "--spec", spec, "--mode", "bound"])
     assert code in (0, 1) and err == "" and json.loads(out)["mode"] == "bound"
+
+
+def test_exact_defect_is_clamped_at_zero(capsys, write_spec):
+    # 1 - <f, mode>^2 / |f|^2 rounds to -4.4e-16 on this nearly symmetric point
+    spec = write_spec({"entries": [{"n": 999999, "alpha": 999998000003.0}]})
+    code, out, err = run(capsys, ["certify", "--spec", spec])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["defect_sum"] == 0.0 and payload["per_index"][0]["value"] == 0.0
+    code, out, err = run(capsys, ["gram", "--spec", spec, "--n", "16"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["theta"] == 0.0
+
+
+def _numpy_loaded_after(code):
+    """Whether numpy is imported once code has run in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1] == "True"
+
+
+def test_scalar_subcommands_start_without_numpy(tmp_path):
+    svg = str(tmp_path / "region.svg")
+    for argv in (
+        ["envelope", "--gamma", "5"],
+        ["root"],
+        ["region", "--sup", "5", "--epsilon", "0.5", "--svg", svg],
+        ["certify", "--spec", _readme_spec(tmp_path), "--mode", "bound"],
+    ):
+        code = f"import fucik.cli\nassert fucik.cli.main({argv!r}) in (0, 1)"
+        assert not _numpy_loaded_after(code), argv
+
+
+def test_array_layers_load_on_first_use():
+    assert not _numpy_loaded_after("import fucik")
+    assert _numpy_loaded_after("import fucik\nfucik.gram_matrix")
+
+
+def test_every_export_resolves():
+    names = set(dir(fucik))
+    for name in fucik.__all__:
+        assert getattr(fucik, name) is not None
+        assert name in names
+    assert fucik.gram_matrix is fucik.gram.gram_matrix
+    assert fucik.build is fucik.eigenfunction.build
+    # the function, not the submodule of the same name
+    assert callable(fucik.envelope)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fucik.no_such_name
