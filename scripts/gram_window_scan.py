@@ -27,7 +27,7 @@ def unit_constant_component(point) -> float:
     # an arc A sin over width W integrates to 2AW/pi
     f = build(point)
     integral = 2.0 / math.pi * math.fsum(f.amps * np.diff(f.edges))
-    return profile_scaling(f) * integral / math.sqrt(math.pi)
+    return profile_scaling(point) * integral / math.sqrt(math.pi)
 
 
 def main() -> int:

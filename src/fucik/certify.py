@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .envelope import GAMMA_MAX, envelope_root, envelope_value, zeta
 from .spectrum import (
@@ -34,9 +33,6 @@ from .spectrum import (
     solve_alpha,
     solve_beta,
 )
-
-if TYPE_CHECKING:
-    from .eigenfunction import PiecewiseEigenfunction
 
 MODES = ("exact", "bound")
 SPLIT_DEFAULT = "default"
@@ -78,11 +74,14 @@ def _projection_defects(points) -> list[float]:
     """projection_defect of every point, bit for bit, from one batch_moments.
 
     The points that are not modes share one closed-form call, which builds
-    no profile.  A point whose profile cannot be built raises SpectrumError,
-    the first one in order.
+    no profile; without such a point numpy is not even loaded.  A point
+    whose profile cannot be built raises SpectrumError, the first one in
+    order.
     """
     values = [0.0] * len(points)
     todo = [k for k, p in enumerate(points) if not is_diagonal(p)]
+    if not todo:
+        return values
     group = [points[k] for k in todo]
     norm_sq, inner = _eigenfunction().batch_moments(group, [[p.n] for p in group])
     for k, sq, dot in zip(todo, norm_sq.tolist(), inner.ravel().tolist()):
@@ -115,13 +114,12 @@ def projection_defect_bound(p: FucikPoint) -> float:
     return const * (dev / n) ** 2
 
 
-def profile_scaling(f: PiecewiseEigenfunction) -> float:
-    """<f, mode> / |f|^2 in closed form: the best scaling of f onto its mode."""
-    p = f.point
+def profile_scaling(p: FucikPoint) -> float:
+    """<f, mode> / |f|^2 in closed form: the best scaling of p's profile f onto its mode."""
     if is_diagonal(p):
         return 1.0
-    norm_sq, inner = _eigenfunction().moments(f, p.n)
-    return inner / norm_sq
+    norm_sq, inner = _eigenfunction().batch_moments((p,), [[p.n]])
+    return float(inner[0, 0] / norm_sq[0])
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,9 @@ Every profile comes from build_batch, which builds the arcs of many
 profiles end to end in one numpy pass.  Norms and sine inner products need
 no profile: the arcs of one sign are equally spaced, so batch_moments sums
 them in closed form from each point's arc counts, widths and amplitudes,
-O(1) per (point, index).  build and moments are the same routines on a
-batch of one, so a profile's numbers do not depend on the company it is
-computed in.
+O(1) per (point, index).  build is build_batch of one, and batch_moments
+works point by point, so a profile's numbers do not depend on the company
+it is computed in.
 """
 
 from __future__ import annotations
@@ -239,16 +239,3 @@ def batch_moments(points, indices) -> tuple[np.ndarray, np.ndarray]:
     s = 0.5 * math.pi - j * half_widths + _TINY
     terms = weights * np.sin(s) / (s * (math.pi - s)) * dirichlet * sines * signs
     return table[8, :size, 0], terms[:size] + terms[size:]
-
-
-def moments(
-    f: PiecewiseEigenfunction, n: int | np.ndarray
-) -> tuple[float, float | np.ndarray]:
-    """|f|^2 and <f, sqrt(2/pi) sin(n x)> in closed form: batch_moments of f's point alone.
-
-    n is one index, giving the inner product as a float, or a 1-D numpy
-    array of indices, giving an array of inner products in the same order.
-    """
-    many = isinstance(n, np.ndarray)
-    norm_sq, inner = batch_moments((f.point,), n[None, :] if many else [[n]])
-    return float(norm_sq[0]), inner[0] if many else float(inner[0, 0])

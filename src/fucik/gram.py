@@ -164,8 +164,8 @@ def gram_matrix(spec: SystemSpec, n_trunc: int, rescale: bool = True) -> np.ndar
     matrix is assembled in three blocks, and only E's profiles are built,
     all in one build_batch, for the last block: the sines among themselves
     give exactly the identity; a member n of E against a sine m gives
-    rho_n moments(f_n, m)[1], taken with rho_n = profile_scaling(f_n) from
-    one batch_moments over every member and every such m, which builds
+    rho_n <f_n, sqrt(2/pi) sin(m x)>, taken with rho_n = profile_scaling(p_n)
+    from one batch_moments over every member and every such m, which builds
     nothing; the members of E among themselves go through the arc-overlap
     engine, which reads the batch's arrays as they are.
     """

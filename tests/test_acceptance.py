@@ -194,11 +194,11 @@ def test_acceptance_10_ode_residuals():
 
 def unit_constant_component(p: FucikPoint) -> float:
     """<rho f, 1/sqrt(pi)>: the rescaled profile's component along the unit
-    constant, with rho = profile_scaling(f) and the integral of f taken by
+    constant, with rho = profile_scaling(p) and the integral of f taken by
     adaptive quadrature over its junctions, independently of gram_matrix."""
     f = build(p)
     integral = integrate(lambda x: evaluate(f, x), 0.0, math.pi, breakpoints=f.junctions)
-    return profile_scaling(f) * integral / math.sqrt(math.pi)
+    return profile_scaling(p) * integral / math.sqrt(math.pi)
 
 
 def test_acceptance_11_gram_window_for_the_constant_shape_family():

@@ -31,7 +31,7 @@ from fucik.certify import (
     projection_defect_bound,
     zeta,
 )
-from fucik.eigenfunction import batch_moments, build, build_batch, moments
+from fucik.eigenfunction import batch_moments, build, build_batch
 from fucik.envelope import envelope_root, envelope_value
 from fucik.gram import gram_matrix
 from fucik.spectrum import (
@@ -51,7 +51,7 @@ def test_symmetric_entries_have_zero_defect():
     assert projection_defect(FucikPoint(1, 1.0, 1.0 - 1e-11)) == 0.0
     assert projection_defect(FucikPoint(4, 16.0, 16.0)) == 0.0
     assert projection_defect_bound(FucikPoint(3, 9.0, 9.0)) == 0.0
-    assert profile_scaling(build(FucikPoint(2, 4.0, 4.0))) == 1.0
+    assert profile_scaling(FucikPoint(2, 4.0, 4.0)) == 1.0
 
 
 def test_frozen_even_defect_and_bound():
@@ -103,7 +103,7 @@ def test_closed_forms_match_the_quadrature_reference():
     pairs += [(p, defect_details(p)) for p in points]
     for p, d in pairs:
         assert projection_defect(p) == pytest.approx(d["defect"], abs=1e-12)
-        rho = profile_scaling(build(p))
+        rho = profile_scaling(p)
         assert rho == pytest.approx(d["inner"] / d["norm_sq"], abs=1e-12)
 
 
@@ -135,7 +135,7 @@ def test_certification_never_integrates(monkeypatch):
 
 def test_frozen_optimal_scaling_exceeds_one():
     # the natural guess rho <= 1 is false; only rho <= 1/||g|| holds
-    rho = profile_scaling(build(point_from_gamma(2, 5.0)))
+    rho = profile_scaling(point_from_gamma(2, 5.0))
     assert rho == pytest.approx(1.0532307749397254, abs=1e-11)
     assert rho > 1.0
 
@@ -154,7 +154,7 @@ def test_defect_dominated_by_bound_on_even_curves(n, gamma):
 def test_scaling_bounded_by_inverse_norm(gamma):
     p = point_from_gamma(2, gamma)
     d = defect_details(p)
-    rho = profile_scaling(build(p))
+    rho = profile_scaling(p)
     assert 0.0 < rho <= 1.0 / math.sqrt(d["norm_sq"]) + 1e-12
 
 
@@ -343,7 +343,7 @@ def test_one_pass_gives_what_each_profile_gives_alone(entries, data):
         alone, member = build(p), batch[k]
         for name in ("edges", "amps", "freqs"):
             assert np.array_equal(getattr(member, name), getattr(alone, name)), (p, name)
-        want_sq, want_inner = moments(alone, np.array([p.n, 1, 7]))
+        (want_sq,), (want_inner,) = batch_moments((p,), [[p.n, 1, 7]])
         assert norm_sq[k] == want_sq
         assert np.array_equal(inner[k], want_inner)
         # the closed form sums the arcs of each sign at once, so it agrees

@@ -19,7 +19,7 @@ import fucik.eigenfunction
 import fucik.gram
 from fucik.certify import InputError
 from fucik.cli import main, region_rows
-from fucik.eigenfunction import build, moments
+from fucik.eigenfunction import batch_moments
 from fucik.spectrum import FucikPoint, point_from_gamma
 
 
@@ -326,7 +326,7 @@ def test_coeffs_gamma_outside_its_range_exits_two(capsys, gamma):
 def test_coeffs_cross_check_is_the_arc_closed_form(capsys, gamma):
     code, out, err = run(capsys, ["coeffs", "--gamma", repr(gamma), "--kmax", "200"])
     assert (code, err) == (0, "")
-    _, arc_sums = moments(build(point_from_gamma(2, gamma)), np.arange(1, 201))
+    _, (arc_sums,) = batch_moments((point_from_gamma(2, gamma),), [np.arange(1, 201)])
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert [int(row[0]) for row in rows] == list(range(1, 201))
     for row, arc_sum in zip(rows, arc_sums.tolist()):
@@ -639,13 +639,16 @@ def _numpy_loaded_after(code):
     return run.stdout.splitlines()[-1] == "True"
 
 
-def test_scalar_subcommands_start_without_numpy(tmp_path):
+def test_scalar_subcommands_start_without_numpy(tmp_path, write_spec):
     svg = str(tmp_path / "region.svg")
+    # the envelope absorbs every entry, so no defect is left to take
+    absorbed = write_spec({"entries": [{"n": 2, "alpha": 6.4}, {"n": 4, "alpha": 25.0}]})
     for argv in (
         ["envelope", "--gamma", "5"],
         ["root"],
         ["region", "--sup", "5", "--epsilon", "0.5", "--svg", svg],
         ["certify", "--spec", _readme_spec(tmp_path), "--mode", "bound"],
+        ["certify", "--spec", absorbed, "--mode", "exact"],
     ):
         code = f"import fucik.cli\nassert fucik.cli.main({argv!r}) in (0, 1)"
         assert not _numpy_loaded_after(code), argv

@@ -13,7 +13,7 @@ import fucik.gram
 import fucik.quadrature
 from fucik.certify import SystemSpec, certify_system, parse_system, profile_scaling
 from fucik.cli import main
-from fucik.eigenfunction import build, build_batch, evaluate, moments
+from fucik.eigenfunction import batch_moments, build, build_batch, evaluate
 from fucik.gram import _exact_gram, extremal_eigenvalues, gram_matrix, gram_witness
 from fucik.spectrum import (
     FucikPoint,
@@ -39,12 +39,9 @@ def spec_points(spec, n_trunc):
 def reference_gram(spec, n_trunc, rescale=True):
     """Gram matrix by Gauss-Legendre quadrature of every pair: the reference
     that the closed-form engine of fucik.gram is held to."""
-    profiles = [build(p) for p in spec_points(spec, n_trunc)]
-    factors = np.ones(n_trunc)
-    if rescale:
-        for i, f in enumerate(profiles):
-            if not is_diagonal(f.point):
-                factors[i] = profile_scaling(f)
+    points = spec_points(spec, n_trunc)
+    profiles = [build(p) for p in points]
+    factors = [profile_scaling(p) if rescale else 1.0 for p in points]
     edges = [np.concatenate(([0.0], f.junctions, [math.pi])) for f in profiles]
     g = np.empty((n_trunc, n_trunc))
     for i in range(n_trunc):
@@ -90,17 +87,16 @@ def test_unscaled_diagonal_is_the_closed_form_norm(name):
     spec = REFERENCE_SPECS[name]
     m = gram_matrix(spec, 32, rescale=False)
     for p in spec_points(spec, 32):
-        assert abs(m[p.n - 1, p.n - 1] - moments(build(p), p.n)[0]) <= 1e-15
+        assert abs(m[p.n - 1, p.n - 1] - batch_moments((p,), [[p.n]])[0][0]) <= 1e-15
 
 
 def all_pairs_gram(spec, n_trunc, rescale):
     """Every profile n <= n_trunc through the arc-overlap engine, then the
     scaling factors: the Gram matrix before it was assembled by blocks."""
     batch = build_batch(spec_points(spec, n_trunc))
-    profiles = [batch[k] for k in range(len(batch))]
     g = _exact_gram(batch)
     if rescale:
-        factors = np.array([profile_scaling(f) for f in profiles])
+        factors = np.array([profile_scaling(p) for p in batch.points])
         g *= np.outer(factors, factors)
     return g
 
@@ -136,14 +132,16 @@ def test_blocks_match_the_all_pairs_engine(entries, n_trunc, rescale):
     m = gram_matrix(spec, n_trunc, rescale=rescale)
     assert np.max(np.abs(m - all_pairs_gram(spec, n_trunc, rescale))) <= 1e-13
 
-    perturbed = {p.n: build(p) for p in spec.entries if p.n <= n_trunc and not is_diagonal(p)}
-    sines = [n - 1 for n in range(1, n_trunc + 1) if n not in perturbed]
+    perturbed = [p for p in spec.entries if p.n <= n_trunc and not is_diagonal(p)]
+    rows = {p.n for p in perturbed}
+    sines = [n - 1 for n in range(1, n_trunc + 1) if n not in rows]
     assert np.array_equal(m[np.ix_(sines, sines)], np.eye(len(sines)))
-    for n, f in perturbed.items():
-        rho = profile_scaling(f) if rescale else 1.0
-        for k in sines:
-            entry = rho * moments(f, k + 1)[1]
-            assert m[n - 1, k] == entry and m[k, n - 1] == entry
+    for p in perturbed:
+        rho = profile_scaling(p) if rescale else 1.0
+        _, (inner,) = batch_moments((p,), [[k + 1 for k in sines]])
+        for k, value in zip(sines, inner.tolist()):
+            entry = rho * value
+            assert m[p.n - 1, k] == entry and m[k, p.n - 1] == entry
 
 
 def assert_sweeps_match_per_row(batch):
@@ -198,10 +196,14 @@ def test_only_perturbed_entries_build_a_profile(monkeypatch, capsys, write_spec)
     for split in ("default", "auto", [2, 40]):
         cert = certify_system(parse_system({"entries": entries, "split": split}))
         assert cert.mode == "exact" and cert.defect_sum > 0.0
-    assert profile_scaling(build(spec.entries[1])) > 1.0
+    assert profile_scaling(spec.entries[1]) > 1.0
+    # at the cap a build holds 24 MB of arrays; the closed form needs none
+    n = 999_999
+    cap = parse_system({"entries": [{"n": n, "alpha": (n + 0.2) ** 2}]}).entries[0]
+    assert profile_scaling(cap) == 1.0000002000004171
     assert main(["coeffs", "--gamma", "6.25", "--kmax", "200"]) == 0
     capsys.readouterr()
-    assert built == [2]  # the build above
+    assert built == []
 
 
 def test_gram_matrix_never_evaluates_or_integrates(monkeypatch):
@@ -235,7 +237,7 @@ def test_single_perturbed_row_matches_quadrature_coefficients():
     spec = parse_system({"entries": [{"n": 2, "alpha": 5.0}]})
     p = spec.entries[0]
     m = gram_matrix(spec, 5)
-    rho = profile_scaling(build(p))
+    rho = profile_scaling(p)
     for k in (1, 3, 4, 5):
         expected = rho * quadrature_coefficient(p, k)
         assert m[1, k - 1] == pytest.approx(expected, abs=1e-11)
@@ -249,7 +251,7 @@ def test_unscaled_diagonal_entry_is_the_squared_norm():
     assert m[1, 1] == pytest.approx(0.8454915028125262, abs=1e-11)
     scaled = gram_matrix(spec, 4)
     assert scaled[1, 1] == pytest.approx(
-        profile_scaling(build(spec.entries[0])) ** 2 * m[1, 1], abs=1e-11
+        profile_scaling(spec.entries[0]) ** 2 * m[1, 1], abs=1e-11
     )
 
 
