@@ -20,7 +20,7 @@ import numpy as np
 
 from fucik.certify import certify_system, parse_system, profile_scaling
 from fucik.eigenfunction import build
-from fucik.gram import extremal_eigenvalues, gram_matrix, gram_witness
+from fucik.gram import gram_matrix, gram_witness
 
 
 def unit_constant_component(point) -> float:
@@ -50,10 +50,8 @@ def main() -> int:
           f"{'window_low':>12}  {'window_high':>12}  inside")
     size = 8
     while size <= args.top:
-        matrix = gram_matrix(spec, size)
-        lo, hi = extremal_eigenvalues(matrix)
-        w = gram_witness(spec, size, matrix)
-        print(f"{size:>4}  {lo:>12.8f}  {hi:>12.8f}  "
+        w = gram_witness(spec, size, gram_matrix(spec, size))
+        print(f"{size:>4}  {w.min_eig:>12.8f}  {w.max_eig:>12.8f}  "
               f"{w.window_low:>12.8f}  {w.window_high:>12.8f}  {w.within_window}")
         size *= 2
     return 0

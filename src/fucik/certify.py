@@ -20,7 +20,6 @@ check in fucik.gram falsifies such a pass: at gamma = 5, N = 64 the total is
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -42,18 +41,6 @@ _NOTE = (
     "a pass certifies the basis property; a fail only means this sufficient "
     "criterion did not apply at the attempted split"
 )
-
-
-@functools.cache
-def _eigenfunction():
-    """fucik.eigenfunction, imported on first use.
-
-    Bound mode thus never loads numpy, and the cache spares every exact
-    certification an import statement, which costs more than the lookup.
-    """
-    from . import eigenfunction
-
-    return eigenfunction
 
 
 class InputError(ValueError):
@@ -82,8 +69,10 @@ def _projection_defects(points) -> list[float]:
     todo = [k for k, p in enumerate(points) if not is_diagonal(p)]
     if not todo:
         return values
+    from .eigenfunction import batch_moments
+
     group = [points[k] for k in todo]
-    norm_sq, inner = _eigenfunction().batch_moments(group, [[p.n] for p in group])
+    norm_sq, inner = batch_moments(group, [[p.n] for p in group])
     for k, sq, dot in zip(todo, norm_sq.tolist(), inner.ravel().tolist()):
         # defect first, so that a NaN reaches the finiteness check
         values[k] = max(1.0 - dot * dot / sq, 0.0)
@@ -118,7 +107,9 @@ def profile_scaling(p: FucikPoint) -> float:
     """<f, mode> / |f|^2 in closed form: the best scaling of p's profile f onto its mode."""
     if is_diagonal(p):
         return 1.0
-    norm_sq, inner = _eigenfunction().batch_moments((p,), [[p.n]])
+    from .eigenfunction import batch_moments
+
+    norm_sq, inner = batch_moments((p,), [[p.n]])
     return float(inner[0, 0] / norm_sq[0])
 
 

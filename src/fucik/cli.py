@@ -50,8 +50,6 @@ def _fmt(value: float) -> str:
 
 def _round12(obj):
     """Round every float in a JSON-ready structure to 12 significant digits."""
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, float):
         return float(_fmt(obj))
     if isinstance(obj, dict):
@@ -125,17 +123,17 @@ def _cmd_root(args) -> int:
 def _cmd_coeffs(args) -> int:
     if not 1 <= args.kmax <= MAX_KMAX:
         raise InputError(f"kmax must lie in [1, {MAX_KMAX}]")
-    if not 4.0 <= args.gamma < 9.0:
-        raise InputError("gamma must lie in [4, 9)")
+    ks = range(1, args.kmax + 1)
+    # first, so that coefficient refuses a gamma outside [4, 9) before numpy loads
+    column = [coefficient(args.gamma, k) for k in ks]
     from .eigenfunction import batch_moments
 
     # batch_moments sums the profile's arcs in closed form and shares no
     # code with coefficient's two-arc formula, so each row checks one
     # against the other
-    _, arc_sums = batch_moments((point_from_gamma(2, args.gamma),), [range(1, args.kmax + 1)])
+    _, arc_sums = batch_moments((point_from_gamma(2, args.gamma),), [ks])
     lines = ["k,coefficient,reflected_coefficient,arc_sum,abs_error"]
-    for k, arc_sum in enumerate(arc_sums[0].tolist(), start=1):
-        direct = coefficient(args.gamma, k)
+    for k, direct, arc_sum in zip(ks, column, arc_sums[0].tolist()):
         reflected = -direct if k % 2 else direct  # the mirrored profile
         lines.append(
             f"{k},{_fmt(direct)},{_fmt(reflected)},{_fmt(arc_sum)},{_fmt(abs(direct - arc_sum))}"

@@ -17,7 +17,8 @@ from functools import lru_cache
 
 from .fourier import coefficient, dilation_norm_bound
 
-TAIL_WEIGHT = math.sqrt(6.0 / 5.0)
+# the k >= 5 tail's weight: the largest compression norm over k >= 5
+TAIL_WEIGHT = dilation_norm_bound(5)
 
 # The k = 3 majorant has a removable singularity at gamma = 9; staying a hair
 # below keeps every factor representable without special-casing the limit.

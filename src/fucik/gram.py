@@ -231,10 +231,7 @@ def gram_witness(spec: SystemSpec, n_trunc: int, matrix: np.ndarray) -> GramWitn
     constant-shape families do escape it (see the module docstring), so
     within_window is False there although the certificate passes.
     """
-    cert = certify_system(spec)
-    if cert.total < 0.0:
-        raise ValueError("certificate total is negative")
-    theta = math.sqrt(cert.total)
+    theta = math.sqrt(certify_system(spec).total)
     if np.shape(matrix) != (n_trunc, n_trunc):
         raise ValueError("matrix shape does not match n_trunc")
     lo, hi = extremal_eigenvalues(matrix)

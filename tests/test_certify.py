@@ -299,6 +299,7 @@ def test_auto_split_is_the_least_total_over_every_subset():
         body["mode"] = "exact" if i % 4 < 2 else "bound"
         evens = sorted(e["n"] for e in body["entries"] if e["n"] % 2 == 0)
         auto = certify_system(parse_system({**body, "split": "auto"}))
+        assert auto.total >= 0.0
         best = min(
             certify_system(parse_system({**body, "split": list(subset)})).total
             for k in range(len(evens) + 1)
@@ -331,8 +332,10 @@ def test_one_pass_gives_what_each_profile_gives_alone(entries, data):
     split = data.draw(st.sampled_from(["default", "auto"]) | st.lists(
         st.sampled_from(evens) if evens else st.nothing(), unique=True))
     cert = certify_system(SystemSpec(entries=points, split=split))
+    # gram_witness takes the square root of the total unchecked
+    assert cert.total >= 0.0
     for p, rec in zip(points, cert.per_index):
-        assert rec["n"] == p.n
+        assert rec["n"] == p.n and rec["value"] >= 0.0
         if rec["method"] == "quadrature-defect":
             assert rec["value"] == projection_defect(p)
 

@@ -7,6 +7,7 @@ from reference import apply_dilation, quadrature_coefficient
 
 from fucik.cli import main
 from fucik.eigenfunction import build, evaluate
+from fucik.envelope import TAIL_WEIGHT
 from fucik.fourier import coefficient, dilation_norm_bound
 from fucik.quadrature import integrate
 from fucik.spectrum import FucikPoint, point_from_gamma, solve_beta
@@ -106,6 +107,7 @@ def test_norm_bound_values():
     assert dilation_norm_bound(8) == 1.0
     assert dilation_norm_bound(3) == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-15)
     assert dilation_norm_bound(5) == pytest.approx(math.sqrt(6.0 / 5.0), rel=1e-15)
+    assert TAIL_WEIGHT == math.sqrt(6.0 / 5.0)  # the envelope tail's weight, bit for bit
     with pytest.raises(ValueError):
         dilation_norm_bound(0)
 

@@ -160,6 +160,19 @@ def test_sweeps_match_the_per_row_engine(entries):
     assert_sweeps_match_per_row(build_batch(points))
 
 
+@settings(max_examples=60, deadline=None)
+@given(_ENTRIES)
+def test_engine_matches_parseval_over_the_sine_coefficients(entries):
+    # Parseval: <f, g> = sum_j <f, e_j> <g, e_j>.  C comes from the points
+    # in closed form and the engine from the built arcs, so the two share no
+    # arithmetic; past j = 4000 the squared coefficients sum below 1e-14
+    points = [_curve_point(n, *entries[n]) for n in sorted(entries)]
+    if not points:
+        return
+    _, c = batch_moments(points, np.broadcast_to(np.arange(1, 4001), (len(points), 4000)))
+    assert np.max(np.abs(_exact_gram(build_batch(points)) - c @ c.T)) <= 1e-14
+
+
 def test_sweeps_match_the_per_row_engine_on_the_family():
     spec = constant_shape_even_family(5.0, 64)
     assert_sweeps_match_per_row(build_batch(spec.entries))
