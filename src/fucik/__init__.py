@@ -7,10 +7,11 @@ from the sine basis by an explicit envelope, and certifies the Riesz-basis
 property through a Paley-Wiener-style perturbation criterion.  Gram
 matrices are an independent cross-check that certification never runs.
 No runtime path uses quadrature: fucik.quadrature is the adaptive Simpson
-rule that the tests hold the closed forms to.  The numpy-backed layers,
-fucik.eigenfunction and fucik.gram, load on first use of one of their names,
-so the scalar envelope, spectrum and bound-mode certification start without
-numpy.
+rule that the tests hold the closed forms to.  The profile and Gram layers,
+fucik.eigenfunction and fucik.gram, load on first use of one of their names.
+fucik.gram imports numpy, and fucik.eigenfunction only inside the functions
+that make arrays, so the envelope, spectrum and certification in either mode
+start without numpy.
 """
 
 import importlib
@@ -91,7 +92,8 @@ __all__ = [
     "__version__",
 ]
 
-# names exported from the numpy-backed layers, by the submodule that holds them
+# names exported from the profile and Gram layers, which load on first use,
+# by the submodule that holds them
 _LAZY = {
     "SUP_NORM": "eigenfunction",
     "PiecewiseEigenfunction": "eigenfunction",

@@ -58,22 +58,21 @@ def projection_defect(p: FucikPoint) -> float:
 
 
 def _projection_defects(points) -> list[float]:
-    """projection_defect of every point, bit for bit, from one batch_moments.
+    """projection_defect of every point, bit for bit, each from one moments call.
 
-    The points that are not modes share one closed-form call, which builds
-    no profile; without such a point numpy is not even loaded.  A point
-    whose profile cannot be built raises SpectrumError, the first one in
-    order.
+    A point that is not a mode takes one closed-form call on floats, which
+    builds no profile and loads no numpy.  A point whose profile cannot be
+    built raises SpectrumError, the first one in order.
     """
     values = [0.0] * len(points)
     todo = [k for k, p in enumerate(points) if not is_diagonal(p)]
     if not todo:
         return values
-    from .eigenfunction import batch_moments
+    from .eigenfunction import moments
 
-    group = [points[k] for k in todo]
-    norm_sq, inner = batch_moments(group, [[p.n] for p in group])
-    for k, sq, dot in zip(todo, norm_sq.tolist(), inner.ravel().tolist()):
+    for k in todo:
+        p = points[k]
+        sq, (dot,) = moments(p, (p.n,))
         # defect first, so that a NaN reaches the finiteness check
         values[k] = max(1.0 - dot * dot / sq, 0.0)
     return values
@@ -107,10 +106,10 @@ def profile_scaling(p: FucikPoint) -> float:
     """<f, mode> / |f|^2 in closed form: the best scaling of p's profile f onto its mode."""
     if is_diagonal(p):
         return 1.0
-    from .eigenfunction import batch_moments
+    from .eigenfunction import moments
 
-    norm_sq, inner = batch_moments((p,), [[p.n]])
-    return float(inner[0, 0] / norm_sq[0])
+    norm_sq, (inner,) = moments(p, (p.n,))
+    return inner / norm_sq
 
 
 @dataclass(frozen=True)
@@ -233,8 +232,8 @@ def certify_system(spec: SystemSpec) -> Certificate:
     The total is the sum of squared projection defects over entries outside
     the envelope set plus the squared envelope at the largest dilation
     parameter inside it.  "exact" mode takes each defect in closed form (the
-    label "quadrature-defect" is kept; nothing is integrated and no profile
-    is built), all from one batch_moments before the split is chosen: the
+    label "quadrature-defect" is kept; nothing is integrated, no profile is
+    built and numpy is not loaded), all before the split is chosen: the
     entries left outside the candidates for "default" and explicit splits,
     every entry for "auto".  "bound" mode takes each defect's closed-form
     majorant as the split needs it, builds no profile, and certifies fewer

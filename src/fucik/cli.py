@@ -124,16 +124,16 @@ def _cmd_coeffs(args) -> int:
     if not 1 <= args.kmax <= MAX_KMAX:
         raise InputError(f"kmax must lie in [1, {MAX_KMAX}]")
     ks = range(1, args.kmax + 1)
-    # first, so that coefficient refuses a gamma outside [4, 9) before numpy loads
+    # first, so that a gamma outside [4, 9) gets coefficient's refusal
     column = [coefficient(args.gamma, k) for k in ks]
-    from .eigenfunction import batch_moments
+    from .eigenfunction import moments
 
-    # batch_moments sums the profile's arcs in closed form and shares no
-    # code with coefficient's two-arc formula, so each row checks one
-    # against the other
-    _, arc_sums = batch_moments((point_from_gamma(2, args.gamma),), [ks])
+    # moments sums the profile's arcs in closed form and shares no code
+    # with coefficient's two-arc formula, so each row checks one against
+    # the other
+    _, arc_sums = moments(point_from_gamma(2, args.gamma), ks)
     lines = ["k,coefficient,reflected_coefficient,arc_sum,abs_error"]
-    for k, direct, arc_sum in zip(ks, column, arc_sums[0].tolist()):
+    for k, direct, arc_sum in zip(ks, column, arc_sums):
         reflected = -direct if k % 2 else direct  # the mirrored profile
         lines.append(
             f"{k},{_fmt(direct)},{_fmt(reflected)},{_fmt(arc_sum)},{_fmt(abs(direct - arc_sum))}"

@@ -9,11 +9,14 @@ which keeps the boundary zeros at machine accuracy for any admissible index.
 
 Every profile comes from build_batch, which builds the arcs of many
 profiles end to end in one numpy pass.  Norms and sine inner products need
-no profile: the arcs of one sign are equally spaced, so batch_moments sums
-them in closed form from each point's arc counts, widths and amplitudes,
-O(1) per (point, index).  build is build_batch of one, and batch_moments
-works point by point, so a profile's numbers do not depend on the company
-it is computed in.
+no profile: the arcs of one sign are equally spaced, so their sum is a
+closed form of the point's arc counts, widths and amplitudes, O(1) per
+(point, index).  That form is written once, on operators that floats and
+numpy arrays share: moments evaluates it on floats for one point, and
+batch_moments on a table of many points, bit for bit the same.  build is
+build_batch of one, so a profile's numbers do not depend on the company it
+is computed in.  numpy is imported only inside the functions that make
+arrays, so moments runs without it.
 """
 
 from __future__ import annotations
@@ -21,16 +24,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .spectrum import FucikPoint, SpectrumError
 
+if TYPE_CHECKING:
+    import numpy as np
+
 SUP_NORM = math.sqrt(2.0 / math.pi)
 
-# Largest index build and batch_moments accept, so that an oversized index
-# fails with SpectrumError: at the cap a profile holds 24 MB of arrays, and
-# `dump` peaks at about 76 MB of resident memory.
+# Largest index build, moments and batch_moments accept, so that an
+# oversized index fails with SpectrumError: at the cap a profile holds 24 MB
+# of arrays, and `dump` peaks at about 76 MB of resident memory.
 MAX_ARCS = 1_000_000
 
 # Arcs at least this wide keep a positive width in floats: each float edge
@@ -38,7 +43,7 @@ MAX_ARCS = 1_000_000
 # of pi, so only a narrower arc can close up.
 _NARROW = 16.0 * math.ulp(math.pi)
 
-# Far below any phase batch_moments meets that is not exactly 0.
+# Far below any phase the moments meet that is not exactly 0.
 _TINY = 1e-300
 
 # sqrt(2/pi) pi / 2, the factor of A w in each arc's inner product.
@@ -82,6 +87,8 @@ class ProfileBatch:
         return len(self.points)
 
     def __getitem__(self, k: int) -> PiecewiseEigenfunction:
+        import numpy as np
+
         lo, hi = int(self.offsets[k]), int(self.offsets[k + 1])
         edges = np.append(self.starts[lo:hi], math.pi)
         return PiecewiseEigenfunction(self.points[k], edges, self.amps[lo:hi], self.freqs[lo:hi])
@@ -89,6 +96,8 @@ class ProfileBatch:
     @property
     def ends(self) -> np.ndarray:
         """End of every arc: the next arc's start, or pi for a profile's last arc."""
+        import numpy as np
+
         ends = np.empty_like(self.starts)
         ends[:-1] = self.starts[1:]
         ends[self.offsets[1:] - 1] = math.pi
@@ -126,6 +135,8 @@ def build_batch(points) -> ProfileBatch:
     gives for its point alone.  At the symmetric point (n^2, n^2) a profile
     collapses to sqrt(2/pi) sin(n x).
     """
+    import numpy as np
+
     points = tuple(points)
     size = len(points)
     table = np.array([_arc_row(p) for p in points]).reshape(size, 6)
@@ -168,6 +179,8 @@ def build(p: FucikPoint) -> PiecewiseEigenfunction:
 
 def evaluate(f: PiecewiseEigenfunction, x):
     """Value of the profile at x; accepts scalars or numpy arrays in [0, pi]."""
+    import numpy as np
+
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     pts = np.atleast_1d(arr)
@@ -182,13 +195,59 @@ def evaluate(f: PiecewiseEigenfunction, x):
     return vals.reshape(arr.shape)
 
 
-def batch_moments(points, indices) -> tuple[np.ndarray, np.ndarray]:
-    """|f_k|^2 of every point's profile and <f_k, sqrt(2/pi) sin(j x)> for j in row k of indices.
+def _sign_rows(p: FucikPoint) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The positive and the negative row of p's closed-form moments.
 
-    indices holds one row of integers per point.  No profile is built: each
-    value is O(1) in closed form and elementwise, so it is bit for bit what
-    the point gives alone.  A point with P positive arcs of width w+ and
-    amplitude A+ and Q negative ones of width w- and amplitude A- has
+    Each row holds 2P, pi / 2P, (P - Q) w- / 2P, K, 2 (K - 1), w / 2,
+    theta / j - pi / 2, sqrt(2/pi) pi A w / 2 and |f|^2 for its sign's K
+    arcs (see moments).  A point whose profile build refuses raises build's
+    SpectrumError.
+    """
+    pos, neg, w_pos, w_neg, a_pos, a_neg = _arc_row(p)
+    if neg and not min(w_pos, w_neg) > _NARROW:
+        build(p)  # which refuses an arc of no width
+    twice = 2.0 * pos
+    shared = (twice, math.pi / twice, (pos - neg) * w_neg / twice)
+    lag = 0.5 * (neg + 1.0 - pos)
+    norm_sq = 0.5 * (pos * a_pos * a_pos * w_pos + neg * a_neg * a_neg * w_neg)
+    plus = (*shared, pos, 2.0 * pos - 2.0, 0.5 * w_pos, -lag * w_neg,
+            _WEIGHT * a_pos * w_pos, norm_sq)
+    minus = (*shared, neg, 2.0 * neg - 2.0, 0.5 * w_neg, lag * w_pos,
+             _WEIGHT * a_neg * w_neg, norm_sq)
+    return plus, minus
+
+
+def _sign_terms(j, row, sin, rint, fmod):
+    """The arcs of one sign summed against sqrt(2/pi) sin(j x), from a _sign_rows row.
+
+    j and the row's values are floats, with math.sin, round and math.fmod,
+    or numpy arrays, with np.sin, np.rint and np.fmod.  Both round half to
+    even, and % is floor-mod on both with integer-valued operands, so both
+    give the same bits.
+    """
+    twice, unit, drift, counts, less, half_widths, lags, weights = row[:8]
+    turns = rint(j / twice)
+    # delta and s are 0 or far above _TINY, which moves them off the
+    # removable singularities: sin(K x) / sin(x) -> +-K and sin(s) / s -> 1
+    delta = (j - twice * turns) * unit + j * drift + _TINY
+    dirichlet = sin(counts * delta) / sin(delta)
+    # sin(j pi / 2 + phi) = (-1)^floor(j / 2) sin(phi + (j mod 2) pi / 2), exact
+    # at phi = 0, as for every odd index; sin(K x) / sin(delta) carries
+    # (-1)^((K - 1) p), so the sign is 1 - (2 floor(j / 2) + 2 (K - 1) p mod 4)
+    odd = fmod(j, 2.0)
+    sines = sin(lags * j + odd * (0.5 * math.pi))
+    signs = 1.0 - (j - odd + less * turns) % 4.0
+    # A sin(s) / s w / (pi + j w) = (A w / 2) sin(s) / (s (pi - s))
+    s = 0.5 * math.pi - j * half_widths + _TINY
+    return weights * sin(s) / (s * (math.pi - s)) * dirichlet * sines * signs
+
+
+def moments(p: FucikPoint, indices) -> tuple[float, list[float]]:
+    """|f|^2 of p's profile and <f, sqrt(2/pi) sin(j x)> for every j in indices, on floats.
+
+    No profile is built and numpy is not loaded: each value is O(1) in
+    closed form.  A point with P positive arcs of width w+ and amplitude A+
+    and Q negative ones of width w- and amplitude A- has
     |f|^2 = (P A+^2 w+ + Q A-^2 w-) / 2.  An arc A sin(pi (x - a) / w) with
     midpoint m adds sqrt(2/pi) pi A sin(j m) sin(s) / s w / (pi + j w),
     s = (pi - j w) / 2, and the K midpoints of one sign lie L = w+ + w-
@@ -197,45 +256,31 @@ def batch_moments(points, indices) -> tuple[np.ndarray, np.ndarray]:
     both phases exactly: x - p pi = delta = (pi (j - 2 P p) + j (P - Q) w-)
     / (2 P) with p = rint(j / 2P), where j - 2 P p is an exact integer, and
     theta = j pi / 2 - j (Q + 1 - P) w- / 2 for the positive arcs,
-    j pi / 2 + j (Q + 1 - P) w+ / 2 for the negative ones.  The first point
-    in order whose profile build refuses raises build's SpectrumError.
+    j pi / 2 + j (Q + 1 - P) w+ / 2 for the negative ones.  A point whose
+    profile build refuses raises build's SpectrumError.
     """
-    points = tuple(points)
-    # one row per sign and point, the positive arcs of every point first:
-    # 2P, pi / 2P, (P - Q) w- / 2P, K, 2 (K - 1), w / 2, theta / j - pi / 2,
-    # sqrt(2/pi) pi A w / 2, and |f|^2
-    plus, minus = [], []
-    for p in points:
-        pos, neg, w_pos, w_neg, a_pos, a_neg = _arc_row(p)
-        if neg and not min(w_pos, w_neg) > _NARROW:
-            build(p)  # which refuses an arc of no width
-        twice = 2.0 * pos
-        shared = (twice, math.pi / twice, (pos - neg) * w_neg / twice)
-        lag = 0.5 * (neg + 1.0 - pos)
-        norm_sq = 0.5 * (pos * a_pos * a_pos * w_pos + neg * a_neg * a_neg * w_neg)
-        plus += (*shared, pos, 2.0 * pos - 2.0, 0.5 * w_pos, -lag * w_neg,
-                 _WEIGHT * a_pos * w_pos, norm_sq)
-        minus += (*shared, neg, 2.0 * neg - 2.0, 0.5 * w_neg, lag * w_pos,
-                  _WEIGHT * a_neg * w_neg, norm_sq)
-    size = len(points)
-    table = np.array(plus + minus).reshape(2 * size, 9).T[:, :, None]
-    twice, unit, drift, counts, less, half_widths, lags, weights = table[:8]
+    plus, minus = _sign_rows(p)
+    inner = [_sign_terms(j, plus, math.sin, round, math.fmod)
+             + _sign_terms(j, minus, math.sin, round, math.fmod) for j in map(float, indices)]
+    return plus[8], inner
 
+
+def batch_moments(points, indices) -> tuple[np.ndarray, np.ndarray]:
+    """moments of every point, as arrays: |f_k|^2 and the inner products for row k of indices.
+
+    indices holds one row of integers per point.  Every value is the same
+    closed form as moments, elementwise on numpy arrays, so it is bit for
+    bit what moments gives for the point alone.  The first point in order
+    whose profile build refuses raises build's SpectrumError.
+    """
+    import numpy as np
+
+    rows = [_sign_rows(p) for p in points]
+    size = len(rows)
+    # one row per sign and point, the positive arcs of every point first
+    table = np.array([r[0] for r in rows] + [r[1] for r in rows]).reshape(2 * size, 9)
+    table = table.T[:, :, None]
     # every operand has 2 * size rows, so numpy never broadcasts a row
     j = np.asarray(indices, dtype=float)
-    j = np.concatenate((j, j))
-    turns = np.rint(j / twice)
-    # delta and s are 0 or far above _TINY, which moves them off the
-    # removable singularities: sin(K x) / sin(x) -> +-K and sin(s) / s -> 1
-    delta = (j - twice * turns) * unit + j * drift + _TINY
-    dirichlet = np.sin(counts * delta) / np.sin(delta)
-    # sin(j pi / 2 + phi) = (-1)^floor(j / 2) sin(phi + (j mod 2) pi / 2), exact
-    # at phi = 0, as for every odd index; sin(K x) / sin(delta) carries
-    # (-1)^((K - 1) p), so the sign is 1 - (2 floor(j / 2) + 2 (K - 1) p mod 4)
-    odd = np.fmod(j, 2.0)
-    sines = np.sin(lags * j + odd * (0.5 * math.pi))
-    signs = 1.0 - np.mod(j - odd + less * turns, 4.0)
-    # A sin(s) / s w / (pi + j w) = (A w / 2) sin(s) / (s (pi - s))
-    s = 0.5 * math.pi - j * half_widths + _TINY
-    terms = weights * np.sin(s) / (s * (math.pi - s)) * dirichlet * sines * signs
+    terms = _sign_terms(np.concatenate((j, j)), table, np.sin, np.rint, np.fmod)
     return table[8, :size, 0], terms[:size] + terms[size:]

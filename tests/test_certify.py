@@ -31,7 +31,7 @@ from fucik.certify import (
     projection_defect_bound,
     zeta,
 )
-from fucik.eigenfunction import batch_moments, build, build_batch
+from fucik.eigenfunction import batch_moments, build, build_batch, moments
 from fucik.envelope import envelope_root, envelope_value
 from fucik.gram import gram_matrix
 from fucik.spectrum import (
@@ -349,6 +349,7 @@ def test_one_pass_gives_what_each_profile_gives_alone(entries, data):
         (want_sq,), (want_inner,) = batch_moments((p,), [[p.n, 1, 7]])
         assert norm_sq[k] == want_sq
         assert np.array_equal(inner[k], want_inner)
+        assert moments(p, [p.n, 1, 7]) == (want_sq, want_inner.tolist())
         # the closed form sums the arcs of each sign at once, so it agrees
         # with the arc-by-arc sum to rounding, not bit for bit
         for j, m in enumerate((p.n, 1, 7)):
@@ -368,8 +369,8 @@ def test_exact_certify_refuses_the_first_unbuildable_entry_in_order():
 
 
 def test_certify_at_the_profile_cap_stays_small():
-    # eight odd entries just below MAX_ARCS: their defects take no profile,
-    # so the peak is about what the interpreter and numpy take on their own.
+    # eight odd entries just below MAX_ARCS: their defects take no profile
+    # and load no numpy, so the peak is about what the interpreter takes.
     # VmHWM is the peak of the child's own memory; ru_maxrss would also count
     # that of the test process it was started from
     script = (
@@ -380,15 +381,15 @@ def test_certify_at_the_profile_cap_stays_small():
         "cert = certify_system(parse_system(spec))\n"
         "with open('/proc/self/status') as fh:\n"
         "    peak = next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:')) / 1024\n"
-        "print(json.dumps([peak, cert.passed, len(cert.per_index)]))\n"
+        "print(json.dumps([peak, cert.passed, len(cert.per_index), 'numpy' in sys.modules]))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     run = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
     )
     assert run.returncode == 0, run.stderr
-    peak_mb, passed, count = json.loads(run.stdout)
-    assert passed and count == 8
+    peak_mb, passed, count, numpy_loaded = json.loads(run.stdout)
+    assert passed and count == 8 and not numpy_loaded
     assert peak_mb < 60.0, peak_mb
 
 

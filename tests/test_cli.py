@@ -649,6 +649,9 @@ def test_scalar_subcommands_start_without_numpy(tmp_path, write_spec):
         ["region", "--sup", "5", "--epsilon", "0.5", "--svg", svg],
         ["certify", "--spec", _readme_spec(tmp_path), "--mode", "bound"],
         ["certify", "--spec", absorbed, "--mode", "exact"],
+        # its odd entries are off their diagonal, so their defects are taken
+        ["certify", "--spec", _readme_spec(tmp_path), "--mode", "exact"],
+        ["coeffs", "--gamma", "6.25", "--kmax", "200"],
     ):
         code = f"import fucik.cli\nassert fucik.cli.main({argv!r}) in (0, 1)"
         assert not _numpy_loaded_after(code), argv
@@ -657,6 +660,11 @@ def test_scalar_subcommands_start_without_numpy(tmp_path, write_spec):
 def test_array_layers_load_on_first_use():
     assert not _numpy_loaded_after("import fucik")
     assert _numpy_loaded_after("import fucik\nfucik.gram_matrix")
+    point = "from fucik.spectrum import point_from_gamma\np = point_from_gamma(4, 6.0)\n"
+    assert not _numpy_loaded_after(
+        "import fucik.eigenfunction\n" + point + "fucik.eigenfunction.moments(p, (4, 1))")
+    assert _numpy_loaded_after(
+        "import fucik.eigenfunction\n" + point + "fucik.eigenfunction.build(p)")
 
 
 def test_every_export_resolves():

@@ -11,7 +11,7 @@ from reference import JunctionError, ode_residual, profile_moments
 
 import fucik.eigenfunction
 from fucik.cli import main
-from fucik.eigenfunction import SUP_NORM, batch_moments, build, build_batch, evaluate
+from fucik.eigenfunction import SUP_NORM, batch_moments, build, build_batch, evaluate, moments
 from fucik.spectrum import FucikPoint, SpectrumError, point_from_gamma, solve_alpha, solve_beta
 
 
@@ -333,6 +333,7 @@ def test_closed_form_moments_are_as_accurate_as_the_arc_sum():
             want_sq, want = _mp_moments(p, indices, geometric=p.n > 1000)
             f = build(p)
             (norm_sq,), (inner,) = batch_moments((p,), [indices])
+            assert moments(p, indices) == (norm_sq, inner.tolist()), (p, indices)
             for j, value, exact in zip(indices, inner.tolist(), want):
                 arc_sq, arc = profile_moments(f, j)
                 for name, sq, got in (("closed", norm_sq, value), ("arc sum", arc_sq, arc)):
