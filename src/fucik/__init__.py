@@ -10,8 +10,8 @@ No runtime path uses quadrature: fucik.quadrature is the adaptive Simpson
 rule that the tests hold the closed forms to.  The profile and Gram layers,
 fucik.eigenfunction and fucik.gram, load on first use of one of their names.
 fucik.gram imports numpy, and fucik.eigenfunction only inside the functions
-that make arrays, so the envelope, spectrum and certification in either mode
-start without numpy.
+that make arrays, so the envelope, spectrum, certification in either mode
+and the arc-by-arc profile listing start without numpy.
 """
 
 import importlib

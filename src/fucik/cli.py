@@ -40,10 +40,6 @@ MAX_KMAX = 200
 MAX_RESOLUTION = 100_000
 MAX_REGION_POINTS = 1_000_000  # nmax * resolution
 
-# Arcs the dump writer turns into Python floats at a time.
-_SLICE = 4096
-
-
 def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
@@ -307,41 +303,39 @@ def _num(value: float) -> str:
     return repr(float(_fmt(value)))
 
 
-def _dump_lines(f):
-    """The profile as two-space JSON with sorted keys, one arc per item.
+def _dump_lines(p: FucikPoint):
+    """p's profile as two-space JSON with sorted keys, one arc per item.
 
     Arc j is listed with sign +1 for even j and -1 for odd j, and with the
-    unsigned amplitude.  The arcs become Python floats a fixed-size slice at
-    a time, and each is formatted only as it is written.
+    unsigned amplitude, each sign's formatted once.  The arcs come from the
+    curve point one at a time, and each is formatted only as it is written.
     """
-    p = f.point
-    last = len(f.amps) - 1
+    from .eigenfunction import arcs
+
+    rows = arcs(p)  # first, so that a refusal leaves stdout empty
+    amps = {}  # signed amplitude -> its unsigned text
+    last = p.n - 1
     yield f'{{\n  "alpha": {_num(p.alpha)},\n  "beta": {_num(p.beta)},\n  "bumps": ['
-    start = _num(f.edges[0])
-    for lo in range(0, last + 1, _SLICE):
-        hi = lo + _SLICE
-        ends, freqs, amps = f.edges[lo + 1 : hi + 1], f.freqs[lo:hi], abs(f.amps[lo:hi])
-        for j, (end, freq, amp) in enumerate(
-            zip(ends.tolist(), freqs.tolist(), amps.tolist()), start=lo
-        ):
-            end = _num(end)
-            yield (
-                f'    {{\n      "amplitude": {_num(amp)},\n      "end": {end},\n'
-                f'      "frequency": {_num(freq)},\n      "sign": {1 - 2 * (j % 2)},\n'
-                f'      "start": {start}\n    }}' + ("," if j < last else "")
-            )
-            start = end
-    yield f'  ],\n  "n": {p.n},\n  "sup_norm": {_num(abs(f.amps).max())}\n}}'
+    start = _num(0.0)  # every profile starts at 0
+    for j, (_, end, amp, freq) in enumerate(rows):
+        if amp not in amps:
+            amps[amp] = _num(abs(amp))
+        end = _num(end)
+        yield (
+            f'    {{\n      "amplitude": {amps[amp]},\n      "end": {end},\n'
+            f'      "frequency": {_num(freq)},\n      "sign": {1 - 2 * (j % 2)},\n'
+            f'      "start": {start}\n    }}' + ("," if j < last else "")
+        )
+        start = end
+    yield f'  ],\n  "n": {p.n},\n  "sup_norm": {_num(max(map(abs, amps)))}\n}}'
 
 
 def _cmd_dump(args) -> int:
-    from .eigenfunction import build
-
     if args.beta is None:
         point = FucikPoint(args.n, args.alpha, solve_beta(args.n, args.alpha))
     else:
         point = FucikPoint(args.n, args.alpha, args.beta)
-    _write_lines(_dump_lines(build(point)), None)
+    _write_lines(_dump_lines(point), None)
     return 0
 
 

@@ -7,16 +7,16 @@ signed amplitudes and frequencies.  Construction refits the
 negative-arc width so the chain tiles (0, pi) exactly in floating point,
 which keeps the boundary zeros at machine accuracy for any admissible index.
 
-Every profile comes from build_batch, which builds the arcs of many
-profiles end to end in one numpy pass.  Norms and sine inner products need
-no profile: the arcs of one sign are equally spaced, so their sum is a
-closed form of the point's arc counts, widths and amplitudes, O(1) per
-(point, index).  That form is written once, on operators that floats and
-numpy arrays share: moments evaluates it on floats for one point, and
-batch_moments on a table of many points, bit for bit the same.  build is
-build_batch of one, so a profile's numbers do not depend on the company it
-is computed in.  numpy is imported only inside the functions that make
-arrays, so moments runs without it.
+Every profile comes from build_batch, which builds the arcs of many profiles
+end to end in one numpy pass; arcs streams one point's arcs on floats, bit
+for bit alike.  Norms and sine inner products need no profile: the arcs of
+one sign are equally spaced, so their sum is a closed form of the point's
+arc counts, widths and amplitudes, O(1) per (point, index).  That form is
+written once, on operators that floats and numpy arrays share: moments
+evaluates it on floats for one point, and batch_moments on a table of many
+points, bit for bit the same.  build is build_batch of one, so a profile's
+numbers do not depend on the company it is computed in.  numpy is imported
+only inside the functions that make arrays, and moments and arcs make none.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ if TYPE_CHECKING:
 
 SUP_NORM = math.sqrt(2.0 / math.pi)
 
-# Largest index build, moments and batch_moments accept, so that an
+# Largest index build, arcs, moments and batch_moments accept, so that an
 # oversized index fails with SpectrumError: at the cap a profile holds 24 MB
-# of arrays, and `dump` peaks at about 76 MB of resident memory.
+# of arrays, which `dump` never makes: it streams its arcs from arcs.
 MAX_ARCS = 1_000_000
 
 # Arcs at least this wide keep a positive width in floats: each float edge
@@ -177,6 +177,29 @@ def build(p: FucikPoint) -> PiecewiseEigenfunction:
     return build_batch((p,))[0]
 
 
+def _checked_row(p: FucikPoint) -> tuple[float, ...]:
+    """_arc_row(p) of a point whose profile build accepts; else build's SpectrumError."""
+    row = _arc_row(p)
+    if row[1] and not min(row[2], row[3]) > _NARROW:
+        build(p)  # which refuses an arc of no width
+    return row
+
+
+def arcs(p: FucikPoint):
+    """Arcs j = 0 .. n - 1 of p's profile as (start, end, signed amplitude, frequency).
+
+    One arc at a time on floats, each value bit for bit build(p)'s edges[j],
+    edges[j + 1], amps[j] and freqs[j].  A point that build refuses raises
+    its SpectrumError here, at the call.
+    """
+    _, _, w_pos, w_neg, *signed = _checked_row(p)
+    # the starts and widths of build_batch, by the same float operations
+    edges = itertools.chain(
+        ((k + 1) // 2 * w_pos + k // 2 * w_neg for k in range(p.n)), (math.pi,))
+    return ((start, end, signed[j & 1], math.pi / (end - start))
+            for j, (start, end) in enumerate(itertools.pairwise(edges)))
+
+
 def evaluate(f: PiecewiseEigenfunction, x):
     """Value of the profile at x; accepts scalars or numpy arrays in [0, pi]."""
     import numpy as np
@@ -203,9 +226,7 @@ def _sign_rows(p: FucikPoint) -> tuple[tuple[float, ...], tuple[float, ...]]:
     arcs (see moments).  A point whose profile build refuses raises build's
     SpectrumError.
     """
-    pos, neg, w_pos, w_neg, a_pos, a_neg = _arc_row(p)
-    if neg and not min(w_pos, w_neg) > _NARROW:
-        build(p)  # which refuses an arc of no width
+    pos, neg, w_pos, w_neg, a_pos, a_neg = _checked_row(p)
     twice = 2.0 * pos
     shared = (twice, math.pi / twice, (pos - neg) * w_neg / twice)
     lag = 0.5 * (neg + 1.0 - pos)

@@ -419,6 +419,12 @@ WRITER_PINS = {
     "region-fine-csv": (["region", "--sup", "5", "--nmax", "10", "--resolution", "2000",
                          "--epsilon", "0.5"],
                         "d4a0308f146aad157b50ce3054191119b93f2be0563925fe19a97e17ee29ac2d"),
+    # a long chain, where a rounding drift from arc to arc would show
+    "dump-long": (["dump", "999", "998001.3"],
+                  "81fd7bd4990496b1455535317aca8ec82be8617fb429186d198835b45ae1f1b9"),
+    # narrow but valid arcs, whose width build_batch checks
+    "dump-narrow": (["dump", "2", "1e30"],
+                    "99ef2b8a981382fee36cc77723ad22f78fd73663c1b7b52a12c2bf0fd5f0e83d"),
 }
 
 
@@ -652,9 +658,37 @@ def test_scalar_subcommands_start_without_numpy(tmp_path, write_spec):
         # its odd entries are off their diagonal, so their defects are taken
         ["certify", "--spec", _readme_spec(tmp_path), "--mode", "exact"],
         ["coeffs", "--gamma", "6.25", "--kmax", "200"],
+        ["dump", "7", "52.0"],
+        ["dump", "1", "1"],
+        ["dump", "6", "36.0", "36.0"],
     ):
         code = f"import fucik.cli\nassert fucik.cli.main({argv!r}) in (0, 1)"
         assert not _numpy_loaded_after(code), argv
+
+
+def test_dump_of_a_long_chain_stays_small():
+    # the arcs are written one at a time from the curve point, so the peak
+    # is about what the interpreter takes.  VmHWM is the peak of the child's
+    # own memory; ru_maxrss would also count that of the test process
+    script = (
+        "import json, os, sys\n"
+        "import fucik.cli\n"
+        "with open(os.devnull, 'w') as sink:\n"
+        "    sys.stdout = sink\n"
+        "    code = fucik.cli.main(['dump', '200001', '40000400001.5'])\n"
+        "    sys.stdout = sys.__stdout__\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    peak = next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:')) / 1024\n"
+        "print(json.dumps([peak, code, 'numpy' in sys.modules]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    peak_mb, code, numpy_loaded = json.loads(run.stdout)
+    assert code == 0 and not numpy_loaded
+    assert peak_mb < 30.0, peak_mb
 
 
 def test_array_layers_load_on_first_use():

@@ -11,7 +11,9 @@ from reference import JunctionError, ode_residual, profile_moments
 
 import fucik.eigenfunction
 from fucik.cli import main
-from fucik.eigenfunction import SUP_NORM, batch_moments, build, build_batch, evaluate, moments
+from fucik.eigenfunction import (
+    SUP_NORM, arcs, batch_moments, build, build_batch, evaluate, moments,
+)
 from fucik.spectrum import FucikPoint, SpectrumError, point_from_gamma, solve_alpha, solve_beta
 
 
@@ -187,6 +189,47 @@ def test_narrow_arcs_that_build_get_closed_form_moments(monkeypatch):
     for value, j in zip(inner[1].tolist(), (3, 1)):
         assert abs(value - profile_moments(f, j)[1]) <= 1e-15
     assert abs(norm_sq[1] - profile_moments(f, 3)[0]) <= 1e-15
+
+
+def _arc_sample():
+    """Seeded points: n = 1, symmetric points, both major sides of even and odd
+    n up to a few thousand, odd n near their diagonal, and narrow but valid
+    arcs, whose width build_batch checks."""
+    rng = random.Random(20213)
+    points = [FucikPoint(1, 1.0, 1.0), FucikPoint(2, 4.0, 4.0), FucikPoint(7, 49.0, 49.0)]
+    for _ in range(60):
+        n = rng.choice((rng.randrange(2, 40), rng.randrange(2, 4000)))
+        if n % 2 and rng.random() < 0.3:
+            major = (n + rng.uniform(1e-9, 1e-3)) ** 2
+        else:
+            major = n * n * rng.uniform(1.0, 5.0)
+        points.append(FucikPoint(n, major, solve_beta(n, major)))
+        points.append(FucikPoint(n, solve_alpha(n, major), major))
+    for n, alpha in ((2, 1e30), (3, 1e30), (5, 2.5e30)):
+        points.append(FucikPoint(n, alpha, solve_beta(n, alpha)))
+    return points
+
+
+def test_arc_stream_is_the_built_profile_bit_for_bit():
+    for p in _arc_sample():
+        f = build(p)
+        want = list(zip(f.edges[:-1].tolist(), f.edges[1:].tolist(), f.amps.tolist(),
+                        f.freqs.tolist()))
+        assert list(arcs(p)) == want, p
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (1e200, 1.0),
+    ((2.0 / (1.0 + 1e-11)) ** 2, 1e300),
+])
+def test_arc_stream_refuses_with_builds_message(alpha, beta):
+    p = FucikPoint(3, alpha, beta)
+    with pytest.raises(SpectrumError) as built:
+        build(p)
+    # at the call, before any arc is asked for
+    with pytest.raises(SpectrumError) as streamed:
+        arcs(p)
+    assert str(streamed.value) == str(built.value)
 
 
 def test_evaluate_rejects_points_outside_domain():
