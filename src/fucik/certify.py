@@ -51,31 +51,17 @@ def projection_defect(p: FucikPoint) -> float:
     """1 - <f, mode>^2 / |f|^2 for the profile of p, in closed form.
 
     Exactly zero at index 1 and at symmetric points, where the profile is
-    the mode itself.  A squared distance, so rounding below zero is clamped
-    to zero.
+    the mode itself.  Otherwise one moments call on floats, which builds no
+    profile and loads no numpy.  A squared distance, so rounding below zero
+    is clamped to zero.
     """
-    return _projection_defects((p,))[0]
-
-
-def _projection_defects(points) -> list[float]:
-    """projection_defect of every point, bit for bit, each from one moments call.
-
-    A point that is not a mode takes one closed-form call on floats, which
-    builds no profile and loads no numpy.  A point whose profile cannot be
-    built raises SpectrumError, the first one in order.
-    """
-    values = [0.0] * len(points)
-    todo = [k for k, p in enumerate(points) if not is_diagonal(p)]
-    if not todo:
-        return values
+    if is_diagonal(p):
+        return 0.0
     from .eigenfunction import moments
 
-    for k in todo:
-        p = points[k]
-        sq, (dot,) = moments(p, (p.n,))
-        # defect first, so that a NaN reaches the finiteness check
-        values[k] = max(1.0 - dot * dot / sq, 0.0)
-    return values
+    sq, (dot,) = moments(p, (p.n,))
+    # defect first, so that a NaN reaches the finiteness check
+    return max(1.0 - dot * dot / sq, 0.0)
 
 
 def projection_defect_bound(p: FucikPoint) -> float:
@@ -277,7 +263,7 @@ def certify_system(spec: SystemSpec) -> Certificate:
     if exact:
         # every defect the walk can read, in the order it reads them
         needed = outside + to_drop[::-1] if spec.split == SPLIT_AUTO else outside
-        known = dict(zip((p.n for p in needed), _projection_defects(needed)))
+        known = {p.n: projection_defect(p) for p in needed}
 
     def defect_fn(p: FucikPoint) -> float:
         value = known[p.n] if exact else projection_defect_bound(p)

@@ -7,16 +7,16 @@ signed amplitudes and frequencies.  Construction refits the
 negative-arc width so the chain tiles (0, pi) exactly in floating point,
 which keeps the boundary zeros at machine accuracy for any admissible index.
 
-Every profile comes from build_batch, which builds the arcs of many profiles
-end to end in one numpy pass; arcs streams one point's arcs on floats, bit
-for bit alike.  Norms and sine inner products need no profile: the arcs of
-one sign are equally spaced, so their sum is a closed form of the point's
-arc counts, widths and amplitudes, O(1) per (point, index).  That form is
-written once, on operators that floats and numpy arrays share: moments
-evaluates it on floats for one point, and batch_moments on a table of many
-points, bit for bit the same.  build is build_batch of one, so a profile's
-numbers do not depend on the company it is computed in.  numpy is imported
-only inside the functions that make arrays, and moments and arcs make none.
+_arc_row gives a point's arc counts, widths and amplitudes; it is the one
+gate of every profile and moment, refusing a point past the cap or with an
+arc of no width.  _start places arc k on floats, for arcs, which streams one
+point's arcs, and on numpy arrays, for build_batch, which builds many
+profiles end to end in one pass, bit for bit alike; build is build_batch of
+one.  Norms and sine inner products need no profile: the arcs of one sign
+are equally spaced, so their sum is a closed form of the point's row, O(1)
+per (point, index), evaluated on floats by moments and on a table of many
+points by batch_moments, bit for bit the same.  numpy is imported only
+inside the functions that make arrays, and moments and arcs make none.
 """
 
 from __future__ import annotations
@@ -33,14 +33,15 @@ if TYPE_CHECKING:
 
 SUP_NORM = math.sqrt(2.0 / math.pi)
 
-# Largest index build, arcs, moments and batch_moments accept, so that an
-# oversized index fails with SpectrumError: at the cap a profile holds 24 MB
-# of arrays, which `dump` never makes: it streams its arcs from arcs.
+# Largest index _arc_row accepts, so that an oversized index fails with
+# SpectrumError: at the cap build peaks at about 47 MB of arrays, and
+# `dump`, which streams its arcs on floats, makes none.
 MAX_ARCS = 1_000_000
 
 # Arcs at least this wide keep a positive width in floats: each float edge
 # is within 2 ulp(pi) of its exact place, and the tiling within 2 ulp(pi)
-# of pi, so only a narrower arc can close up.
+# of pi, so only a narrower arc can close up.  _arc_row accepts such a
+# point in O(1) and walks the edges of any other.
 _NARROW = 16.0 * math.ulp(math.pi)
 
 # Far below any phase the moments meet that is not exactly 0.
@@ -73,12 +74,15 @@ class PiecewiseEigenfunction:
 class ProfileBatch:
     """Several profiles stored end to end as arc arrays.
 
-    Profile k holds arcs offsets[k]:offsets[k + 1] of starts, amps and
-    freqs; batch[k] is that profile, with its edges closed by pi.
+    Profile k holds arcs offsets[k]:offsets[k + 1] of starts, ends, amps
+    and freqs; an arc ends at the next arc's start, or at pi for a
+    profile's last arc.  batch[k] is that profile, with its edges closed
+    by pi.
     """
 
     points: tuple[FucikPoint, ...]
     starts: np.ndarray
+    ends: np.ndarray
     amps: np.ndarray
     freqs: np.ndarray
     offsets: np.ndarray
@@ -93,21 +97,27 @@ class ProfileBatch:
         edges = np.append(self.starts[lo:hi], math.pi)
         return PiecewiseEigenfunction(self.points[k], edges, self.amps[lo:hi], self.freqs[lo:hi])
 
-    @property
-    def ends(self) -> np.ndarray:
-        """End of every arc: the next arc's start, or pi for a profile's last arc."""
-        import numpy as np
 
-        ends = np.empty_like(self.starts)
-        ends[:-1] = self.starts[1:]
-        ends[self.offsets[1:] - 1] = math.pi
-        return ends
+def _start(k, w_pos, w_neg):
+    """Start of arc k: the summed widths of the arcs before it, positive first.
+
+    On ints and floats, or elementwise on numpy arrays by the same IEEE
+    operations, like _sign_terms.
+    """
+    return (k + 1) // 2 * w_pos + k // 2 * w_neg
+
+
+def _edges(n: int, w_pos: float, w_neg: float):
+    """The n arc starts of a profile on floats, then exactly pi."""
+    starts = map(_start, range(n), itertools.repeat(w_pos), itertools.repeat(w_neg))
+    return itertools.chain(starts, (math.pi,))
 
 
 def _arc_row(p: FucikPoint) -> tuple[float, ...]:
     """Positive and negative arc counts, widths and signed amplitudes of p's profile.
 
-    An index past MAX_ARCS raises SpectrumError.
+    The one gate of every profile and moment: an index past MAX_ARCS, or a
+    point that leaves an arc of no width in floats, raises SpectrumError.
     """
     n = p.n
     if n > MAX_ARCS:
@@ -117,6 +127,11 @@ def _arc_row(p: FucikPoint) -> tuple[float, ...]:
     w_pos = math.pi / math.sqrt(p.alpha)
     # refit the negative width so the counted arcs sum to pi exactly
     w_neg = (math.pi - (n + 1) // 2 * w_pos) / (n // 2)
+    # below the float spacing of pi, or no room for negative arcs
+    if not min(w_pos, w_neg) > _NARROW:
+        for start, end in itertools.pairwise(_edges(n, w_pos, w_neg)):
+            if not end - start > 0.0:
+                raise SpectrumError(f"({p.alpha}, {p.beta}) leaves an arc of no width in floats")
     # slope matching at the zeros: amp_pos sqrt(alpha) = amp_neg sqrt(beta)
     ratio = math.sqrt(p.alpha / p.beta)
     counts = float((n + 1) // 2), float(n // 2)
@@ -128,48 +143,29 @@ def _arc_row(p: FucikPoint) -> tuple[float, ...]:
 def build_batch(points) -> ProfileBatch:
     """Construct the normalized profiles of several curve points in one numpy pass.
 
-    Every point must have at most MAX_ARCS arcs, none of them so narrow
-    that it vanishes in the float spacing of pi; otherwise SpectrumError
-    names the first point in order that breaks the cap, or failing that the
-    first one with such an arc.  Each profile is bit for bit what build
-    gives for its point alone.  At the symmetric point (n^2, n^2) a profile
+    The first point in order that _arc_row refuses raises its SpectrumError.
+    Each profile is bit for bit what build gives for its point alone, and
+    what arcs streams.  At the symmetric point (n^2, n^2) a profile
     collapses to sqrt(2/pi) sin(n x).
     """
     import numpy as np
 
     points = tuple(points)
-    size = len(points)
-    table = np.array([_arc_row(p) for p in points]).reshape(size, 6)
+    table = np.array([_arc_row(p) for p in points]).reshape(len(points), 6)
     counts = [p.n for p in points]
     offsets = np.array(list(itertools.accumulate(counts, initial=0)))
     counts = np.array(counts, dtype=np.intp)
-    # in place where the types allow, as the arrays hold up to MAX_ARCS
-    # values: the local index j of every arc, then its parity, which picks
-    # the signed amplitude, then (j + 1) // 2, since arc j starts after
-    # (j + 1) // 2 positive and j // 2 negative arcs
-    local = np.arange(offsets[-1])
-    local -= offsets[:-1].repeat(counts)
-    half = local >> 1
-    local &= 1
-    pick = (6 * np.arange(size) + 4).repeat(counts)
-    pick += local
-    amps = table.ravel()[pick]
-    local += half
-    starts = local * table[:, 2].repeat(counts)
-    starts += half * table[:, 3].repeat(counts)
-    last = offsets[1:] - 1
-    widths = np.empty_like(starts)
-    np.subtract(starts[1:], starts[:-1], out=widths[:-1])
-    widths[last] = math.pi - starts[last]
-    # below the float spacing of pi, or no room for negative arcs
-    wide = np.minimum.reduceat(widths, offsets[:-1]) > 0.0 if size else widths
-    if not wide.all():
-        p = points[int(wide.argmin())]
-        raise SpectrumError(f"({p.alpha}, {p.beta}) leaves an arc of no width in floats")
+    # the local index of every arc within its profile
+    j = np.arange(offsets[-1]) - offsets[:-1].repeat(counts)
+    starts = _start(j, table[:, 2].repeat(counts), table[:, 3].repeat(counts))
+    amps = np.where(j & 1, table[:, 5].repeat(counts), table[:, 4].repeat(counts))
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[offsets[1:] - 1] = math.pi
     # pi / width rather than sqrt(alpha): each arc then vanishes at both of
     # its own endpoints to the last bit
-    freqs = np.divide(math.pi, widths, out=widths)
-    return ProfileBatch(points, starts, amps, freqs, offsets)
+    freqs = math.pi / (ends - starts)
+    return ProfileBatch(points, starts, ends, amps, freqs, offsets)
 
 
 def build(p: FucikPoint) -> PiecewiseEigenfunction:
@@ -177,27 +173,16 @@ def build(p: FucikPoint) -> PiecewiseEigenfunction:
     return build_batch((p,))[0]
 
 
-def _checked_row(p: FucikPoint) -> tuple[float, ...]:
-    """_arc_row(p) of a point whose profile build accepts; else build's SpectrumError."""
-    row = _arc_row(p)
-    if row[1] and not min(row[2], row[3]) > _NARROW:
-        build(p)  # which refuses an arc of no width
-    return row
-
-
 def arcs(p: FucikPoint):
     """Arcs j = 0 .. n - 1 of p's profile as (start, end, signed amplitude, frequency).
 
     One arc at a time on floats, each value bit for bit build(p)'s edges[j],
-    edges[j + 1], amps[j] and freqs[j].  A point that build refuses raises
-    its SpectrumError here, at the call.
+    edges[j + 1], amps[j] and freqs[j].  A point that _arc_row refuses
+    raises its SpectrumError here, at the call.
     """
-    _, _, w_pos, w_neg, *signed = _checked_row(p)
-    # the starts and widths of build_batch, by the same float operations
-    edges = itertools.chain(
-        ((k + 1) // 2 * w_pos + k // 2 * w_neg for k in range(p.n)), (math.pi,))
+    _, _, w_pos, w_neg, *signed = _arc_row(p)
     return ((start, end, signed[j & 1], math.pi / (end - start))
-            for j, (start, end) in enumerate(itertools.pairwise(edges)))
+            for j, (start, end) in enumerate(itertools.pairwise(_edges(p.n, w_pos, w_neg))))
 
 
 def evaluate(f: PiecewiseEigenfunction, x):
@@ -223,10 +208,10 @@ def _sign_rows(p: FucikPoint) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
     Each row holds 2P, pi / 2P, (P - Q) w- / 2P, K, 2 (K - 1), w / 2,
     theta / j - pi / 2, sqrt(2/pi) pi A w / 2 and |f|^2 for its sign's K
-    arcs (see moments).  A point whose profile build refuses raises build's
+    arcs (see moments).  A point that _arc_row refuses raises its
     SpectrumError.
     """
-    pos, neg, w_pos, w_neg, a_pos, a_neg = _checked_row(p)
+    pos, neg, w_pos, w_neg, a_pos, a_neg = _arc_row(p)
     twice = 2.0 * pos
     shared = (twice, math.pi / twice, (pos - neg) * w_neg / twice)
     lag = 0.5 * (neg + 1.0 - pos)
@@ -277,8 +262,8 @@ def moments(p: FucikPoint, indices) -> tuple[float, list[float]]:
     both phases exactly: x - p pi = delta = (pi (j - 2 P p) + j (P - Q) w-)
     / (2 P) with p = rint(j / 2P), where j - 2 P p is an exact integer, and
     theta = j pi / 2 - j (Q + 1 - P) w- / 2 for the positive arcs,
-    j pi / 2 + j (Q + 1 - P) w+ / 2 for the negative ones.  A point whose
-    profile build refuses raises build's SpectrumError.
+    j pi / 2 + j (Q + 1 - P) w+ / 2 for the negative ones.  A point that
+    _arc_row refuses raises its SpectrumError.
     """
     plus, minus = _sign_rows(p)
     inner = [_sign_terms(j, plus, math.sin, round, math.fmod)
@@ -292,7 +277,7 @@ def batch_moments(points, indices) -> tuple[np.ndarray, np.ndarray]:
     indices holds one row of integers per point.  Every value is the same
     closed form as moments, elementwise on numpy arrays, so it is bit for
     bit what moments gives for the point alone.  The first point in order
-    whose profile build refuses raises build's SpectrumError.
+    that _arc_row refuses raises its SpectrumError.
     """
     import numpy as np
 

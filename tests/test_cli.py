@@ -422,7 +422,7 @@ WRITER_PINS = {
     # a long chain, where a rounding drift from arc to arc would show
     "dump-long": (["dump", "999", "998001.3"],
                   "81fd7bd4990496b1455535317aca8ec82be8617fb429186d198835b45ae1f1b9"),
-    # narrow but valid arcs, whose width build_batch checks
+    # narrow but valid arcs, whose edges the arc gate walks
     "dump-narrow": (["dump", "2", "1e30"],
                     "99ef2b8a981382fee36cc77723ad22f78fd73663c1b7b52a12c2bf0fd5f0e83d"),
 }
@@ -661,6 +661,10 @@ def test_scalar_subcommands_start_without_numpy(tmp_path, write_spec):
         ["dump", "7", "52.0"],
         ["dump", "1", "1"],
         ["dump", "6", "36.0", "36.0"],
+        # narrow but valid arcs, which the arc gate checks on floats
+        ["dump", "2", "1e30"],
+        ["certify", "--spec", write_spec({"entries": [{"n": 3, "alpha": 1e30}]}, "narrow.json"),
+         "--mode", "exact"],
     ):
         code = f"import fucik.cli\nassert fucik.cli.main({argv!r}) in (0, 1)"
         assert not _numpy_loaded_after(code), argv

@@ -178,23 +178,76 @@ def test_moments_refuse_what_build_refuses(alpha, beta):
 
 def test_narrow_arcs_that_build_get_closed_form_moments(monkeypatch):
     # w+ = pi * 1e-15 is below the bound that keeps float widths positive,
-    # so build_batch decides, and here it builds
+    # so _arc_row walks the point's edges on floats, and here each has width
     p = FucikPoint(3, 1e30, solve_beta(3, 1e30))
-    checked = []
-    monkeypatch.setattr(fucik.eigenfunction, "build_batch",
-                        lambda points: checked.extend(points) or build_batch(points))
+    f = build(p)
+
+    def no_build(points):
+        raise AssertionError(f"a profile was built for {points}")
+
+    monkeypatch.setattr(fucik.eigenfunction, "build_batch", no_build)
     norm_sq, inner = batch_moments([point_from_gamma(2, 5.0), p], [[2, 1], [3, 1]])
-    assert checked == [p]
-    f = build_batch([p])[0]
+    assert moments(p, (3, 1)) == (norm_sq[1], inner[1].tolist())
     for value, j in zip(inner[1].tolist(), (3, 1)):
         assert abs(value - profile_moments(f, j)[1]) <= 1e-15
     assert abs(norm_sq[1] - profile_moments(f, 3)[0]) <= 1e-15
 
 
+def _refusal(call):
+    """The SpectrumError text of call(), or None if it raises none."""
+    try:
+        call()
+    except SpectrumError as err:
+        return str(err)
+    return None
+
+
+def test_every_layer_refuses_the_same_first_point():
+    good = [FucikPoint(1, 1.0, 1.0), point_from_gamma(2, 5.0),
+            FucikPoint(7, 64.0, solve_beta(7, 64.0))]
+    narrow = [FucikPoint(n, alpha, solve_beta(n, alpha)) for n, alpha in ((2, 1e30), (3, 1e30))]
+    no_width = [FucikPoint(3, 1e200, 1.0), FucikPoint(3, (2.0 / (1.0 + 1e-11)) ** 2, 1e300)]
+    big = 1_000_001
+    over_cap = FucikPoint(big, (big + 0.2) ** 2, solve_beta(big, (big + 0.2) ** 2))
+    bad = [*no_width, over_cap]
+    rng = random.Random(20222)
+    lists = [[no_width[0], over_cap], [over_cap, no_width[1]]]
+    for _ in range(40):
+        points = rng.choices(good + narrow + bad, k=rng.randrange(4)) + [rng.choice(bad)]
+        rng.shuffle(points)
+        lists.append(points)
+    for points in lists:
+        # one point at a time, in order, as the float layer meets them
+        alone = [_refusal(lambda: moments(p, (1,))) for p in points]
+        assert alone == [_refusal(lambda: arcs(p)) for p in points]
+        first = next(message for message in alone if message)
+        assert _refusal(lambda: build_batch(points)) == first, points
+        assert _refusal(lambda: batch_moments(points, [[1]] * len(points))) == first, points
+
+
+def test_arcs_the_narrow_bound_accepts_keep_their_width():
+    # the smallest arc 17-256 ulp(pi) wide: w+ at n = 2 near alpha 1e28, and
+    # w- at n = 3 near (4, inf), which the refit of w- leaves off by rounding
+    rng = random.Random(20223)
+    points = []
+    for _ in range(100):
+        width = rng.uniform(17.0, 256.0) * math.ulp(math.pi)
+        major = (math.pi / width) ** 2
+        points.append(FucikPoint(2, major, solve_beta(2, major)))
+        points.append(FucikPoint(3, solve_alpha(3, major), major))
+    for p in points:
+        # past the bound, so _arc_row accepts the point without a walk
+        assert min(fucik.eigenfunction._arc_row(p)[2:4]) > fucik.eigenfunction._NARROW, p
+        widths = [end - start for start, end, _, _ in arcs(p)]
+        assert min(widths) > 0.0, p
+        assert widths == np.diff(build(p).edges).tolist(), p
+        assert min(widths) < 260.0 * math.ulp(math.pi), p
+
+
 def _arc_sample():
     """Seeded points: n = 1, symmetric points, both major sides of even and odd
     n up to a few thousand, odd n near their diagonal, and narrow but valid
-    arcs, whose width build_batch checks."""
+    arcs, whose edges _arc_row walks."""
     rng = random.Random(20213)
     points = [FucikPoint(1, 1.0, 1.0), FucikPoint(2, 4.0, 4.0), FucikPoint(7, 49.0, 49.0)]
     for _ in range(60):
