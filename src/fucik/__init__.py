@@ -8,10 +8,10 @@ property through a Paley-Wiener-style perturbation criterion.  Gram
 matrices are an independent cross-check that certification never runs.
 No runtime path uses quadrature: fucik.quadrature is the adaptive Simpson
 rule that the tests hold the closed forms to.  The profile and Gram layers,
-fucik.eigenfunction and fucik.gram, load on first use of one of their names.
+fucik.eigenfunction and fucik.gram, load on first use of one of their names
+as a package attribute, the way fucik.certify and fucik.cli reach them too.
 fucik.gram imports numpy, and fucik.eigenfunction only inside the functions
-that make arrays, so the envelope, spectrum, certification in either mode
-and the arc-by-arc profile listing start without numpy.
+that make arrays, so certification and the arc listing start without numpy.
 """
 
 import importlib
@@ -65,6 +65,7 @@ __all__ = [
     "SUP_NORM",
     "SpectrumError",
     "SystemSpec",
+    "arcs",
     "build",
     "certify_system",
     "coefficient",
@@ -81,6 +82,7 @@ __all__ = [
     "gram_matrix",
     "gram_witness",
     "is_diagonal",
+    "moments",
     "parse_system",
     "profile_scaling",
     "point_from_gamma",
@@ -92,13 +94,15 @@ __all__ = [
     "__version__",
 ]
 
-# names exported from the profile and Gram layers, which load on first use,
-# by the submodule that holds them
+# the one place that defers loading a layer: names of the profile and Gram
+# layers, which load on first use, by the submodule that holds them
 _LAZY = {
     "SUP_NORM": "eigenfunction",
     "PiecewiseEigenfunction": "eigenfunction",
+    "arcs": "eigenfunction",
     "build": "eigenfunction",
     "evaluate": "eigenfunction",
+    "moments": "eigenfunction",
     "GramWitness": "gram",
     "extremal_eigenvalues": "gram",
     "gram_matrix": "gram",

@@ -15,6 +15,8 @@ import math
 import sys
 from array import array
 
+import fucik
+
 from .certify import (
     InputError,
     certify_system,
@@ -122,12 +124,10 @@ def _cmd_coeffs(args) -> int:
     ks = range(1, args.kmax + 1)
     # first, so that a gamma outside [4, 9) gets coefficient's refusal
     column = [coefficient(args.gamma, k) for k in ks]
-    from .eigenfunction import moments
-
     # moments sums the profile's arcs in closed form and shares no code
     # with coefficient's two-arc formula, so each row checks one against
     # the other
-    _, arc_sums = moments(point_from_gamma(2, args.gamma), ks)
+    _, arc_sums = fucik.moments(point_from_gamma(2, args.gamma), ks)
     lines = ["k,coefficient,reflected_coefficient,arc_sum,abs_error"]
     for k, direct, arc_sum in zip(ks, column, arc_sums):
         reflected = -direct if k % 2 else direct  # the mirrored profile
@@ -141,11 +141,9 @@ def _cmd_coeffs(args) -> int:
 def _cmd_gram(args) -> int:
     if args.n > MAX_GRAM_N:
         raise InputError(f"n must be at most {MAX_GRAM_N}")
-    from .gram import gram_matrix, gram_witness
-
     spec = _load_system(args.spec, None, None)
-    matrix = gram_matrix(spec, args.n, rescale=not args.no_rescale)
-    witness = gram_witness(spec, args.n, matrix)
+    matrix = fucik.gram_matrix(spec, args.n, rescale=not args.no_rescale)
+    witness = fucik.gram_witness(spec, args.n, matrix)
     # the file first, so that a path that cannot be opened leaves stdout empty
     if args.csv is not None:
         _write_lines((",".join(map(_fmt, row)) for row in matrix), args.csv)
@@ -310,9 +308,7 @@ def _dump_lines(p: FucikPoint):
     unsigned amplitude, each sign's formatted once.  The arcs come from the
     curve point one at a time, and each is formatted only as it is written.
     """
-    from .eigenfunction import arcs
-
-    rows = arcs(p)  # first, so that a refusal leaves stdout empty
+    rows = fucik.arcs(p)  # first, so that a refusal leaves stdout empty
     amps = {}  # signed amplitude -> its unsigned text
     last = p.n - 1
     yield f'{{\n  "alpha": {_num(p.alpha)},\n  "beta": {_num(p.beta)},\n  "bumps": ['

@@ -106,13 +106,13 @@ def _exact_gram(batch: ProfileBatch) -> np.ndarray:
         shift = np.concatenate((off[pair_i], off[pair_j] + 1)) - first
         ai = np.arange(first[-1] + runs[-1]) + np.repeat(shift, runs)
         aj = ai.copy()
-        # the starts of the sweep's rows binned by rank, a stride of bins per
-        # row: the count below a partner start's bin takes every start of the
-        # earlier rows and those of its own row that lie below it
+        # the starts of the sweep's rows keyed by rank, a stride of keys per
+        # row, so own increases strictly: the keys below a partner start's
+        # count every start of the earlier rows and those of its own row
+        # that lie below it
         own = np.repeat((rows - r0) * stride, count[r0:r1]) + rank[off[r0] : off[r1]]
-        below = np.cumsum(np.bincount(own, minlength=(r1 - r0) * stride))
-        key = rank[aj[n_own:]] + np.repeat((pair_i - r0) * stride - 1, theirs)
-        np.add(below[key], off[r0] - 1, out=ai[n_own:])
+        key = rank[aj[n_own:]] + np.repeat((pair_i - r0) * stride, theirs)
+        np.add(np.searchsorted(own, key), off[r0] - 1, out=ai[n_own:])
         # a start of i lies in the arc of j counted by the starts of j below
         # it: bin those by the arc of i holding them and count the bins before
         key = ai[n_own:] + np.repeat(first[:n_pairs] - off[pair_i], theirs)

@@ -178,11 +178,15 @@ _HUGE_BOUND = {"entries": [{"n": 3, "alpha": 1e308}], "mode": "bound"}
 def test_certify_survives_any_spec_file(tmp_path_factory, spec):
     path = tmp_path_factory.mktemp("fuzz") / "spec.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
-    for argv in (["certify"], ["gram", "--n", "4"]):
+    for argv, codes in (
+        (["certify"], (0, 1, 2)),
+        (["gram", "--n", "4"], (0, 2)),
+        (["gram", "--n", "16"], (0, 2)),
+    ):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv + ["--spec", str(path)])
-        assert code in (0, 1, 2)
+        assert code in codes, argv
         if code != 2:
             _strict_json(out.getvalue())
 
@@ -634,40 +638,46 @@ def test_exact_defect_is_clamped_at_zero(capsys, write_spec):
     assert json.loads(out)["theta"] == 0.0
 
 
-def _numpy_loaded_after(code):
-    """Whether numpy is imported once code has run in a fresh interpreter."""
+ARRAY_LAYERS = ("numpy", "fucik.eigenfunction", "fucik.gram")
+PROFILE = {"fucik.eigenfunction"}
+
+
+def _loaded_after(code):
+    """Which of numpy, the profile and the Gram layer are imported once code
+    has run in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    report = f"\nimport sys\nprint(*(m for m in {ARRAY_LAYERS!r} if m in sys.modules))"
     run = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys\nprint('numpy' in sys.modules)"],
+        [sys.executable, "-c", code + report],
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert run.returncode == 0, run.stderr
-    return run.stdout.splitlines()[-1] == "True"
+    return set(run.stdout.splitlines()[-1].split())
 
 
 def test_scalar_subcommands_start_without_numpy(tmp_path, write_spec):
     svg = str(tmp_path / "region.svg")
     # the envelope absorbs every entry, so no defect is left to take
     absorbed = write_spec({"entries": [{"n": 2, "alpha": 6.4}, {"n": 4, "alpha": 25.0}]})
-    for argv in (
-        ["envelope", "--gamma", "5"],
-        ["root"],
-        ["region", "--sup", "5", "--epsilon", "0.5", "--svg", svg],
-        ["certify", "--spec", _readme_spec(tmp_path), "--mode", "bound"],
-        ["certify", "--spec", absorbed, "--mode", "exact"],
+    for argv, layers in (
+        (["envelope", "--gamma", "5"], set()),
+        (["root"], set()),
+        (["region", "--sup", "5", "--epsilon", "0.5", "--svg", svg], set()),
+        (["certify", "--spec", _readme_spec(tmp_path), "--mode", "bound"], set()),
+        (["certify", "--spec", absorbed, "--mode", "exact"], set()),
         # its odd entries are off their diagonal, so their defects are taken
-        ["certify", "--spec", _readme_spec(tmp_path), "--mode", "exact"],
-        ["coeffs", "--gamma", "6.25", "--kmax", "200"],
-        ["dump", "7", "52.0"],
-        ["dump", "1", "1"],
-        ["dump", "6", "36.0", "36.0"],
+        (["certify", "--spec", _readme_spec(tmp_path), "--mode", "exact"], PROFILE),
+        (["coeffs", "--gamma", "6.25", "--kmax", "200"], PROFILE),
+        (["dump", "7", "52.0"], PROFILE),
+        (["dump", "1", "1"], PROFILE),
+        (["dump", "6", "36.0", "36.0"], PROFILE),
         # narrow but valid arcs, which the arc gate checks on floats
-        ["dump", "2", "1e30"],
-        ["certify", "--spec", write_spec({"entries": [{"n": 3, "alpha": 1e30}]}, "narrow.json"),
-         "--mode", "exact"],
+        (["dump", "2", "1e30"], PROFILE),
+        (["certify", "--spec", write_spec({"entries": [{"n": 3, "alpha": 1e30}]}, "narrow.json"),
+          "--mode", "exact"], PROFILE),
     ):
         code = f"import fucik.cli\nassert fucik.cli.main({argv!r}) in (0, 1)"
-        assert not _numpy_loaded_after(code), argv
+        assert _loaded_after(code) == layers, argv
 
 
 def test_dump_of_a_long_chain_stays_small():
@@ -695,14 +705,20 @@ def test_dump_of_a_long_chain_stays_small():
     assert peak_mb < 30.0, peak_mb
 
 
-def test_array_layers_load_on_first_use():
-    assert not _numpy_loaded_after("import fucik")
-    assert _numpy_loaded_after("import fucik\nfucik.gram_matrix")
+def test_array_layers_load_on_first_use(tmp_path):
+    assert _loaded_after("import fucik") == set()
+    assert _loaded_after("import fucik\nfucik.moments") == PROFILE
+    assert _loaded_after("import fucik\nfucik.gram_matrix") == set(ARRAY_LAYERS)
     point = "from fucik.spectrum import point_from_gamma\np = point_from_gamma(4, 6.0)\n"
-    assert not _numpy_loaded_after(
-        "import fucik.eigenfunction\n" + point + "fucik.eigenfunction.moments(p, (4, 1))")
-    assert _numpy_loaded_after(
-        "import fucik.eigenfunction\n" + point + "fucik.eigenfunction.build(p)")
+    assert _loaded_after(
+        "import fucik.eigenfunction\n" + point + "fucik.eigenfunction.moments(p, (4, 1))"
+    ) == PROFILE
+    assert _loaded_after(
+        "import fucik.eigenfunction\n" + point + "fucik.eigenfunction.build(p)"
+    ) == PROFILE | {"numpy"}
+    argv = ["gram", "--spec", _readme_spec(tmp_path), "--n", "16"]
+    code = f"import fucik.cli\nassert fucik.cli.main({argv!r}) == 0"
+    assert _loaded_after(code) == set(ARRAY_LAYERS)
 
 
 def test_every_export_resolves():
