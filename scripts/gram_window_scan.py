@@ -16,17 +16,15 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np
-
 from fucik.certify import certify_system, parse_system, profile_scaling
-from fucik.eigenfunction import build
+from fucik.eigenfunction import arcs
 from fucik.gram import gram_matrix, gram_witness
 
 
 def unit_constant_component(point) -> float:
     # an arc A sin over width W integrates to 2AW/pi
-    f = build(point)
-    integral = 2.0 / math.pi * math.fsum(f.amps * np.diff(f.edges))
+    amp_widths = math.fsum(amp * (end - start) for start, end, amp, _ in arcs(point))
+    integral = 2.0 / math.pi * amp_widths
     return profile_scaling(point) * integral / math.sqrt(math.pi)
 
 

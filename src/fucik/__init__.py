@@ -52,48 +52,6 @@ from .spectrum import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Certificate",
-    "EnvelopeEval",
-    "FucikPoint",
-    "GAMMA_MAX",
-    "GramWitness",
-    "InputError",
-    "MEMBERSHIP_TOL",
-    "PiecewiseEigenfunction",
-    "ReflectedCurveError",
-    "SUP_NORM",
-    "SpectrumError",
-    "SystemSpec",
-    "arcs",
-    "build",
-    "certify_system",
-    "coefficient",
-    "coefficient_bound",
-    "deviation_budget",
-    "deviation_cap",
-    "dilation_norm_bound",
-    "dilation_parameter",
-    "envelope",
-    "envelope_root",
-    "envelope_value",
-    "evaluate",
-    "extremal_eigenvalues",
-    "gram_matrix",
-    "gram_witness",
-    "is_diagonal",
-    "moments",
-    "parse_system",
-    "profile_scaling",
-    "point_from_gamma",
-    "projection_defect",
-    "projection_defect_bound",
-    "solve_alpha",
-    "solve_beta",
-    "zeta",
-    "__version__",
-]
-
 # the one place that defers loading a layer: names of the profile and Gram
 # layers, which load on first use, by the submodule that holds them
 _LAZY = {
@@ -108,6 +66,39 @@ _LAZY = {
     "gram_matrix": "gram",
     "gram_witness": "gram",
 }
+
+__all__ = [
+    "Certificate",
+    "EnvelopeEval",
+    "FucikPoint",
+    "GAMMA_MAX",
+    "InputError",
+    "MEMBERSHIP_TOL",
+    "ReflectedCurveError",
+    "SpectrumError",
+    "SystemSpec",
+    "certify_system",
+    "coefficient",
+    "coefficient_bound",
+    "deviation_budget",
+    "deviation_cap",
+    "dilation_norm_bound",
+    "dilation_parameter",
+    "envelope",
+    "envelope_root",
+    "envelope_value",
+    "is_diagonal",
+    "parse_system",
+    "profile_scaling",
+    "point_from_gamma",
+    "projection_defect",
+    "projection_defect_bound",
+    "solve_alpha",
+    "solve_beta",
+    "zeta",
+    "__version__",
+    *_LAZY,
+]
 
 
 def __getattr__(name: str):

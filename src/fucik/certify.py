@@ -217,11 +217,9 @@ def certify_system(spec: SystemSpec) -> Certificate:
     the envelope set plus the squared envelope at the largest dilation
     parameter inside it.  "exact" mode takes each defect in closed form (the
     label "quadrature-defect" is kept; nothing is integrated, no profile is
-    built and numpy is not loaded), all before the split is chosen: the
-    entries left outside the candidates for "default" and explicit splits,
-    every entry for "auto".  "bound" mode takes each defect's closed-form
-    majorant as the split needs it, builds no profile, and certifies fewer
-    systems.
+    built and numpy is not loaded); "bound" mode takes its closed-form
+    majorant and certifies fewer systems.  Either mode reads a defect when
+    the walk below leaves its entry outside, and no other.
 
     The candidates for the envelope set are the split indices, or every
     non-symmetric even entry for "default" and "auto".  "default" absorbs all
@@ -235,9 +233,7 @@ def certify_system(spec: SystemSpec) -> Certificate:
     search.  The envelope term does not grow with the number of absorbed
     entries, so a pass over a large absorbed constant-shape set is not a
     proof (see the module docstring).  A defect or bound that is not finite,
-    or a sum of them that overflows, raises InputError naming it; so under
-    "auto" a profile that cannot be built fails the call even where no split
-    would leave it outside.
+    or a sum of them that overflows, raises InputError naming it.
     """
     exact = spec.mode == "exact"
     quantity = "defect" if exact else "defect bound"
@@ -258,13 +254,11 @@ def certify_system(spec: SystemSpec) -> Certificate:
         levels = levels[:1]
     outside = [p for p in spec.entries if p.n not in gammas]
     to_drop = sorted(candidates, key=lambda p: gammas[p.n])
-    if exact:
-        # every defect the walk can read, in the order it reads them
-        needed = outside + to_drop[::-1] if spec.split == SPLIT_AUTO else outside
-        known = {p.n: projection_defect(p) for p in needed}
+    # chosen on each call, so that a wrapper set on the module attribute sees every read
+    defect = projection_defect if exact else projection_defect_bound
 
     def defect_fn(p: FucikPoint) -> float:
-        value = known[p.n] if exact else projection_defect_bound(p)
+        value = defect(p)
         if not math.isfinite(value):
             raise InputError(f"entry n={p.n}: {quantity} is not finite")
         return value

@@ -18,6 +18,9 @@ from array import array
 import fucik
 
 from .certify import (
+    MODES,
+    SPLIT_AUTO,
+    SPLIT_DEFAULT,
     InputError,
     certify_system,
     deviation_budget,
@@ -28,7 +31,6 @@ from .envelope import envelope, envelope_root
 from .fourier import coefficient
 from .spectrum import (
     FucikPoint,
-    SpectrumError,
     point_from_gamma,
     solve_beta,
     solve_alpha,
@@ -84,7 +86,7 @@ def _load_system(path: str, mode: str | None, split: str | None):
     if mode is not None:
         data["mode"] = mode
     if split is not None:
-        if split in ("auto", "default"):
+        if split in (SPLIT_AUTO, SPLIT_DEFAULT):
             data["split"] = split
         else:
             try:
@@ -347,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--spec", required=True, help="path of the system JSON file")
     c.add_argument(
         "--mode",
-        choices=("exact", "bound"),
+        choices=MODES,
         help="override the file: exact closed-form defects or their majorants",
     )
     c.add_argument(

@@ -11,7 +11,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from reference import combined_criterion, defect_details, profile_moments
 from test_acceptance import sampled_defects, sampled_points
 
@@ -38,6 +38,8 @@ from fucik.spectrum import (
     FucikPoint,
     ReflectedCurveError,
     SpectrumError,
+    dilation_parameter,
+    is_diagonal,
     point_from_gamma,
     solve_alpha,
     solve_beta,
@@ -355,6 +357,56 @@ def test_one_pass_gives_what_each_profile_gives_alone(entries, data):
         for j, m in enumerate((p.n, 1, 7)):
             arc_sq, arc_inner = profile_moments(alone, m)
             assert abs(norm_sq[k] - arc_sq) <= 1e-13 and abs(inner[k, j] - arc_inner) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(st.integers(min_value=1, max_value=200), _SIDES, max_size=12),
+    st.sampled_from(["default", "auto"]) | st.sets(st.integers(min_value=1, max_value=200)),
+)
+# six evens near gamma 6: the exact walk stops before it drops the last
+@example({2 * k: ("alpha side", (6.001 - 0.001 * k) / 4.0) for k in range(1, 7)}, "auto")
+def test_both_modes_read_a_defect_only_when_the_walk_leaves_it_outside(entries, split):
+    points = tuple(_point(n, *entries[n]) for n in sorted(entries))
+    if isinstance(split, str):
+        candidates = [p for p in points if p.n % 2 == 0 and not is_diagonal(p)]
+    else:
+        split = [n for n in sorted(split) if n % 2 == 0 and n in entries]
+        candidates = [p for p in points if p.n in split]
+    gammas = {p.n: dilation_parameter(p) for p in candidates}
+    outside = [p.n for p in points if p.n not in gammas]
+    # the walk's order: every non-candidate by index, then the candidates by
+    # descending gamma, each gamma's ties together
+    order = outside + sorted(gammas, key=lambda n: (-gammas[n], -n))
+
+    reads = {}
+    for mode, name in (("exact", "projection_defect"), ("bound", "projection_defect_bound")):
+        seen = reads[mode] = {}
+
+        def record(p, defect=getattr(fucik.certify, name)):
+            assert p.n not in seen, "read twice"
+            seen[p.n] = defect(p)
+            return seen[p.n]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fucik.certify, name, record)
+            cert = certify_system(SystemSpec(entries=points, split=split, mode=mode))
+        assert list(seen) == order[: len(seen)] and len(seen) >= len(outside)
+        assert {rec["n"] for rec in cert.per_index if rec["method"] != "envelope"} <= set(seen)
+        dropped = list(seen)[len(outside):]
+        if dropped:
+            # each gamma's ties are read together, and the last of them only
+            # because the defects before it still fell short of the total
+            last = gammas[dropped[-1]]
+            assert set(dropped) == {n for n, g in gammas.items() if g >= last}
+            before = [v for n, v in seen.items() if gammas.get(n) != last]
+            assert math.fsum(before) <= cert.total
+        if split == "auto" and len(seen) < len(order):
+            # the walk stops once the defects it read reach the total
+            assert math.fsum(seen.values()) >= cert.total
+    if split != "auto":
+        # one level: the walk drops no candidate, in either mode
+        assert list(reads["exact"]) == list(reads["bound"]) == outside
 
 
 def test_exact_certify_refuses_the_first_unbuildable_entry_in_order():

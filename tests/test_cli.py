@@ -223,20 +223,26 @@ def test_an_unbuildable_entry_is_named_among_good_ones(capsys, write_spec):
         assert err == "error: (1e+200, 1.0) leaves an arc of no width in floats\n"
 
 
-def test_auto_split_builds_every_entry(capsys, write_spec):
+def test_auto_split_reads_only_what_it_leaves_outside(capsys, write_spec):
     # five candidates near gamma 6 outweigh the envelope term once dropped, so
-    # the threshold walk stops before it would drop the last one; every
-    # defect is taken in one pass before the walk, so the entry above the
-    # profile cap is refused even though no split leaves it outside
+    # the threshold walk stops before it reaches the entry above the profile
+    # cap; a defect is read only when the walk leaves its entry outside, so
+    # that entry is never refused and every split absorbs it
     n = 1_000_002
     entries = [{"n": 2 * k, "alpha": (6.001 - 0.001 * k) * k * k} for k in range(1, 7)]
     spec = write_spec({"entries": entries + [{"n": n, "alpha": 4.5 * n * n / 4.0}]})
-    code, out, err = run(capsys, ["certify", "--spec", spec, "--split", "auto"])
-    assert (code, out) == (2, "")
-    assert err == f"error: n = {n} exceeds the cap of 1000000 arcs per profile\n"
-    # the default split absorbs every even entry and builds none
-    code, out, err = run(capsys, ["certify", "--spec", spec])
-    assert code == 0 and err == "" and json.loads(out)["split"] == [2, 4, 6, 8, 10, 12, n]
+    outs = []
+    for args in (["--split", "auto"], ["--split", "auto", "--mode", "bound"], []):
+        code, out, err = run(capsys, ["certify", "--spec", spec, *args])
+        assert (code, err) == (0, "")
+        outs.append(out)
+    exact_auto, bound_auto, default = outs
+    assert exact_auto == default
+    # one certificate: the modes differ only in the name they print
+    assert bound_auto == exact_auto.replace('"mode": "exact"', '"mode": "bound"')
+    cert = json.loads(default)
+    assert cert["split"] == [2, 4, 6, 8, 10, 12, n]
+    assert cert["total"] == 0.757238574404
 
 
 @pytest.mark.parametrize("n, coordinate, value, count, sign", [
