@@ -1,7 +1,7 @@
 """Certified Riesz-basis analysis of asymmetric-oscillation systems on (0, pi).
 
-The package builds the piecewise-sine profiles attached to the spectrum
-curves of -u'' = alpha u+ - beta u-, evaluates their Fourier data and
+The package lays out the piecewise-sine profiles attached to the spectrum
+curves of -u'' = alpha u+ - beta u-, takes their Fourier data and
 projection defects in closed form, bounds the deviation of a whole system
 from the sine basis by an explicit envelope, and certifies the Riesz-basis
 property through a Paley-Wiener-style perturbation criterion.  Gram
@@ -56,10 +56,7 @@ __version__ = "0.1.0"
 # layers, which load on first use, by the submodule that holds them
 _LAZY = {
     "SUP_NORM": "eigenfunction",
-    "PiecewiseEigenfunction": "eigenfunction",
     "arcs": "eigenfunction",
-    "build": "eigenfunction",
-    "evaluate": "eigenfunction",
     "moments": "eigenfunction",
     "GramWitness": "gram",
     "extremal_eigenvalues": "gram",

@@ -2,21 +2,20 @@
 
 A profile is a chain of half-period sine arcs that alternate in sign,
 starting positive, slope-matched at their shared zeros, with the larger
-amplitude normalized to sqrt(2/pi), stored as three arrays: arc edges,
-signed amplitudes and frequencies.  Construction refits the
+amplitude normalized to sqrt(2/pi).  Its arc starts refit the
 negative-arc width so the chain tiles (0, pi) exactly in floating point,
 which keeps the boundary zeros at machine accuracy for any admissible index.
 
 _arc_row gives a point's arc counts, widths and amplitudes; it is the one
 gate of every profile and moment, refusing a point past the cap or with an
 arc of no width.  _start places arc k on floats, for arcs, which streams one
-point's arcs, and on numpy arrays, for build_batch, which builds many
-profiles end to end in one pass, bit for bit alike; build is build_batch of
-one.  Norms and sine inner products need no profile: the arcs of one sign
-are equally spaced, so their sum is a closed form of the point's row, O(1)
-per (point, index), evaluated on floats by moments and on a table of many
-points by batch_moments, bit for bit the same.  numpy is imported only
-inside the functions that make arrays, and moments and arcs make none.
+point's arcs, and on numpy arrays, for build_batch, which lays out many
+profiles end to end as arc arrays in one pass, bit for bit alike.  Norms and
+sine inner products need no profile: the arcs of one sign are equally
+spaced, so their sum is a closed form of the point's row, O(1) per (point,
+index), evaluated on floats by moments and on a table of many points by
+batch_moments, bit for bit the same.  numpy is imported only inside the
+functions that make arrays, and moments and arcs make none.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .spectrum import FucikPoint, SpectrumError
+from .spectrum import FucikPoint, SpectrumError, _arc_counts
 
 if TYPE_CHECKING:
     import numpy as np
@@ -34,7 +33,7 @@ if TYPE_CHECKING:
 SUP_NORM = math.sqrt(2.0 / math.pi)
 
 # Largest index _arc_row accepts, so that an oversized index fails with
-# SpectrumError: at the cap build peaks at about 47 MB of arrays, and
+# SpectrumError: at the cap build_batch peaks at about 47 MB of arrays, and
 # `dump`, which streams its arcs on floats, makes none.
 MAX_ARCS = 1_000_000
 
@@ -52,32 +51,13 @@ _WEIGHT = 0.5 * SUP_NORM * math.pi
 
 
 @dataclass(frozen=True, eq=False)
-class PiecewiseEigenfunction:
-    """Arc j is amps[j] sin(freqs[j] (x - edges[j])) on [edges[j], edges[j + 1]].
-
-    edges runs from 0.0 to exactly pi; amps carries the sign, positive on
-    even j.
-    """
-
-    point: FucikPoint
-    edges: np.ndarray
-    amps: np.ndarray
-    freqs: np.ndarray
-
-    @property
-    def junctions(self) -> np.ndarray:
-        """Interior arc boundaries, where curvature jumps."""
-        return self.edges[1:-1]
-
-
-@dataclass(frozen=True, eq=False)
 class ProfileBatch:
     """Several profiles stored end to end as arc arrays.
 
     Profile k holds arcs offsets[k]:offsets[k + 1] of starts, ends, amps
-    and freqs; an arc ends at the next arc's start, or at pi for a
-    profile's last arc.  batch[k] is that profile, with its edges closed
-    by pi.
+    and freqs: arc j is amps[j] sin(freqs[j] (x - starts[j])) on
+    [starts[j], ends[j]], positive on a profile's even arcs.  An arc ends at
+    the next arc's start, or at exactly pi for a profile's last arc.
     """
 
     points: tuple[FucikPoint, ...]
@@ -90,21 +70,15 @@ class ProfileBatch:
     def __len__(self) -> int:
         return len(self.points)
 
-    def __getitem__(self, k: int) -> PiecewiseEigenfunction:
-        import numpy as np
-
-        lo, hi = int(self.offsets[k]), int(self.offsets[k + 1])
-        edges = np.append(self.starts[lo:hi], math.pi)
-        return PiecewiseEigenfunction(self.points[k], edges, self.amps[lo:hi], self.freqs[lo:hi])
-
 
 def _start(k, w_pos, w_neg):
     """Start of arc k: the summed widths of the arcs before it, positive first.
 
     On ints and floats, or elementwise on numpy arrays by the same IEEE
-    operations, like _sign_terms.
+    operations, like _sign_terms, with the counts of _arc_counts.
     """
-    return (k + 1) // 2 * w_pos + k // 2 * w_neg
+    pos, neg = _arc_counts(k)
+    return pos * w_pos + neg * w_neg
 
 
 def _edges(n: int, w_pos: float, w_neg: float):
@@ -125,8 +99,9 @@ def _arc_row(p: FucikPoint) -> tuple[float, ...]:
     if n == 1:
         return 1.0, 0.0, math.pi, 0.0, SUP_NORM, 0.0
     w_pos = math.pi / math.sqrt(p.alpha)
+    pos, neg = _arc_counts(n)
     # refit the negative width so the counted arcs sum to pi exactly
-    w_neg = (math.pi - (n + 1) // 2 * w_pos) / (n // 2)
+    w_neg = (math.pi - pos * w_pos) / neg
     # below the float spacing of pi, or no room for negative arcs
     if not min(w_pos, w_neg) > _NARROW:
         for start, end in itertools.pairwise(_edges(n, w_pos, w_neg)):
@@ -134,18 +109,16 @@ def _arc_row(p: FucikPoint) -> tuple[float, ...]:
                 raise SpectrumError(f"({p.alpha}, {p.beta}) leaves an arc of no width in floats")
     # slope matching at the zeros: amp_pos sqrt(alpha) = amp_neg sqrt(beta)
     ratio = math.sqrt(p.alpha / p.beta)
-    counts = float((n + 1) // 2), float(n // 2)
-    if ratio >= 1.0:
-        return *counts, w_pos, w_neg, SUP_NORM / ratio, -SUP_NORM
-    return *counts, w_pos, w_neg, SUP_NORM, -SUP_NORM * ratio
+    amps = (SUP_NORM / ratio, -SUP_NORM) if ratio >= 1.0 else (SUP_NORM, -SUP_NORM * ratio)
+    return float(pos), float(neg), w_pos, w_neg, *amps
 
 
 def build_batch(points) -> ProfileBatch:
     """Construct the normalized profiles of several curve points in one numpy pass.
 
     The first point in order that _arc_row refuses raises its SpectrumError.
-    Each profile is bit for bit what build gives for its point alone, and
-    what arcs streams.  At the symmetric point (n^2, n^2) a profile
+    Each profile is bit for bit what it is in a batch of its point alone,
+    and what arcs streams.  At the symmetric point (n^2, n^2) a profile
     collapses to sqrt(2/pi) sin(n x).
     """
     import numpy as np
@@ -168,39 +141,16 @@ def build_batch(points) -> ProfileBatch:
     return ProfileBatch(points, starts, ends, amps, freqs, offsets)
 
 
-def build(p: FucikPoint) -> PiecewiseEigenfunction:
-    """The normalized profile of one curve point: build_batch of one."""
-    return build_batch((p,))[0]
-
-
 def arcs(p: FucikPoint):
     """Arcs j = 0 .. n - 1 of p's profile as (start, end, signed amplitude, frequency).
 
-    One arc at a time on floats, each value bit for bit build(p)'s edges[j],
-    edges[j + 1], amps[j] and freqs[j].  A point that _arc_row refuses
+    One arc at a time on floats, each value bit for bit the starts, ends,
+    amps and freqs of build_batch((p,)).  A point that _arc_row refuses
     raises its SpectrumError here, at the call.
     """
     _, _, w_pos, w_neg, *signed = _arc_row(p)
     return ((start, end, signed[j & 1], math.pi / (end - start))
             for j, (start, end) in enumerate(itertools.pairwise(_edges(p.n, w_pos, w_neg))))
-
-
-def evaluate(f: PiecewiseEigenfunction, x):
-    """Value of the profile at x; accepts scalars or numpy arrays in [0, pi]."""
-    import numpy as np
-
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    pts = np.atleast_1d(arr)
-    # NaN fails both comparisons, so it is refused with the out-of-range points
-    if pts.size and not (np.min(pts) >= 0.0 and np.max(pts) <= math.pi):
-        raise ValueError("evaluation points must lie in [0, pi]")
-    idx = np.searchsorted(f.edges, pts, side="right") - 1
-    np.clip(idx, 0, len(f.amps) - 1, out=idx)
-    vals = f.amps[idx] * np.sin(f.freqs[idx] * (pts - f.edges[idx]))
-    if scalar:
-        return float(vals[0])
-    return vals.reshape(arr.shape)
 
 
 def _sign_rows(p: FucikPoint) -> tuple[tuple[float, ...], tuple[float, ...]]:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fourier import coefficient, dilation_norm_bound
+from .fourier import _check_index, coefficient, dilation_norm_bound
 
 # the k >= 5 tail's weight: the largest compression norm over k >= 5
 TAIL_WEIGHT = dilation_norm_bound(5)
@@ -49,8 +49,7 @@ def coefficient_bound(k: int, gamma: float) -> float:
     it drops the oscillating sine factor from the closed form, leaving a
     positive rational expression.  All of them vanish at gamma = 4.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_index(k)
     g = _check_gamma(gamma)
     if k in (1, 3):
         return abs(coefficient(g, k))

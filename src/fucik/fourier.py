@@ -13,6 +13,12 @@ from __future__ import annotations
 import math
 
 
+def _check_index(k: int) -> None:
+    """Refuse k unless it is a plain positive int: a sine index."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValueError("k must be a positive integer")
+
+
 def _sin_pi_ratio(k: int, s: float) -> float:
     """sin(k pi / s), computed from the argument reduced modulo pi."""
     t = k / s
@@ -55,16 +61,14 @@ def coefficient(gamma: float, k: int) -> float:
     gamma = float(gamma)
     if not 4.0 <= gamma < 9.0:
         raise ValueError("gamma must lie in [4, 9)")
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_index(k)
     return _alpha_major(gamma, k)
 
 
 def dilation_norm_bound(k: int) -> float:
     """Operator-norm constant of the k-th compression: 1 if k is even,
     sqrt(1 + 1/k) if k is odd."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_index(k)
     if k % 2 == 0:
         return 1.0
     return math.sqrt(1.0 + 1.0 / k)

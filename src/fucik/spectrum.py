@@ -87,6 +87,7 @@ def is_diagonal(p: FucikPoint) -> bool:
 
 
 def _arc_counts(n: int) -> tuple[int, int]:
+    """Positive and negative arcs among the first n, positive first; elementwise on arrays."""
     return (n + 1) // 2, n // 2
 
 

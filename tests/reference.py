@@ -1,25 +1,57 @@
-"""Test-only references: quadrature, series and arc-sum oracles for the
-closed forms of the library, the per-row Gram engine that the swept one is
-held to, the abstract criterion and dilation operator that the tests check
-on their own, and the ODE residual of a profile.  Nothing in fucik imports
-this module.
+"""Test-only references: one profile as arc arrays and its evaluator,
+quadrature, series and arc-sum oracles for the closed forms of the library,
+the per-row Gram engine that the swept one is held to, the abstract
+criterion and dilation operator that the tests check on their own, and the
+ODE residual of a profile.  Nothing in fucik imports this module.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from fucik.certify import InputError
-from fucik.eigenfunction import (
-    SUP_NORM,
-    PiecewiseEigenfunction,
-    ProfileBatch,
-    build,
-    evaluate,
-)
+from fucik.eigenfunction import SUP_NORM, ProfileBatch, build_batch
 from fucik.envelope import GAMMA_MAX, TAIL_WEIGHT
 from fucik.quadrature import integrate
 from fucik.spectrum import FucikPoint
+
+
+@dataclass(frozen=True, eq=False)
+class Profile:
+    """Arc j is amps[j] sin(freqs[j] (x - edges[j])) on [edges[j], edges[j + 1]].
+
+    edges runs from 0.0 to exactly pi; amps carries the sign, positive on
+    even j.
+    """
+
+    point: FucikPoint
+    edges: np.ndarray
+    amps: np.ndarray
+    freqs: np.ndarray
+
+    @property
+    def junctions(self) -> np.ndarray:
+        """Interior arc boundaries, where curvature jumps."""
+        return self.edges[1:-1]
+
+
+def profile(p: FucikPoint) -> Profile:
+    """The profile of p as fucik.eigenfunction.build_batch lays it out alone."""
+    batch = build_batch((p,))
+    return Profile(p, np.append(batch.starts, math.pi), batch.amps, batch.freqs)
+
+
+def evaluate(f: Profile, x):
+    """Value of the profile at x; accepts scalars or numpy arrays in [0, pi]."""
+    arr = np.asarray(x, dtype=float)
+    pts = np.atleast_1d(arr)
+    idx = np.searchsorted(f.edges, pts, side="right") - 1
+    np.clip(idx, 0, len(f.amps) - 1, out=idx)
+    vals = f.amps[idx] * np.sin(f.freqs[idx] * (pts - f.edges[idx]))
+    if arr.ndim == 0:
+        return float(vals[0])
+    return vals.reshape(arr.shape)
 
 
 def defect_details(p: FucikPoint, tol: float = 1e-12) -> dict:
@@ -31,7 +63,7 @@ def defect_details(p: FucikPoint, tol: float = 1e-12) -> dict:
     algebraically equal; comparing them bounds the quadrature error.  Only
     tests call it, as the reference for the closed forms of fucik.certify.
     """
-    f = build(p)
+    f = profile(p)
     nn = float(p.n)
 
     def mode(x):
@@ -66,7 +98,7 @@ def quadrature_coefficient(p: FucikPoint, k: int) -> float:
     """Independent oracle: <profile(p), sqrt(2/pi) sin(k x)> by quadrature."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
-    f = build(p)
+    f = profile(p)
     kk = float(k)
 
     def integrand(x):
@@ -82,7 +114,7 @@ def quadrature_coefficient(p: FucikPoint, k: int) -> float:
     return integrate(integrand, 0.0, math.pi, tol=1e-12, breakpoints=cuts)
 
 
-def profile_moments(f: PiecewiseEigenfunction, n: int) -> tuple[float, float]:
+def profile_moments(f: Profile, n: int) -> tuple[float, float]:
     """|f|^2 and <f, sqrt(2/pi) sin(n x)> summed arc by arc over the built
     profile f, each sum one math.fsum: the oracle that the O(1) closed form
     of fucik.eigenfunction.batch_moments is held to, to rounding."""
@@ -202,7 +234,7 @@ class JunctionError(ValueError):
     """The query point sits too close to an arc boundary."""
 
 
-def ode_residual(f: PiecewiseEigenfunction, x, junction_tol: float = 1e-9) -> float:
+def ode_residual(f: Profile, x, junction_tol: float = 1e-9) -> float:
     """-u'' - alpha u_+ + beta u_- at an interior point of some arc.
 
     Differentiation is exact (the arc is a sine), so the residual isolates

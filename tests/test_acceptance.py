@@ -15,7 +15,9 @@ import numpy as np
 from reference import (
     defect_details,
     envelope_tail_series,
+    evaluate,
     ode_residual,
+    profile,
     quadrature_coefficient,
 )
 
@@ -28,7 +30,6 @@ from fucik.certify import (
     projection_defect_bound,
     zeta,
 )
-from fucik.eigenfunction import build, evaluate
 from fucik.envelope import (
     coefficient_bound,
     envelope_root,
@@ -182,7 +183,7 @@ def test_acceptance_10_ode_residuals():
                 p = FucikPoint(n, major, solve_beta(n, major))
             else:
                 p = FucikPoint(n, solve_alpha(n, major), major)
-        f = build(p)
+        f = profile(p)
         for start, end in zip(f.edges[:-1], f.edges[1:]):
             width = end - start
             xs = start + width * (np.arange(1, 101) / 101.0)
@@ -196,7 +197,7 @@ def unit_constant_component(p: FucikPoint) -> float:
     """<rho f, 1/sqrt(pi)>: the rescaled profile's component along the unit
     constant, with rho = profile_scaling(p) and the integral of f taken by
     adaptive quadrature over its junctions, independently of gram_matrix."""
-    f = build(p)
+    f = profile(p)
     integral = integrate(lambda x: evaluate(f, x), 0.0, math.pi, breakpoints=f.junctions)
     return profile_scaling(p) * integral / math.sqrt(math.pi)
 

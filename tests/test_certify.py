@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from reference import combined_criterion, defect_details, profile_moments
+from reference import combined_criterion, defect_details, profile, profile_moments
 from test_acceptance import sampled_defects, sampled_points
 
 import fucik.certify
@@ -31,7 +31,7 @@ from fucik.certify import (
     projection_defect_bound,
     zeta,
 )
-from fucik.eigenfunction import batch_moments, build, build_batch, moments
+from fucik.eigenfunction import batch_moments, build_batch, moments
 from fucik.envelope import envelope_root, envelope_value
 from fucik.gram import gram_matrix
 from fucik.spectrum import (
@@ -345,17 +345,18 @@ def test_one_pass_gives_what_each_profile_gives_alone(entries, data):
     indices = np.array([[p.n, 1, 7] for p in points], dtype=int).reshape(-1, 3)
     norm_sq, inner = batch_moments(points, indices)
     for k, p in enumerate(points):
-        alone, member = build(p), batch[k]
-        for name in ("edges", "amps", "freqs"):
-            assert np.array_equal(getattr(member, name), getattr(alone, name)), (p, name)
+        alone, own = build_batch((p,)), slice(batch.offsets[k], batch.offsets[k + 1])
+        for name in ("starts", "ends", "amps", "freqs"):
+            assert np.array_equal(getattr(batch, name)[own], getattr(alone, name)), (p, name)
         (want_sq,), (want_inner,) = batch_moments((p,), [[p.n, 1, 7]])
         assert norm_sq[k] == want_sq
         assert np.array_equal(inner[k], want_inner)
         assert moments(p, [p.n, 1, 7]) == (want_sq, want_inner.tolist())
         # the closed form sums the arcs of each sign at once, so it agrees
         # with the arc-by-arc sum to rounding, not bit for bit
+        f = profile(p)
         for j, m in enumerate((p.n, 1, 7)):
-            arc_sq, arc_inner = profile_moments(alone, m)
+            arc_sq, arc_inner = profile_moments(f, m)
             assert abs(norm_sq[k] - arc_sq) <= 1e-13 and abs(inner[k, j] - arc_inner) <= 1e-13
 
 

@@ -665,14 +665,19 @@ def test_scalar_subcommands_start_without_numpy(tmp_path, write_spec):
     svg = str(tmp_path / "region.svg")
     # the envelope absorbs every entry, so no defect is left to take
     absorbed = write_spec({"entries": [{"n": 2, "alpha": 6.4}, {"n": 4, "alpha": 25.0}]})
+    # both entries are off their diagonal, so exact mode takes their defects
+    odd = write_spec({"entries": [{"n": 3, "alpha": 10.0}, {"n": 7, "alpha": 50.5}]}, "odd.json")
     for argv, layers in (
         (["envelope", "--gamma", "5"], set()),
         (["root"], set()),
+        (["region", "--sup", "5", "--epsilon", "0.5"], set()),
         (["region", "--sup", "5", "--epsilon", "0.5", "--svg", svg], set()),
         (["certify", "--spec", _readme_spec(tmp_path), "--mode", "bound"], set()),
+        (["certify", "--spec", absorbed, "--mode", "bound"], set()),
         (["certify", "--spec", absorbed, "--mode", "exact"], set()),
         # its odd entries are off their diagonal, so their defects are taken
         (["certify", "--spec", _readme_spec(tmp_path), "--mode", "exact"], PROFILE),
+        (["certify", "--spec", odd, "--mode", "exact"], PROFILE),
         (["coeffs", "--gamma", "6.25", "--kmax", "200"], PROFILE),
         (["dump", "7", "52.0"], PROFILE),
         (["dump", "1", "1"], PROFILE),
@@ -682,7 +687,12 @@ def test_scalar_subcommands_start_without_numpy(tmp_path, write_spec):
         (["certify", "--spec", write_spec({"entries": [{"n": 3, "alpha": 1e30}]}, "narrow.json"),
           "--mode", "exact"], PROFILE),
     ):
-        code = f"import fucik.cli\nassert fucik.cli.main({argv!r}) in (0, 1)"
+        # as `python -m fucik` runs it
+        code = (
+            f"import runpy, sys\nsys.argv = ['fucik', *{argv!r}]\n"
+            "try:\n    runpy.run_module('fucik', run_name='__main__')\n"
+            "except SystemExit as exit:\n    assert exit.code in (0, 1), exit.code\n"
+        )
         assert _loaded_after(code) == layers, argv
 
 
@@ -720,7 +730,7 @@ def test_array_layers_load_on_first_use(tmp_path):
         "import fucik.eigenfunction\n" + point + "fucik.eigenfunction.moments(p, (4, 1))"
     ) == PROFILE
     assert _loaded_after(
-        "import fucik.eigenfunction\n" + point + "fucik.eigenfunction.build(p)"
+        "import fucik.eigenfunction\n" + point + "fucik.eigenfunction.build_batch((p,))"
     ) == PROFILE | {"numpy"}
     argv = ["gram", "--spec", _readme_spec(tmp_path), "--n", "16"]
     code = f"import fucik.cli\nassert fucik.cli.main({argv!r}) == 0"
@@ -733,7 +743,7 @@ def test_every_export_resolves():
         assert getattr(fucik, name) is not None
         assert name in names
     assert fucik.gram_matrix is fucik.gram.gram_matrix
-    assert fucik.build is fucik.eigenfunction.build
+    assert fucik.arcs is fucik.eigenfunction.arcs
     # the function, not the submodule of the same name
     assert callable(fucik.envelope)
     with pytest.raises(AttributeError, match="no_such_name"):

