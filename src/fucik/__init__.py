@@ -7,11 +7,10 @@ from the sine basis by an explicit envelope, and certifies the Riesz-basis
 property through a Paley-Wiener-style perturbation criterion.  Gram
 matrices are an independent cross-check that certification never runs.
 No runtime path uses quadrature: fucik.quadrature is the adaptive Simpson
-rule that the tests hold the closed forms to.  The profile and Gram layers,
-fucik.eigenfunction and fucik.gram, load on first use of one of their names
-as a package attribute, the way fucik.certify and fucik.cli reach them too.
-fucik.gram imports numpy, and fucik.eigenfunction only inside the functions
-that make arrays, so certification and the arc listing start without numpy.
+rule that the tests hold the closed forms to.  Only the Gram layer,
+fucik.gram, imports numpy, and it loads on first use of one of its names as
+a package attribute, the way fucik.cli reaches it too; every other layer
+is floats only and loads with the package.
 """
 
 import importlib
@@ -28,6 +27,7 @@ from .certify import (
     projection_defect,
     projection_defect_bound,
 )
+from .eigenfunction import SUP_NORM, arcs, moments
 from .envelope import (
     GAMMA_MAX,
     EnvelopeEval,
@@ -52,12 +52,9 @@ from .spectrum import (
 
 __version__ = "0.1.0"
 
-# the one place that defers loading a layer: names of the profile and Gram
-# layers, which load on first use, by the submodule that holds them
+# the one place that defers loading a layer: names of the Gram layer, the
+# only one that imports numpy, which loads on first use of one of them
 _LAZY = {
-    "SUP_NORM": "eigenfunction",
-    "arcs": "eigenfunction",
-    "moments": "eigenfunction",
     "GramWitness": "gram",
     "extremal_eigenvalues": "gram",
     "gram_matrix": "gram",
@@ -72,8 +69,10 @@ __all__ = [
     "InputError",
     "MEMBERSHIP_TOL",
     "ReflectedCurveError",
+    "SUP_NORM",
     "SpectrumError",
     "SystemSpec",
+    "arcs",
     "certify_system",
     "coefficient",
     "coefficient_bound",
@@ -85,6 +84,7 @@ __all__ = [
     "envelope_root",
     "envelope_value",
     "is_diagonal",
+    "moments",
     "parse_system",
     "profile_scaling",
     "point_from_gamma",

@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import fucik
-
+from .eigenfunction import moments
 from .envelope import GAMMA_MAX, envelope_root, envelope_value, zeta
 from .spectrum import (
     FucikPoint,
@@ -59,7 +58,7 @@ def projection_defect(p: FucikPoint) -> float:
     """
     if is_diagonal(p):
         return 0.0
-    sq, (dot,) = fucik.moments(p, (p.n,))
+    sq, (dot,) = moments(p, (p.n,))
     # defect first, so that a NaN reaches the finiteness check
     return max(1.0 - dot * dot / sq, 0.0)
 
@@ -92,7 +91,7 @@ def profile_scaling(p: FucikPoint) -> float:
     """<f, mode> / |f|^2 in closed form: the best scaling of p's profile f onto its mode."""
     if is_diagonal(p):
         return 1.0
-    norm_sq, (inner,) = fucik.moments(p, (p.n,))
+    norm_sq, (inner,) = moments(p, (p.n,))
     return inner / norm_sq
 
 

@@ -27,6 +27,7 @@ from .certify import (
     deviation_cap,
     parse_system,
 )
+from .eigenfunction import arcs, moments
 from .envelope import envelope, envelope_root
 from .fourier import coefficient
 from .spectrum import (
@@ -129,7 +130,7 @@ def _cmd_coeffs(args) -> int:
     # moments sums the profile's arcs in closed form and shares no code
     # with coefficient's two-arc formula, so each row checks one against
     # the other
-    _, arc_sums = fucik.moments(point_from_gamma(2, args.gamma), ks)
+    _, arc_sums = moments(point_from_gamma(2, args.gamma), ks)
     lines = ["k,coefficient,reflected_coefficient,arc_sum,abs_error"]
     for k, direct, arc_sum in zip(ks, column, arc_sums):
         reflected = -direct if k % 2 else direct  # the mirrored profile
@@ -211,12 +212,12 @@ def region_rows(
     if nmax * resolution > MAX_REGION_POINTS:
         raise InputError(f"nmax * resolution must be at most {MAX_REGION_POINTS}")
 
-    arcs: list[tuple[str, array, array]] = []
+    curves: list[tuple[str, array, array]] = []
     for n in range(2, nmax + 1, 2):
         alphas, betas = _even_arc(n, sup, resolution)
-        arcs.append((f"even-{n}-alpha", alphas, betas))
+        curves.append((f"even-{n}-alpha", alphas, betas))
         if len(alphas) > 1:
-            arcs.append((f"even-{n}-beta", betas, alphas))
+            curves.append((f"even-{n}-beta", betas, alphas))
     if epsilon is not None:
         epsilon = float(epsilon)
         if not epsilon > 0.0 or not math.isfinite(epsilon):
@@ -225,16 +226,16 @@ def region_rows(
         budget = 0.0 if sup >= root else deviation_budget(epsilon, sup)
         for n in range(3, nmax + 1, 2):
             alpha_side, beta_side = _odd_arcs(n, epsilon, budget, resolution)
-            arcs.append((f"odd-{n}-alpha", *alpha_side))
+            curves.append((f"odd-{n}-alpha", *alpha_side))
             if beta_side is not None:
-                arcs.append((f"odd-{n}-beta", *beta_side))
+                curves.append((f"odd-{n}-beta", *beta_side))
 
-    extent = _extent(arcs)
+    extent = _extent(curves)
     slope = 1.0 / (math.sqrt(sup) - 1.0) ** 2
     return [
         ("sector-alpha", array("d", [0.0, extent]), array("d", [0.0, slope * extent])),
         ("sector-beta", array("d", [0.0, slope * extent]), array("d", [0.0, extent])),
-        *arcs,
+        *curves,
     ]
 
 
@@ -310,7 +311,7 @@ def _dump_lines(p: FucikPoint):
     unsigned amplitude, each sign's formatted once.  The arcs come from the
     curve point one at a time, and each is formatted only as it is written.
     """
-    rows = fucik.arcs(p)  # first, so that a refusal leaves stdout empty
+    rows = arcs(p)  # first, so that a refusal leaves stdout empty
     amps = {}  # signed amplitude -> its unsigned text
     last = p.n - 1
     yield f'{{\n  "alpha": {_num(p.alpha)},\n  "beta": {_num(p.beta)},\n  "bumps": ['

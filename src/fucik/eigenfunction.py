@@ -8,33 +8,27 @@ which keeps the boundary zeros at machine accuracy for any admissible index.
 
 _arc_row gives a point's arc counts, widths and amplitudes; it is the one
 gate of every profile and moment, refusing a point past the cap or with an
-arc of no width.  _start places arc k on floats, for arcs, which streams one
-point's arcs, and on numpy arrays, for build_batch, which lays out many
-profiles end to end as arc arrays in one pass, bit for bit alike.  Norms and
-sine inner products need no profile: the arcs of one sign are equally
-spaced, so their sum is a closed form of the point's row, O(1) per (point,
-index), evaluated on floats by moments and on a table of many points by
-batch_moments, bit for bit the same.  numpy is imported only inside the
-functions that make arrays, and moments and arcs make none.
+arc of no width.  arcs streams one point's arcs on floats.  Norms and sine
+inner products need no profile: the arcs of one sign are equally spaced, so
+their sum is a closed form of the point's row, O(1) per (point, index),
+evaluated on floats by moments.  This module is floats only: _start and
+_sign_terms also run elementwise on numpy arrays, and fucik.gram, the one
+layer that loads numpy, lays out many profiles and their moments with them,
+bit for bit as here.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .spectrum import FucikPoint, SpectrumError, _arc_counts
-
-if TYPE_CHECKING:
-    import numpy as np
 
 SUP_NORM = math.sqrt(2.0 / math.pi)
 
 # Largest index _arc_row accepts, so that an oversized index fails with
-# SpectrumError: at the cap build_batch peaks at about 47 MB of arrays, and
-# `dump`, which streams its arcs on floats, makes none.
+# SpectrumError: at the cap fucik.gram.build_batch peaks at about 47 MB of
+# arrays, and `dump`, which streams its arcs on floats, makes none.
 MAX_ARCS = 1_000_000
 
 # Arcs at least this wide keep a positive width in floats: each float edge
@@ -48,27 +42,6 @@ _TINY = 1e-300
 
 # sqrt(2/pi) pi / 2, the factor of A w in each arc's inner product.
 _WEIGHT = 0.5 * SUP_NORM * math.pi
-
-
-@dataclass(frozen=True, eq=False)
-class ProfileBatch:
-    """Several profiles stored end to end as arc arrays.
-
-    Profile k holds arcs offsets[k]:offsets[k + 1] of starts, ends, amps
-    and freqs: arc j is amps[j] sin(freqs[j] (x - starts[j])) on
-    [starts[j], ends[j]], positive on a profile's even arcs.  An arc ends at
-    the next arc's start, or at exactly pi for a profile's last arc.
-    """
-
-    points: tuple[FucikPoint, ...]
-    starts: np.ndarray
-    ends: np.ndarray
-    amps: np.ndarray
-    freqs: np.ndarray
-    offsets: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def _start(k, w_pos, w_neg):
@@ -113,40 +86,12 @@ def _arc_row(p: FucikPoint) -> tuple[float, ...]:
     return float(pos), float(neg), w_pos, w_neg, *amps
 
 
-def build_batch(points) -> ProfileBatch:
-    """Construct the normalized profiles of several curve points in one numpy pass.
-
-    The first point in order that _arc_row refuses raises its SpectrumError.
-    Each profile is bit for bit what it is in a batch of its point alone,
-    and what arcs streams.  At the symmetric point (n^2, n^2) a profile
-    collapses to sqrt(2/pi) sin(n x).
-    """
-    import numpy as np
-
-    points = tuple(points)
-    table = np.array([_arc_row(p) for p in points]).reshape(len(points), 6)
-    counts = [p.n for p in points]
-    offsets = np.array(list(itertools.accumulate(counts, initial=0)))
-    counts = np.array(counts, dtype=np.intp)
-    # the local index of every arc within its profile
-    j = np.arange(offsets[-1]) - offsets[:-1].repeat(counts)
-    starts = _start(j, table[:, 2].repeat(counts), table[:, 3].repeat(counts))
-    amps = np.where(j & 1, table[:, 5].repeat(counts), table[:, 4].repeat(counts))
-    ends = np.empty_like(starts)
-    ends[:-1] = starts[1:]
-    ends[offsets[1:] - 1] = math.pi
-    # pi / width rather than sqrt(alpha): each arc then vanishes at both of
-    # its own endpoints to the last bit
-    freqs = math.pi / (ends - starts)
-    return ProfileBatch(points, starts, ends, amps, freqs, offsets)
-
-
 def arcs(p: FucikPoint):
     """Arcs j = 0 .. n - 1 of p's profile as (start, end, signed amplitude, frequency).
 
     One arc at a time on floats, each value bit for bit the starts, ends,
-    amps and freqs of build_batch((p,)).  A point that _arc_row refuses
-    raises its SpectrumError here, at the call.
+    amps and freqs of fucik.gram.build_batch((p,)).  A point that _arc_row
+    refuses raises its SpectrumError here, at the call.
     """
     _, _, w_pos, w_neg, *signed = _arc_row(p)
     return ((start, end, signed[j & 1], math.pi / (end - start))
@@ -201,8 +146,7 @@ def _sign_terms(j, row, sin, rint, fmod):
 def moments(p: FucikPoint, indices) -> tuple[float, list[float]]:
     """|f|^2 of p's profile and <f, sqrt(2/pi) sin(j x)> for every j in indices, on floats.
 
-    No profile is built and numpy is not loaded: each value is O(1) in
-    closed form.  A point with P positive arcs of width w+ and amplitude A+
+    No profile is built: each value is O(1) in closed form.  A point with P positive arcs of width w+ and amplitude A+
     and Q negative ones of width w- and amplitude A- has
     |f|^2 = (P A+^2 w+ + Q A-^2 w-) / 2.  An arc A sin(pi (x - a) / w) with
     midpoint m adds sqrt(2/pi) pi A sin(j m) sin(s) / s w / (pi + j w),
@@ -219,24 +163,3 @@ def moments(p: FucikPoint, indices) -> tuple[float, list[float]]:
     inner = [_sign_terms(j, plus, math.sin, round, math.fmod)
              + _sign_terms(j, minus, math.sin, round, math.fmod) for j in map(float, indices)]
     return plus[8], inner
-
-
-def batch_moments(points, indices) -> tuple[np.ndarray, np.ndarray]:
-    """moments of every point, as arrays: |f_k|^2 and the inner products for row k of indices.
-
-    indices holds one row of integers per point.  Every value is the same
-    closed form as moments, elementwise on numpy arrays, so it is bit for
-    bit what moments gives for the point alone.  The first point in order
-    that _arc_row refuses raises its SpectrumError.
-    """
-    import numpy as np
-
-    rows = [_sign_rows(p) for p in points]
-    size = len(rows)
-    # one row per sign and point, the positive arcs of every point first
-    table = np.array([r[0] for r in rows] + [r[1] for r in rows]).reshape(2 * size, 9)
-    table = table.T[:, :, None]
-    # every operand has 2 * size rows, so numpy never broadcasts a row
-    j = np.asarray(indices, dtype=float)
-    terms = _sign_terms(np.concatenate((j, j)), table, np.sin, np.rint, np.fmod)
-    return table[8, :size, 0], terms[:size] + terms[size:]

@@ -3,13 +3,17 @@
 The certificate predicts that the rescaled system deviates from an
 orthonormal basis by at most theta = sqrt(total) in the Bessel/frame sense,
 so every truncation's eigenvalues must land inside
-[(1 - theta)^2, (1 + theta)^2].  This module builds those truncations
+[max(1 - theta, 0)^2, (1 + theta)^2].  This module builds those truncations
 exactly and pays only for the perturbed entries E: the unperturbed sines
 give an identity block, a member of E against a sine is one O(1)
-closed-form inner product (fucik.eigenfunction.batch_moments), and only
-the members of E among themselves are summed as closed-form integrals of
-sine products over the overlaps of two profiles' arcs, many rows of the
-matrix to one numpy sweep.  The Gauss-Legendre reference in
+closed-form inner product (batch_moments), and only the members of E among
+themselves are summed as closed-form integrals of sine products over the
+overlaps of two profiles' arcs, laid out by build_batch, many rows of the
+matrix to one numpy sweep.  This is the one layer of the package that
+imports numpy: build_batch and batch_moments run the floats-only rules of
+fucik.eigenfunction (_arc_row, _start, _sign_rows, _sign_terms) elementwise
+on arrays, bit for bit what arcs and moments give one point at a time.
+The Gauss-Legendre reference in
 tests/test_gram.py and the benchmark oracle (perfbench/oracle.py) check it
 independently, and the per-row engine in tests/reference.py bit for bit.
 
@@ -25,14 +29,15 @@ certificate is the false part, not the Gram matrix.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .certify import SystemSpec, certify_system
-from .eigenfunction import ProfileBatch, batch_moments, build_batch
-from .spectrum import is_diagonal
+from .eigenfunction import _arc_row, _sign_rows, _sign_terms, _start
+from .spectrum import FucikPoint, is_diagonal
 
 # Slack added on both sides of the certified window, for rounding noise only.
 CUSHION = 0.02
@@ -40,6 +45,72 @@ CUSHION = 0.02
 # Overlap terms one sweep of the Gram engine may hold; a row alone may need
 # more.  Sweeps this small keep their arrays in cache.
 PASS_TERMS = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
+class ProfileBatch:
+    """Several profiles stored end to end as arc arrays.
+
+    Profile k holds arcs offsets[k]:offsets[k + 1] of starts, ends, amps
+    and freqs: arc j is amps[j] sin(freqs[j] (x - starts[j])) on
+    [starts[j], ends[j]], positive on a profile's even arcs.  An arc ends at
+    the next arc's start, or at exactly pi for a profile's last arc.
+    """
+
+    points: tuple[FucikPoint, ...]
+    starts: np.ndarray
+    ends: np.ndarray
+    amps: np.ndarray
+    freqs: np.ndarray
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+
+def build_batch(points) -> ProfileBatch:
+    """Construct the normalized profiles of several curve points in one numpy pass.
+
+    The first point in order that _arc_row refuses raises its SpectrumError.
+    Each profile is bit for bit what it is in a batch of its point alone,
+    and what arcs streams.  At the symmetric point (n^2, n^2) a profile
+    collapses to sqrt(2/pi) sin(n x).
+    """
+    points = tuple(points)
+    table = np.array([_arc_row(p) for p in points]).reshape(len(points), 6)
+    counts = [p.n for p in points]
+    offsets = np.array(list(itertools.accumulate(counts, initial=0)))
+    counts = np.array(counts, dtype=np.intp)
+    # the local index of every arc within its profile
+    j = np.arange(offsets[-1]) - offsets[:-1].repeat(counts)
+    starts = _start(j, table[:, 2].repeat(counts), table[:, 3].repeat(counts))
+    amps = np.where(j & 1, table[:, 5].repeat(counts), table[:, 4].repeat(counts))
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[offsets[1:] - 1] = math.pi
+    # pi / width rather than sqrt(alpha): each arc then vanishes at both of
+    # its own endpoints to the last bit
+    freqs = math.pi / (ends - starts)
+    return ProfileBatch(points, starts, ends, amps, freqs, offsets)
+
+
+def batch_moments(points, indices) -> tuple[np.ndarray, np.ndarray]:
+    """moments of every point, as arrays: |f_k|^2 and the inner products for row k of indices.
+
+    indices holds one row of integers per point.  Every value is the same
+    closed form as fucik.eigenfunction.moments, elementwise on numpy
+    arrays, so it is bit for bit what moments gives for the point alone.
+    The first point in order that _arc_row refuses raises its SpectrumError.
+    """
+    rows = [_sign_rows(p) for p in points]
+    size = len(rows)
+    # one row per sign and point, the positive arcs of every point first
+    table = np.array([r[0] for r in rows] + [r[1] for r in rows]).reshape(2 * size, 9)
+    table = table.T[:, :, None]
+    # every operand has 2 * size rows, so numpy never broadcasts a row
+    j = np.asarray(indices, dtype=float)
+    terms = _sign_terms(np.concatenate((j, j)), table, np.sin, np.rint, np.fmod)
+    return table[8, :size, 0], terms[:size] + terms[size:]
 
 
 def passes(counts):
@@ -225,7 +296,8 @@ def gram_witness(spec: SystemSpec, n_trunc: int, matrix: np.ndarray) -> GramWitn
     matrix is gram_matrix(spec, n_trunc), normally rescaled: the window is a
     claim about the rescaled system, so it does not test an unscaled matrix.
     theta comes from the certificate total; the window is
-    [(1 - theta)^2 - CUSHION, (1 + theta)^2 + CUSHION].  A truncation
+    [max(1 - theta, 0)^2 - CUSHION, (1 + theta)^2 + CUSHION]: past theta = 1
+    a failing certificate claims no lower frame bound, so the floor is 0.  A truncation
     escaping the window falsifies the certificate, never the other way
     around (truncations can be tamer than the full system).  Large absorbed
     constant-shape families do escape it (see the module docstring), so
@@ -235,7 +307,7 @@ def gram_witness(spec: SystemSpec, n_trunc: int, matrix: np.ndarray) -> GramWitn
     if np.shape(matrix) != (n_trunc, n_trunc):
         raise ValueError("matrix shape does not match n_trunc")
     lo, hi = extremal_eigenvalues(matrix)
-    window_low = (1.0 - theta) ** 2 - CUSHION
+    window_low = max(1.0 - theta, 0.0) ** 2 - CUSHION
     window_high = (1.0 + theta) ** 2 + CUSHION
     return GramWitness(
         size=n_trunc,

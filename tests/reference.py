@@ -11,8 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from fucik.certify import InputError
-from fucik.eigenfunction import SUP_NORM, ProfileBatch, build_batch
+from fucik.eigenfunction import SUP_NORM
 from fucik.envelope import GAMMA_MAX, TAIL_WEIGHT
+from fucik.fourier import _check_index
+from fucik.gram import ProfileBatch, build_batch
 from fucik.quadrature import integrate
 from fucik.spectrum import FucikPoint
 
@@ -37,7 +39,7 @@ class Profile:
 
 
 def profile(p: FucikPoint) -> Profile:
-    """The profile of p as fucik.eigenfunction.build_batch lays it out alone."""
+    """The profile of p as fucik.gram.build_batch lays it out alone."""
     batch = build_batch((p,))
     return Profile(p, np.append(batch.starts, math.pi), batch.amps, batch.freqs)
 
@@ -96,8 +98,7 @@ def defect_details(p: FucikPoint, tol: float = 1e-12) -> dict:
 
 def quadrature_coefficient(p: FucikPoint, k: int) -> float:
     """Independent oracle: <profile(p), sqrt(2/pi) sin(k x)> by quadrature."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_index(k)
     f = profile(p)
     kk = float(k)
 
@@ -117,7 +118,7 @@ def quadrature_coefficient(p: FucikPoint, k: int) -> float:
 def profile_moments(f: Profile, n: int) -> tuple[float, float]:
     """|f|^2 and <f, sqrt(2/pi) sin(n x)> summed arc by arc over the built
     profile f, each sum one math.fsum: the oracle that the O(1) closed form
-    of fucik.eigenfunction.batch_moments is held to, to rounding."""
+    of fucik.gram.batch_moments is held to, to rounding."""
     widths = math.pi / f.freqs
     mids = f.edges[:-1] + 0.5 * widths
     arcs = f.amps * np.sin(n * mids) * np.sinc((f.freqs - n) / (2.0 * f.freqs)) / (f.freqs + n)
@@ -216,8 +217,7 @@ def apply_dilation(k: int, g):
     sin(k n x / 2) exactly, for every k >= 1.  g must vanish at 0 and pi so
     the folded function stays continuous.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_index(k)
     for probe in (0.0, math.pi):
         if abs(float(g(probe))) > 1e-9:
             raise ValueError("g must vanish at 0 and pi")

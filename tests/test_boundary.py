@@ -1,0 +1,30 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fucik"
+# the Gram layer, and the quadrature rule that only tests import
+NUMPY_MODULES = {"gram.py", "quadrature.py"}
+
+
+def _imports(tree):
+    """(line, top-level?, root packages) of every import; relative ones name none."""
+    top = set(map(id, tree.body))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots = {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            roots = {node.module.split(".")[0]} if node.level == 0 else set()
+        else:
+            continue
+        yield node.lineno, id(node) in top, roots
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_imports_are_top_level_and_numpy_stays_in_its_layer(path):
+    # parsed rather than grepped, so that a docstring line starting with
+    # "from" is not taken for an import
+    for line, top_level, roots in _imports(ast.parse(path.read_text(encoding="utf-8"))):
+        assert top_level, f"{path.name}:{line} imports inside a block"
+        assert "numpy" not in roots or path.name in NUMPY_MODULES, f"{path.name}:{line}"

@@ -31,9 +31,9 @@ from fucik.certify import (
     projection_defect_bound,
     zeta,
 )
-from fucik.eigenfunction import batch_moments, build_batch, moments
+from fucik.eigenfunction import moments
 from fucik.envelope import envelope_root, envelope_value
-from fucik.gram import gram_matrix
+from fucik.gram import batch_moments, build_batch, gram_matrix
 from fucik.spectrum import (
     FucikPoint,
     ReflectedCurveError,

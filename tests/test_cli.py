@@ -19,7 +19,7 @@ import fucik.eigenfunction
 import fucik.gram
 from fucik.certify import InputError
 from fucik.cli import main, region_rows
-from fucik.eigenfunction import batch_moments
+from fucik.gram import batch_moments
 from fucik.spectrum import FucikPoint, point_from_gamma
 
 
@@ -362,16 +362,17 @@ def test_no_subcommand_evaluates_or_integrates(capsys, monkeypatch, write_spec):
     unpatched = [run(capsys, argv)[:2] for argv in argvs]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a subcommand evaluated a profile or integrated")
+        raise AssertionError("a subcommand integrated")
 
-    # every binding of the two names, wherever a module imported them
+    # every binding of integrate, wherever a module imported it
     for name, module in list(sys.modules.items()):
-        if name == "fucik" or name.startswith("fucik."):
-            for attr in ("evaluate", "integrate"):
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, refuse)
+        if (name == "fucik" or name.startswith("fucik.")) and hasattr(module, "integrate"):
+            monkeypatch.setattr(module, "integrate", refuse)
     for argv, want in zip(argvs, unpatched):
         assert run(capsys, argv)[:2] == want, argv[0]
+    # the only profile evaluator is the test reference's
+    assert not [name for name, module in list(sys.modules.items())
+                if (name == "fucik" or name.startswith("fucik.")) and hasattr(module, "evaluate")]
 
 
 def test_gram_subcommand(capsys, write_spec, tmp_path):
@@ -644,13 +645,12 @@ def test_exact_defect_is_clamped_at_zero(capsys, write_spec):
     assert json.loads(out)["theta"] == 0.0
 
 
-ARRAY_LAYERS = ("numpy", "fucik.eigenfunction", "fucik.gram")
-PROFILE = {"fucik.eigenfunction"}
+ARRAY_LAYERS = ("numpy", "fucik.gram")
 
 
 def _loaded_after(code):
-    """Which of numpy, the profile and the Gram layer are imported once code
-    has run in a fresh interpreter."""
+    """Which of numpy and the Gram layer are imported once code has run in a
+    fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     report = f"\nimport sys\nprint(*(m for m in {ARRAY_LAYERS!r} if m in sys.modules))"
     run = subprocess.run(
@@ -667,25 +667,26 @@ def test_scalar_subcommands_start_without_numpy(tmp_path, write_spec):
     absorbed = write_spec({"entries": [{"n": 2, "alpha": 6.4}, {"n": 4, "alpha": 25.0}]})
     # both entries are off their diagonal, so exact mode takes their defects
     odd = write_spec({"entries": [{"n": 3, "alpha": 10.0}, {"n": 7, "alpha": 50.5}]}, "odd.json")
-    for argv, layers in (
-        (["envelope", "--gamma", "5"], set()),
-        (["root"], set()),
-        (["region", "--sup", "5", "--epsilon", "0.5"], set()),
-        (["region", "--sup", "5", "--epsilon", "0.5", "--svg", svg], set()),
-        (["certify", "--spec", _readme_spec(tmp_path), "--mode", "bound"], set()),
-        (["certify", "--spec", absorbed, "--mode", "bound"], set()),
-        (["certify", "--spec", absorbed, "--mode", "exact"], set()),
+    # every subcommand but gram loads neither numpy nor the Gram layer
+    for argv in (
+        ["envelope", "--gamma", "5"],
+        ["root"],
+        ["region", "--sup", "5", "--epsilon", "0.5"],
+        ["region", "--sup", "5", "--epsilon", "0.5", "--svg", svg],
+        ["certify", "--spec", _readme_spec(tmp_path), "--mode", "bound"],
+        ["certify", "--spec", absorbed, "--mode", "bound"],
+        ["certify", "--spec", absorbed, "--mode", "exact"],
         # its odd entries are off their diagonal, so their defects are taken
-        (["certify", "--spec", _readme_spec(tmp_path), "--mode", "exact"], PROFILE),
-        (["certify", "--spec", odd, "--mode", "exact"], PROFILE),
-        (["coeffs", "--gamma", "6.25", "--kmax", "200"], PROFILE),
-        (["dump", "7", "52.0"], PROFILE),
-        (["dump", "1", "1"], PROFILE),
-        (["dump", "6", "36.0", "36.0"], PROFILE),
+        ["certify", "--spec", _readme_spec(tmp_path), "--mode", "exact"],
+        ["certify", "--spec", odd, "--mode", "exact"],
+        ["coeffs", "--gamma", "6.25", "--kmax", "200"],
+        ["dump", "7", "52.0"],
+        ["dump", "1", "1"],
+        ["dump", "6", "36.0", "36.0"],
         # narrow but valid arcs, which the arc gate checks on floats
-        (["dump", "2", "1e30"], PROFILE),
-        (["certify", "--spec", write_spec({"entries": [{"n": 3, "alpha": 1e30}]}, "narrow.json"),
-          "--mode", "exact"], PROFILE),
+        ["dump", "2", "1e30"],
+        ["certify", "--spec", write_spec({"entries": [{"n": 3, "alpha": 1e30}]}, "narrow.json"),
+         "--mode", "exact"],
     ):
         # as `python -m fucik` runs it
         code = (
@@ -693,7 +694,7 @@ def test_scalar_subcommands_start_without_numpy(tmp_path, write_spec):
             "try:\n    runpy.run_module('fucik', run_name='__main__')\n"
             "except SystemExit as exit:\n    assert exit.code in (0, 1), exit.code\n"
         )
-        assert _loaded_after(code) == layers, argv
+        assert _loaded_after(code) == set(), argv
 
 
 def test_dump_of_a_long_chain_stays_small():
@@ -722,16 +723,9 @@ def test_dump_of_a_long_chain_stays_small():
 
 
 def test_array_layers_load_on_first_use(tmp_path):
-    assert _loaded_after("import fucik") == set()
-    assert _loaded_after("import fucik\nfucik.moments") == PROFILE
-    assert _loaded_after("import fucik\nfucik.gram_matrix") == set(ARRAY_LAYERS)
     point = "from fucik.spectrum import point_from_gamma\np = point_from_gamma(4, 6.0)\n"
-    assert _loaded_after(
-        "import fucik.eigenfunction\n" + point + "fucik.eigenfunction.moments(p, (4, 1))"
-    ) == PROFILE
-    assert _loaded_after(
-        "import fucik.eigenfunction\n" + point + "fucik.eigenfunction.build_batch((p,))"
-    ) == PROFILE | {"numpy"}
+    assert _loaded_after("import fucik\n" + point + "fucik.moments(p, (4, 1))") == set()
+    assert _loaded_after("import fucik\nfucik.gram_matrix") == set(ARRAY_LAYERS)
     argv = ["gram", "--spec", _readme_spec(tmp_path), "--n", "16"]
     code = f"import fucik.cli\nassert fucik.cli.main({argv!r}) == 0"
     assert _loaded_after(code) == set(ARRAY_LAYERS)

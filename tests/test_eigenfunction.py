@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from reference import JunctionError, evaluate, ode_residual, profile, profile_moments
 
 import fucik.eigenfunction
+import fucik.gram
 from fucik.cli import main
-from fucik.eigenfunction import SUP_NORM, arcs, batch_moments, build_batch, moments
+from fucik.eigenfunction import SUP_NORM, arcs, moments
+from fucik.gram import batch_moments, build_batch
 from fucik.spectrum import FucikPoint, SpectrumError, point_from_gamma, solve_alpha, solve_beta
 
 
@@ -185,7 +187,7 @@ def test_narrow_arcs_that_build_get_closed_form_moments(monkeypatch):
     def no_build(points):
         raise AssertionError(f"a profile was built for {points}")
 
-    monkeypatch.setattr(fucik.eigenfunction, "build_batch", no_build)
+    monkeypatch.setattr(fucik.gram, "build_batch", no_build)
     norm_sq, inner = batch_moments([point_from_gamma(2, 5.0), p], [[2, 1], [3, 1]])
     assert moments(p, (3, 1)) == (norm_sq[1], inner[1].tolist())
     for value, j in zip(inner[1].tolist(), (3, 1)):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,13 +9,18 @@ from hypothesis import given, settings, strategies as st
 from reference import evaluate, per_row_gram, profile, quadrature_coefficient
 
 import fucik.certify
-import fucik.eigenfunction
 import fucik.gram
 import fucik.quadrature
 from fucik.certify import SystemSpec, certify_system, parse_system, profile_scaling
 from fucik.cli import main
-from fucik.eigenfunction import batch_moments, build_batch
-from fucik.gram import _exact_gram, extremal_eigenvalues, gram_matrix, gram_witness
+from fucik.gram import (
+    _exact_gram,
+    batch_moments,
+    build_batch,
+    extremal_eigenvalues,
+    gram_matrix,
+    gram_witness,
+)
 from fucik.spectrum import (
     FucikPoint,
     is_diagonal,
@@ -187,8 +193,7 @@ def test_only_perturbed_entries_build_a_profile(monkeypatch, capsys, write_spec)
         return build_batch(points)
 
     # every profile, batched or alone, comes from build_batch
-    for module in (fucik.eigenfunction, fucik.gram):
-        monkeypatch.setattr(module, "build_batch", counting_build_batch)
+    monkeypatch.setattr(fucik.gram, "build_batch", counting_build_batch)
     entries = [
         {"n": 1}, {"n": 2, "alpha": 6.4}, {"n": 3, "alpha": 10.0},
         {"n": 4, "alpha": 16.0, "beta": 16.0}, {"n": 5, "alpha": 30.0},
@@ -221,16 +226,17 @@ def test_only_perturbed_entries_build_a_profile(monkeypatch, capsys, write_spec)
 
 def test_gram_matrix_never_evaluates_or_integrates(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the Gram engine must not evaluate or integrate")
+        raise AssertionError("the Gram engine must not integrate")
 
-    for module in (fucik.eigenfunction, fucik.certify, fucik.gram):
-        monkeypatch.setattr(module, "evaluate", refuse, raising=False)
     for module in (fucik.quadrature, fucik.certify, fucik.gram):
         monkeypatch.setattr(module, "integrate", refuse, raising=False)
     spec = REFERENCE_SPECS["mixed"]
     for rescale in (True, False):
         m = gram_matrix(spec, 12, rescale=rescale)
         assert np.all(np.isfinite(m))
+    # the only profile evaluator is the test reference's
+    assert not [name for name, module in list(sys.modules.items())
+                if (name == "fucik" or name.startswith("fucik.")) and hasattr(module, "evaluate")]
 
 
 def test_falsifier_at_size_128():
@@ -303,6 +309,20 @@ def test_witness_for_a_certified_sparse_system():
         assert w.size == size
     as_dict = w.as_dict()
     assert set(as_dict) >= {"size", "min_eig", "max_eig", "within_window"}
+
+
+def test_witness_floor_is_zero_past_theta_one():
+    # odd profiles far off their diagonal: the certificate fails with theta
+    # near 3, which claims no lower frame bound, so the floor is 0 and the
+    # nearly singular truncation does not falsify it
+    spec = parse_system({"entries": [{"n": n, "alpha": 9.0 * n * n} for n in range(3, 24, 2)],
+                         "split": []})
+    assert not certify_system(spec).passed
+    w = gram_witness(spec, 24, gram_matrix(spec, 24))
+    assert w.theta == pytest.approx(2.997, abs=1e-3)
+    assert w.window_low == -fucik.gram.CUSHION
+    assert 0.0 < w.min_eig < 1e-3
+    assert w.within_window
 
 
 def test_witness_as_dict_is_an_equal_copy():
