@@ -10,7 +10,9 @@ No runtime path uses quadrature: fucik.quadrature is the adaptive Simpson
 rule that the tests hold the closed forms to.  Only the Gram layer,
 fucik.gram, imports numpy, and it loads on first use of one of its names as
 a package attribute, the way fucik.cli reaches it too; every other layer
-is floats only and loads with the package.
+is floats only and loads with the package.  Every record is a
+collections.namedtuple subclass, with no generated code, so a scalar
+subcommand never loads inspect.
 """
 
 import importlib

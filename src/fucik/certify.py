@@ -21,7 +21,7 @@ check in fucik.gram falsifies such a pass: at gamma = 5, N = 64 the total is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .eigenfunction import moments
 from .envelope import GAMMA_MAX, envelope_root, envelope_value, zeta
@@ -95,43 +95,49 @@ def profile_scaling(p: FucikPoint) -> float:
     return inner / norm_sq
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(
+    namedtuple(
+        "SystemSpec",
+        "entries split mode tail_rule",
+        defaults=(SPLIT_DEFAULT, "exact", "identity"),
+    )
+):
     """Finite description of a profile system.
 
     entries holds the explicitly perturbed indices (sorted, unique); every
     other index follows the identity tail rule and contributes nothing.
     split selects the even indices handled through the envelope: the literal
     "default" takes every non-symmetric even entry, "auto" picks the split of
-    least total, and an explicit list or tuple is taken as given.
+    least total, and an explicit list or tuple is taken as given, kept as a
+    sorted tuple.  _make and _replace skip these checks, and no fucik code
+    calls them.
     """
 
-    entries: tuple[FucikPoint, ...]
-    split: object = SPLIT_DEFAULT
-    mode: str = "exact"
-    tail_rule: str = "identity"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        literal = self.split in (SPLIT_DEFAULT, SPLIT_AUTO)
-        if not literal and not isinstance(self.split, (list, tuple)):
+    def __new__(cls, *args, **kwargs) -> SystemSpec:
+        spec = super().__new__(cls, *args, **kwargs)
+        literal = spec.split in (SPLIT_DEFAULT, SPLIT_AUTO)
+        if not literal and not isinstance(spec.split, (list, tuple)):
             raise InputError('split must be "auto" or a list of even indices')
-        ns = [p.n for p in self.entries]
+        ns = [p.n for p in spec.entries]
         if ns != sorted(set(ns)):
             raise InputError("entries must be sorted with unique indices")
-        if self.mode not in MODES:
+        if spec.mode not in MODES:
             raise InputError(f"mode must be one of {MODES}")
-        if self.tail_rule != "identity":
+        if spec.tail_rule != "identity":
             raise InputError("only the identity tail rule is supported")
-        if not literal:
-            if any(isinstance(n, bool) or not isinstance(n, int) for n in self.split):
-                raise InputError("split indices must be integers")
-            split = tuple(sorted(self.split))
-            for n in split:
-                if n % 2 == 1:
-                    raise InputError("split indices must be even")
-                if n not in ns:
-                    raise InputError(f"split index {n} has no entry")
-            object.__setattr__(self, "split", split)
+        if literal:
+            return spec
+        if any(isinstance(n, bool) or not isinstance(n, int) for n in spec.split):
+            raise InputError("split indices must be integers")
+        split = tuple(sorted(spec.split))
+        for n in split:
+            if n % 2 == 1:
+                raise InputError("split indices must be even")
+            if n not in ns:
+                raise InputError(f"split index {n} has no entry")
+        return spec._replace(split=split)
 
 
 def parse_system(obj: dict) -> SystemSpec:
@@ -190,23 +196,18 @@ def parse_system(obj: dict) -> SystemSpec:
     )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(
+    namedtuple(
+        "Certificate",
+        "mode split defect_sum gamma_sup envelope_sq total passed margin per_index note",
+    )
+):
     """Outcome of a certification run, with per-index provenance."""
 
-    mode: str
-    split: tuple[int, ...]
-    defect_sum: float
-    gamma_sup: float
-    envelope_sq: float
-    total: float
-    passed: bool
-    margin: float
-    per_index: tuple[dict, ...]
-    note: str
+    __slots__ = ()
 
     def as_dict(self) -> dict:
-        return {**vars(self), "per_index": tuple(dict(r) for r in self.per_index)}
+        return {**self._asdict(), "per_index": tuple(dict(r) for r in self.per_index)}
 
 
 def certify_system(spec: SystemSpec) -> Certificate:

@@ -300,8 +300,15 @@ def _cmd_region(args) -> int:
 
 
 def _num(value: float) -> str:
-    """value as the JSON writer prints it after rounding to 12 digits."""
-    return repr(float(_fmt(value)))
+    """value as the JSON writer prints it after rounding to 12 digits.
+
+    A rounded text with a point and no exponent already reads as repr of
+    its float; only integral values and exponents take the float's repr.
+    """
+    text = _fmt(value)
+    if "." in text and "e" not in text:
+        return text
+    return repr(float(text))
 
 
 def _dump_lines(p: FucikPoint):

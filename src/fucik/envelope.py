@@ -12,7 +12,7 @@ over the Hurwitz values zeta(2j + 2, 5), the library's one zeta routine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .fourier import _check_index, coefficient, dilation_norm_bound
@@ -32,13 +32,10 @@ def _check_gamma(gamma: float) -> float:
     return g
 
 
-@dataclass(frozen=True)
-class EnvelopeEval:
+class EnvelopeEval(namedtuple("EnvelopeEval", "gamma summands value")):
     """Envelope value at gamma together with its five displayed summands."""
 
-    gamma: float
-    summands: tuple[float, float, float, float, float]
-    value: float
+    __slots__ = ()
 
 
 def coefficient_bound(k: int, gamma: float) -> float:

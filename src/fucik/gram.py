@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .certify import SystemSpec, certify_system
 from .eigenfunction import _arc_row, _sign_rows, _sign_terms, _start
-from .spectrum import FucikPoint, is_diagonal
+from .spectrum import is_diagonal
 
 # Slack added on both sides of the certified window, for rounding noise only.
 CUSHION = 0.02
@@ -47,25 +47,17 @@ CUSHION = 0.02
 PASS_TERMS = 1 << 16
 
 
-@dataclass(frozen=True, eq=False)
-class ProfileBatch:
+class ProfileBatch(namedtuple("ProfileBatch", "points starts ends amps freqs offsets")):
     """Several profiles stored end to end as arc arrays.
 
-    Profile k holds arcs offsets[k]:offsets[k + 1] of starts, ends, amps
-    and freqs: arc j is amps[j] sin(freqs[j] (x - starts[j])) on
-    [starts[j], ends[j]], positive on a profile's even arcs.  An arc ends at
-    the next arc's start, or at exactly pi for a profile's last arc.
+    Profile k, of points[k], holds arcs offsets[k]:offsets[k + 1] of
+    starts, ends, amps and freqs: arc j is amps[j] sin(freqs[j] (x - starts[j]))
+    on [starts[j], ends[j]], positive on a profile's even arcs.  An arc ends
+    at the next arc's start, or at exactly pi for a profile's last arc.  The
+    batch holds len(points) profiles; len of the batch counts its fields.
     """
 
-    points: tuple[FucikPoint, ...]
-    starts: np.ndarray
-    ends: np.ndarray
-    amps: np.ndarray
-    freqs: np.ndarray
-    offsets: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.points)
+    __slots__ = ()
 
 
 def build_batch(points) -> ProfileBatch:
@@ -152,7 +144,7 @@ def _exact_gram(batch: ProfileBatch) -> np.ndarray:
     """
     off = batch.offsets
     count = np.diff(off)
-    size = len(batch)
+    size = len(batch.points)
     starts, ends, amps, freqs = batch.starts, batch.ends, batch.amps, batch.freqs
     # integer keys that order the starts exactly as their values do
     uniques, rank = np.unique(starts, return_inverse=True)
@@ -272,22 +264,18 @@ def extremal_eigenvalues(m: np.ndarray) -> tuple[float, float]:
     return float(eigs[0]), float(eigs[-1])
 
 
-@dataclass(frozen=True)
-class GramWitness:
+class GramWitness(
+    namedtuple(
+        "GramWitness",
+        "size min_eig max_eig theta window_low window_high within_window cushion note",
+    )
+):
     """One truncation's eigenvalue range against the certified window."""
 
-    size: int
-    min_eig: float
-    max_eig: float
-    theta: float
-    window_low: float
-    window_high: float
-    within_window: bool
-    cushion: float
-    note: str
+    __slots__ = ()
 
     def as_dict(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
 
 def gram_witness(spec: SystemSpec, n_trunc: int, matrix: np.ndarray) -> GramWitness:

@@ -13,7 +13,7 @@ carries the same profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Absolute tolerance on the tiling residual.  The residual is an O(1)
 # quantity (a length deficit measured against pi), so an absolute test is
@@ -33,52 +33,54 @@ class ReflectedCurveError(SpectrumError):
     """
 
 
-@dataclass(frozen=True)
-class FucikPoint:
+class FucikPoint(namedtuple("FucikPoint", "n alpha beta")):
     """An index n together with coordinates (alpha, beta) on the n-th curve.
 
     Construction checks membership within MEMBERSHIP_TOL, so every instance
     is a curve member.  Odd points satisfying only the sign-swapped arc
-    count raise ReflectedCurveError, a subclass of SpectrumError.
+    count raise ReflectedCurveError, a subclass of SpectrumError.  A point
+    is the tuple (n, alpha, beta) with float coordinates; _make and
+    _replace skip the check, and no fucik code calls them.
     """
 
-    n: int
-    alpha: float
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
+    def __new__(cls, n: int, alpha: float, beta: float) -> FucikPoint:
+        if isinstance(n, bool) or not isinstance(n, int):
             raise SpectrumError("index n must be a plain positive integer")
-        if self.n < 1:
-            raise SpectrumError(f"index n must be >= 1, got {self.n}")
-        for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise SpectrumError(f"{name} must be a real number") from None
-            if not math.isfinite(value) or value <= 0.0:
-                raise SpectrumError(f"{name} must be finite and positive")
-            object.__setattr__(self, name, value)
-        n, alpha, beta = self.n, self.alpha, self.beta
+        if n < 1:
+            raise SpectrumError(f"index n must be >= 1, got {n}")
+        alpha = _coordinate(alpha, "alpha")
+        beta = _coordinate(beta, "beta")
         if n == 1:
-            if max(abs(alpha - 1.0), abs(beta - 1.0)) <= MEMBERSHIP_TOL:
-                return
-            raise SpectrumError(
-                "index 1 is only represented by (1, 1); other points of the "
-                "trivial lines carry the identical profile"
-            )
-        residual = _residual(n, alpha, beta)
-        if abs(residual) <= MEMBERSHIP_TOL:
-            return
-        if n % 2 == 1 and abs(_residual(n, beta, alpha)) <= MEMBERSHIP_TOL:
-            raise ReflectedCurveError(
-                f"({alpha}, {beta}) solves the sign-swapped equation for "
-                f"n={n}; swap the coordinates and negate the profile"
-            )
-        raise SpectrumError(
-            f"({alpha}, {beta}) is not on curve {n}: residual {residual:.3e}"
-        )
+            if not max(abs(alpha - 1.0), abs(beta - 1.0)) <= MEMBERSHIP_TOL:
+                raise SpectrumError(
+                    "index 1 is only represented by (1, 1); other points of the "
+                    "trivial lines carry the identical profile"
+                )
+        else:
+            residual = _residual(n, alpha, beta)
+            if not abs(residual) <= MEMBERSHIP_TOL:
+                if n % 2 == 1 and abs(_residual(n, beta, alpha)) <= MEMBERSHIP_TOL:
+                    raise ReflectedCurveError(
+                        f"({alpha}, {beta}) solves the sign-swapped equation for "
+                        f"n={n}; swap the coordinates and negate the profile"
+                    )
+                raise SpectrumError(
+                    f"({alpha}, {beta}) is not on curve {n}: residual {residual:.3e}"
+                )
+        return super().__new__(cls, n, alpha, beta)
+
+
+def _coordinate(value, name: str) -> float:
+    """value as a float, refused unless it is a finite positive real."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise SpectrumError(f"{name} must be a real number") from None
+    if not math.isfinite(value) or value <= 0.0:
+        raise SpectrumError(f"{name} must be finite and positive")
+    return value
 
 
 def is_diagonal(p: FucikPoint) -> bool:

@@ -133,7 +133,7 @@ def per_row_gram(batch: ProfileBatch) -> np.ndarray:
     to it bit for bit."""
     off = batch.offsets
     count = np.diff(off)
-    size = len(batch)
+    size = len(batch.points)
     starts, ends, amps, freqs = batch.starts, batch.ends, batch.amps, batch.freqs
     owner = np.repeat(np.arange(size), count)
     later = np.delete(np.arange(off[-1]), off[:-1])  # all starts but each first 0.0

@@ -28,3 +28,5 @@ def test_imports_are_top_level_and_numpy_stays_in_its_layer(path):
     for line, top_level, roots in _imports(ast.parse(path.read_text(encoding="utf-8"))):
         assert top_level, f"{path.name}:{line} imports inside a block"
         assert "numpy" not in roots or path.name in NUMPY_MODULES, f"{path.name}:{line}"
+        # records are namedtuples: dataclasses would load inspect at start-up
+        assert "dataclasses" not in roots, f"{path.name}:{line}"

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -16,7 +15,6 @@ from reference import combined_criterion, defect_details, profile, profile_momen
 from test_acceptance import sampled_defects, sampled_points
 
 import fucik.certify
-import fucik.fourier
 import fucik.quadrature
 from fucik.certify import (
     Certificate,
@@ -124,8 +122,10 @@ def test_certification_never_integrates(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("integrate called outside defect_details")
 
-    for module in (fucik.quadrature, fucik.fourier, fucik.certify):
-        monkeypatch.setattr(module, "integrate", refuse, raising=False)
+    # every binding of integrate, wherever a module imported it
+    for name, module in list(sys.modules.items()):
+        if (name == "fucik" or name.startswith("fucik.")) and hasattr(module, "integrate"):
+            monkeypatch.setattr(module, "integrate", refuse)
     body = {"entries": [{"n": 2, "alpha": 6.6}, {"n": 3, "alpha": 16.0},
                         {"n": 4, "alpha": 17.0}], "split": [], "mode": "exact"}
     cert = certify_system(parse_system(body))
@@ -225,6 +225,16 @@ def test_split_validation():
     spec = SystemSpec(entries=(p,), split=(2,))
     assert spec.split == (2,)
     assert SystemSpec(entries=(p,), split=[2]).split == (2,)
+
+
+def test_records_keep_their_repr_hash_and_split():
+    p = FucikPoint(3, 16, 4)
+    assert repr(p) == "FucikPoint(n=3, alpha=16.0, beta=4.0)"
+    assert p == FucikPoint(3, 16.0, 4.0) and hash(p) == hash(FucikPoint(n=3, alpha=16.0, beta=4.0))
+    q = point_from_gamma(2, 5.0)
+    spec = SystemSpec(entries=(q,), split=[2])
+    assert spec.split == (2,) and (spec.mode, spec.tail_rule) == ("exact", "identity")
+    assert hash(spec) == hash(SystemSpec((q,), (2,)))
 
 
 def test_a_spec_holds_only_curve_points():
@@ -473,14 +483,16 @@ def test_certificate_as_dict_is_an_equal_copy(mode):
     body = {"entries": [{"n": 2, "alpha": 6.4}, {"n": 3, "alpha": 9.3},
                         {"n": 4, "alpha": 17.0}], "mode": mode}
     cert = certify_system(parse_system(body))
+    fields = {f: getattr(cert, f) for f in cert._fields}
+    assert all(isinstance(rec, dict) for rec in fields["per_index"])
     d = cert.as_dict()
-    assert d == dataclasses.asdict(cert)
+    assert d == fields
     d["total"] = -1.0
     for rec in d["per_index"]:
         rec["value"] = None
     assert cert.total > 0.0
     assert all(rec["value"] is not None for rec in cert.per_index)
-    assert cert.as_dict() == dataclasses.asdict(cert)
+    assert cert.as_dict() == {f: getattr(cert, f) for f in cert._fields}
 
 
 def test_combined_criterion_frozen_cases():

@@ -582,6 +582,19 @@ def test_dump_stdout_is_pinned(capsys, argv):
     assert out == DUMP_PINS[argv]
 
 
+@given(st.floats(allow_nan=False, allow_infinity=False)
+       | st.integers(-10**16, 10**16).map(float)
+       | st.floats(1e-30, 1e30))
+@example(0.0)
+@example(-0.0)
+@example(1e12 - 1.0)
+@example(123456789012345.0)
+@example(1e-5)
+def test_dump_numbers_format_once_as_rounded_reprs(x):
+    # the text of the 12-digit rounding, or the repr of its float where the two differ
+    assert fucik.cli._num(x) == repr(float(format(x, ".12g")))
+
+
 def test_output_size_caps_exit_two(capsys, monkeypatch, write_spec):
     spec = write_spec({"entries": [{"n": 2, "alpha": 6.4}]})
     for name, cap, argv in (
@@ -646,13 +659,15 @@ def test_exact_defect_is_clamped_at_zero(capsys, write_spec):
 
 
 ARRAY_LAYERS = ("numpy", "fucik.gram")
+# what a dataclass would load at start-up; numpy loads inspect on its own
+INTROSPECTION = ("dataclasses", "inspect")
 
 
-def _loaded_after(code):
-    """Which of numpy and the Gram layer are imported once code has run in a
-    fresh interpreter."""
+def _loaded_after(code, watched=ARRAY_LAYERS):
+    """Which of the watched modules (numpy and the Gram layer unless given)
+    are imported once code has run in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    report = f"\nimport sys\nprint(*(m for m in {ARRAY_LAYERS!r} if m in sys.modules))"
+    report = f"\nimport sys\nprint(*(m for m in {watched!r} if m in sys.modules))"
     run = subprocess.run(
         [sys.executable, "-c", code + report],
         capture_output=True, text=True, timeout=120, env=env,
@@ -667,7 +682,8 @@ def test_scalar_subcommands_start_without_numpy(tmp_path, write_spec):
     absorbed = write_spec({"entries": [{"n": 2, "alpha": 6.4}, {"n": 4, "alpha": 25.0}]})
     # both entries are off their diagonal, so exact mode takes their defects
     odd = write_spec({"entries": [{"n": 3, "alpha": 10.0}, {"n": 7, "alpha": 50.5}]}, "odd.json")
-    # every subcommand but gram loads neither numpy nor the Gram layer
+    # every subcommand but gram loads neither numpy nor the Gram layer, and
+    # none of these loads dataclasses or inspect
     for argv in (
         ["envelope", "--gamma", "5"],
         ["root"],
@@ -694,7 +710,7 @@ def test_scalar_subcommands_start_without_numpy(tmp_path, write_spec):
             "try:\n    runpy.run_module('fucik', run_name='__main__')\n"
             "except SystemExit as exit:\n    assert exit.code in (0, 1), exit.code\n"
         )
-        assert _loaded_after(code) == set(), argv
+        assert _loaded_after(code, ARRAY_LAYERS + INTROSPECTION) == set(), argv
 
 
 def test_dump_of_a_long_chain_stays_small():

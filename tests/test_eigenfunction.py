@@ -68,7 +68,7 @@ def reference_points():
 def test_build_matches_the_per_arc_reference_bit_for_bit():
     points = reference_points()
     batch = build_batch(points)  # every point in one pass
-    assert len(batch) == len(points)
+    assert len(batch.points) == len(points)
     assert all(a.dtype == np.float64 for a in (batch.starts, batch.ends, batch.amps, batch.freqs))
     for k, p in enumerate(points):
         want = reference_arcs(p)
