@@ -30,8 +30,6 @@ from .spectrum import (
     SpectrumError,
     dilation_parameter,
     is_diagonal,
-    solve_alpha,
-    solve_beta,
 )
 
 MODES = ("exact", "bound")
@@ -109,8 +107,8 @@ class SystemSpec(
     split selects the even indices handled through the envelope: the literal
     "default" takes every non-symmetric even entry, "auto" picks the split of
     least total, and an explicit list or tuple is taken as given, kept as a
-    sorted tuple.  _make and _replace skip these checks, and no fucik code
-    calls them.
+    sorted tuple.  _make and _replace skip these checks; the one fucik call,
+    in __new__, replaces the split of a record it has just checked.
     """
 
     __slots__ = ()
@@ -143,9 +141,9 @@ class SystemSpec(
 def parse_system(obj: dict) -> SystemSpec:
     """Build a SystemSpec from plain JSON data.
 
-    Each entry gives n and at least one coordinate; a missing coordinate is
-    completed from the curve equation, and constructing each FucikPoint
-    checks it against that equation.
+    Each entry becomes one FucikPoint(n, alpha, beta), with a missing
+    coordinate as None, so the point's intake completes and checks it; its
+    SpectrumError becomes an InputError that names the entry.
     """
     if not isinstance(obj, dict):
         raise InputError("system description must be a JSON object")
@@ -164,26 +162,8 @@ def parse_system(obj: dict) -> SystemSpec:
         if extra:
             raise InputError(f"unknown entry keys: {sorted(extra)}")
         n = item.get("n")
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise InputError("entry field n must be an integer")
-        alpha = item.get("alpha")
-        beta = item.get("beta")
-        for name, value in (("alpha", alpha), ("beta", beta)):
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, (int, float))
-            ):
-                raise InputError(f"entry field {name} must be a number")
         try:
-            if alpha is None and beta is None:
-                if n != 1:
-                    raise InputError(f"entry n={n} needs alpha or beta")
-                point = FucikPoint(1, 1.0, 1.0)
-            elif beta is None:
-                point = FucikPoint(n, float(alpha), solve_beta(n, float(alpha)))
-            elif alpha is None:
-                point = FucikPoint(n, solve_alpha(n, float(beta)), float(beta))
-            else:
-                point = FucikPoint(n, float(alpha), float(beta))
+            point = FucikPoint(n, item.get("alpha"), item.get("beta"))
         except SpectrumError as exc:
             raise InputError(f"entry n={n}: {exc}") from exc
         points.append(point)

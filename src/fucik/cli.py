@@ -337,11 +337,7 @@ def _dump_lines(p: FucikPoint):
 
 
 def _cmd_dump(args) -> int:
-    if args.beta is None:
-        point = FucikPoint(args.n, args.alpha, solve_beta(args.n, args.alpha))
-    else:
-        point = FucikPoint(args.n, args.alpha, args.beta)
-    _write_lines(_dump_lines(point), None)
+    _write_lines(_dump_lines(FucikPoint(args.n, args.alpha, args.beta)), None)
     return 0
 
 

@@ -31,11 +31,12 @@ SUP_NORM = math.sqrt(2.0 / math.pi)
 # arrays, and `dump`, which streams its arcs on floats, makes none.
 MAX_ARCS = 1_000_000
 
-# Arcs at least this wide keep a positive width in floats: each float edge
-# is within 2 ulp(pi) of its exact place, and the tiling within 2 ulp(pi)
-# of pi, so only a narrower arc can close up.  _arc_row accepts such a
-# point in O(1) and walks the edges of any other.
-_NARROW = 16.0 * math.ulp(math.pi)
+# Arcs wider than this keep a positive width in floats: each float edge is
+# within 1.5 ulp(pi) of its place in exact arithmetic on the float widths,
+# and the refitted tiling within 1.8 ulp(pi) of math.pi, so an arc wider
+# than 3.3 ulp(pi) cannot close up.  _arc_row accepts such a point in O(1)
+# and walks the edges of any other.
+_NARROW = 4.0 * math.ulp(math.pi)
 
 # Far below any phase the moments meet that is not exactly 0.
 _TINY = 1e-300

@@ -36,22 +36,35 @@ class ReflectedCurveError(SpectrumError):
 class FucikPoint(namedtuple("FucikPoint", "n alpha beta")):
     """An index n together with coordinates (alpha, beta) on the n-th curve.
 
-    Construction checks membership within MEMBERSHIP_TOL, so every instance
-    is a curve member.  Odd points satisfying only the sign-swapped arc
-    count raise ReflectedCurveError, a subclass of SpectrumError.  A point
-    is the tuple (n, alpha, beta) with float coordinates; _make and
-    _replace skip the check, and no fucik code calls them.
+    The one intake of curve points from outside data.  A coordinate given
+    as None is completed from the other by the curve equation (solve_beta,
+    solve_alpha); at n = 1 with neither given the point is the single
+    representative (1, 1), and at n >= 2 one of them is needed.  Each
+    coordinate must be a finite positive real (not a bool or a string).
+    Construction then checks membership within MEMBERSHIP_TOL, so every
+    instance is a curve member.  Odd points satisfying only the sign-swapped
+    arc count raise ReflectedCurveError, a subclass of SpectrumError.  A
+    point is the tuple (n, alpha, beta) with float coordinates; _make and
+    _replace skip the checks, and no fucik code calls them.
     """
 
     __slots__ = ()
 
-    def __new__(cls, n: int, alpha: float, beta: float) -> FucikPoint:
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise SpectrumError("index n must be a plain positive integer")
-        if n < 1:
-            raise SpectrumError(f"index n must be >= 1, got {n}")
-        alpha = _coordinate(alpha, "alpha")
-        beta = _coordinate(beta, "beta")
+    def __new__(cls, n: int, alpha: float | None = None, beta: float | None = None) -> FucikPoint:
+        _index(n)
+        if alpha is None and beta is None:
+            if n != 1:
+                raise SpectrumError(f"index {n} needs alpha or beta")
+            alpha = 1.0
+        if beta is None:
+            alpha = _coordinate(alpha, "alpha")
+            beta = _complete(n, alpha, "alpha")
+        elif alpha is None:
+            beta = _coordinate(beta, "beta")
+            alpha = _complete(n, beta, "beta")
+        else:
+            alpha = _coordinate(alpha, "alpha")
+            beta = _coordinate(beta, "beta")
         if n == 1:
             if not max(abs(alpha - 1.0), abs(beta - 1.0)) <= MEMBERSHIP_TOL:
                 raise SpectrumError(
@@ -72,10 +85,24 @@ class FucikPoint(namedtuple("FucikPoint", "n alpha beta")):
         return super().__new__(cls, n, alpha, beta)
 
 
+def _index(n) -> int:
+    """n, refused unless it is a plain int (not a bool) of at least 1."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise SpectrumError("index n must be a plain positive integer")
+    if n < 1:
+        raise SpectrumError(f"index n must be >= 1, got {n}")
+    return n
+
+
 def _coordinate(value, name: str) -> float:
-    """value as a float, refused unless it is a finite positive real."""
+    """value as a float, refused unless a finite positive real: a value with
+    __float__ other than a bool, so not a string or bytes that float() parses."""
+    if isinstance(value, bool) or not hasattr(value, "__float__"):
+        raise SpectrumError(f"{name} must be a real number")
     try:
         value = float(value)
+    except OverflowError:
+        raise SpectrumError(f"{name} lies beyond the float range") from None
     except (TypeError, ValueError):
         raise SpectrumError(f"{name} must be a real number") from None
     if not math.isfinite(value) or value <= 0.0:
@@ -101,12 +128,8 @@ def _residual(n: int, alpha: float, beta: float) -> float:
 
 def _complete(n: int, value: float, name: str) -> float:
     """The other coordinate of the point on curve n whose coordinate name
-    ("alpha" runs the positive arcs, "beta" the negative ones) is value."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise SpectrumError("index n must be a plain positive integer")
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise SpectrumError(f"{name} must be finite and positive")
+    ("alpha" runs the positive arcs, "beta" the negative ones) is value,
+    for an index and a value already checked by _index and _coordinate."""
     if n == 1:
         if abs(value - 1.0) > MEMBERSHIP_TOL:
             raise SpectrumError(f"index 1 admits only {name} = 1")
@@ -128,12 +151,12 @@ def _complete(n: int, value: float, name: str) -> float:
 
 def solve_beta(n: int, alpha: float) -> float:
     """The unique beta completing (n, alpha, beta) on the n-th curve."""
-    return _complete(n, alpha, "alpha")
+    return _complete(_index(n), _coordinate(alpha, "alpha"), "alpha")
 
 
 def solve_alpha(n: int, beta: float) -> float:
     """The unique alpha completing (n, alpha, beta) on the n-th curve."""
-    return _complete(n, beta, "beta")
+    return _complete(_index(n), _coordinate(beta, "beta"), "beta")
 
 
 def dilation_parameter(p: FucikPoint) -> float:
@@ -152,10 +175,7 @@ def point_from_gamma(n: int, gamma: float) -> FucikPoint:
     """Even-index point with dilation parameter gamma, alpha on the major side."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 2 or n % 2 == 1:
         raise SpectrumError("gamma parametrization targets even indices n >= 2")
-    gamma = float(gamma)
-    if not math.isfinite(gamma):
-        raise SpectrumError("the dilation parameter must be finite")
+    gamma = _coordinate(gamma, "the dilation parameter")
     if gamma < 4.0:
         raise SpectrumError("the dilation parameter is at least 4")
-    alpha = gamma * n * n / 4.0
-    return FucikPoint(n, alpha, solve_beta(n, alpha))
+    return FucikPoint(n, gamma * n * n / 4.0)

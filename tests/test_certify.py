@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from reference import combined_criterion, defect_details, profile, profile_moments
 from test_acceptance import sampled_defects, sampled_points
+from test_spectrum import JUNK
 
 import fucik.certify
 import fucik.quadrature
@@ -188,6 +189,10 @@ def test_parse_rejects_malformed_input():
     with pytest.raises(InputError):
         parse_system({"entries": [{"n": 2, "alpha": "5"}]})
     with pytest.raises(InputError):
+        parse_system({"entries": [{"n": 2, "alpha": 10**400}]})
+    with pytest.raises(InputError):
+        parse_system({"entries": [{"n": 0, "alpha": 5.0}]})
+    with pytest.raises(InputError):
         parse_system({"entries": [{"n": 2}]})
     with pytest.raises(InputError):
         parse_system({"entries": [{"n": 2, "alpha": 5.0}], "split": "sometimes"})
@@ -195,6 +200,18 @@ def test_parse_rejects_malformed_input():
         parse_system({"entries": [{"n": 2, "alpha": 5.0}], "mode": "fast"})
     with pytest.raises(InputError):
         parse_system({"entries": [{"n": 2, "alpha": 5.0}], "tail_rule": "mirror"})
+
+
+def test_parse_refuses_every_junk_coordinate():
+    for junk in JUNK:
+        entries = [{"n": 3, "alpha": junk}, {"n": 3, "beta": junk}]
+        if junk is not None:
+            entries += [{"n": 3, "alpha": junk, "beta": 4.0}, {"n": 3, "alpha": 16.0, "beta": junk}]
+        for entry in entries:
+            with pytest.raises(InputError) as info:
+                parse_system({"entries": [{"n": 1}, entry]})
+            assert str(info.value).startswith("entry n=3: "), info.value
+            assert isinstance(info.value.__cause__, SpectrumError)
 
 
 def test_parse_rejects_off_curve_and_reflected_points():

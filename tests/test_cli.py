@@ -433,7 +433,7 @@ WRITER_PINS = {
     # a long chain, where a rounding drift from arc to arc would show
     "dump-long": (["dump", "999", "998001.3"],
                   "81fd7bd4990496b1455535317aca8ec82be8617fb429186d198835b45ae1f1b9"),
-    # narrow but valid arcs, whose edges the arc gate walks
+    # narrow but valid arcs, about 7 ulp(pi) wide
     "dump-narrow": (["dump", "2", "1e30"],
                     "99ef2b8a981382fee36cc77723ad22f78fd73663c1b7b52a12c2bf0fd5f0e83d"),
 }

@@ -179,8 +179,8 @@ def test_moments_refuse_what_build_refuses(alpha, beta):
 
 
 def test_narrow_arcs_that_build_get_closed_form_moments(monkeypatch):
-    # w+ = pi * 1e-15 is below the bound that keeps float widths positive,
-    # so _arc_row walks the point's edges on floats, and here each has width
+    # w+ = pi * 1e-15, about 7 ulp(pi): narrow arcs whose moments still come
+    # from the closed form
     p = FucikPoint(3, 1e30, solve_beta(3, 1e30))
     f = profile(p)
 
@@ -246,10 +246,31 @@ def test_arcs_the_narrow_bound_accepts_keep_their_width():
         assert min(widths) < 260.0 * math.ulp(math.pi), p
 
 
+def test_arcs_past_the_proven_bound_pass_the_walk(monkeypatch):
+    # the narrowest float arc 4-16 ulp(pi) wide, n from 2 to 3000, either
+    # sign narrow: an arc wider than 3.3 ulp(pi) keeps a positive width, so
+    # the edge walk that _arc_row skips there would accept every point
+    arc_row = fucik.eigenfunction._arc_row
+    ulp = math.ulp(math.pi)
+    rng = random.Random(20228)
+    points = []
+    while len(points) < 200:
+        n = rng.randrange(2, 3001)
+        major = (math.pi / (rng.uniform(4.0, 16.0) * ulp)) ** 2
+        p = FucikPoint(n, major) if rng.random() < 0.5 else FucikPoint(n, None, major)
+        pos, neg = (n + 1) // 2, n // 2
+        w_pos = math.pi / math.sqrt(p.alpha)
+        if 4.0 * ulp < min(w_pos, (math.pi - pos * w_pos) / neg) <= 16.0 * ulp:
+            points.append(p)
+    rows = [arc_row(p) for p in points]
+    monkeypatch.setattr(fucik.eigenfunction, "_NARROW", math.inf)
+    assert [arc_row(p) for p in points] == rows
+
+
 def _arc_sample():
     """Seeded points: n = 1, symmetric points, both major sides of even and odd
     n up to a few thousand, odd n near their diagonal, and narrow but valid
-    arcs, whose edges _arc_row walks."""
+    arcs, the last three at most 4 ulp(pi) wide, whose edges _arc_row walks."""
     rng = random.Random(20213)
     points = [FucikPoint(1, 1.0, 1.0), FucikPoint(2, 4.0, 4.0), FucikPoint(7, 49.0, 49.0)]
     for _ in range(60):
@@ -260,7 +281,7 @@ def _arc_sample():
             major = n * n * rng.uniform(1.0, 5.0)
         points.append(FucikPoint(n, major, solve_beta(n, major)))
         points.append(FucikPoint(n, solve_alpha(n, major), major))
-    for n, alpha in ((2, 1e30), (3, 1e30), (5, 2.5e30)):
+    for n, alpha in ((2, 1e30), (3, 1e30), (5, 2.5e30), (2, 3.5e30), (5, 4e30), (3, 1e31)):
         points.append(FucikPoint(n, alpha, solve_beta(n, alpha)))
     return points
 

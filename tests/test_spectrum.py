@@ -67,6 +67,44 @@ def test_point_validation_rejects_garbage():
         FucikPoint(2, math.nan, 4.0)
     with pytest.raises(SpectrumError):
         FucikPoint(2, 4.0, math.inf)
+    with pytest.raises(SpectrumError, match="a real number"):
+        FucikPoint(4, "16", "16")
+    with pytest.raises(SpectrumError, match="float range"):
+        FucikPoint(2, 10**400, 4.0)
+    with pytest.raises(SpectrumError, match="needs alpha or beta"):
+        FucikPoint(2)
+
+
+# no coordinate; None stands for a missing one, which needs the other given
+JUNK = [None, True, "abc", "16", b"1", [1], {}, math.nan, math.inf, -1.0, 0.0, 10**400]
+
+
+def test_intake_refuses_junk_coordinates():
+    for junk in JUNK:
+        calls = [
+            lambda: FucikPoint(3, junk),
+            lambda: FucikPoint(3, None, junk),
+            lambda: solve_beta(3, junk),
+            lambda: solve_alpha(3, junk),
+        ]
+        if junk is not None:
+            calls += [lambda: FucikPoint(3, junk, 4.0), lambda: FucikPoint(3, 16.0, junk)]
+        for call in calls:
+            with pytest.raises(SpectrumError):
+                call()
+
+
+def test_intake_completes_a_missing_coordinate():
+    assert FucikPoint(1) == FucikPoint(1, None, None) == (1, 1.0, 1.0)
+    assert FucikPoint(1, 1) == FucikPoint(1, None, 1.0) == (1, 1.0, 1.0)
+    for n in (2, 3, 4, 7, 120, 999_999):
+        for major in (n * n * 1.0, (n + 0.5) ** 2, 5.0 * n * n):
+            assert FucikPoint(n, major) == FucikPoint(n, major, solve_beta(n, major))
+            assert FucikPoint(n, None, major) == FucikPoint(n, solve_alpha(n, major), major)
+    assert FucikPoint(3, 16) == (3, 16.0, 4.0)
+    for n, coordinate in ((1, (2.0,)), (1, (None, 2.0)), (4, (4.0,)), (5, (None, 4.0))):
+        with pytest.raises(SpectrumError):
+            FucikPoint(n, *coordinate)
 
 
 def test_solve_beta_needs_room_for_positive_arcs():
