@@ -12,14 +12,16 @@ fucik.gram, imports numpy, and it loads on first use of one of its names as
 a package attribute, the way fucik.cli reaches it too; every other layer
 is floats only and loads with the package.  Every record is a
 collections.namedtuple subclass, with no generated code, so a scalar
-subcommand never loads inspect.
+subcommand never loads inspect.  fucik.spectrum holds the one rule for an
+index and the one for a real argument, which every public function checks
+its scalars with where they enter, and every refusal of the package is an
+InputError (a ValueError), of which SpectrumError is a subclass.
 """
 
 import importlib
 
 from .certify import (
     Certificate,
-    InputError,
     SystemSpec,
     certify_system,
     deviation_budget,
@@ -43,6 +45,7 @@ from .fourier import coefficient, dilation_norm_bound
 from .spectrum import (
     MEMBERSHIP_TOL,
     FucikPoint,
+    InputError,
     ReflectedCurveError,
     SpectrumError,
     dilation_parameter,

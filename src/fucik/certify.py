@@ -27,7 +27,10 @@ from .eigenfunction import moments
 from .envelope import GAMMA_MAX, envelope_root, envelope_value, zeta
 from .spectrum import (
     FucikPoint,
+    InputError,
     SpectrumError,
+    _index,
+    _real,
     dilation_parameter,
     is_diagonal,
 )
@@ -40,10 +43,6 @@ _NOTE = (
     "a pass certifies the basis property; a fail only means this sufficient "
     "criterion did not apply at the attempted split"
 )
-
-
-class InputError(ValueError):
-    """Malformed system description."""
 
 
 def projection_defect(p: FucikPoint) -> float:
@@ -127,9 +126,7 @@ class SystemSpec(
             raise InputError("only the identity tail rule is supported")
         if literal:
             return spec
-        if any(isinstance(n, bool) or not isinstance(n, int) for n in spec.split):
-            raise InputError("split indices must be integers")
-        split = tuple(sorted(spec.split))
+        split = tuple(sorted(_index(n, "split index") for n in spec.split))
         for n in split:
             if n % 2 == 1:
                 raise InputError("split indices must be even")
@@ -297,8 +294,8 @@ def deviation_budget(epsilon: float, sup_even_gamma: float) -> float:
     admissible budget per unit of the zeta-type sum is what remains of 1
     after the envelope claims its square.
     """
-    epsilon = float(epsilon)
-    sup_even_gamma = float(sup_even_gamma)
+    epsilon = _real(epsilon, "epsilon")
+    sup_even_gamma = _real(sup_even_gamma, "sup_even_gamma")
     if not 1.0 + epsilon > 1.0:
         raise InputError(f"epsilon must be positive with 1 + epsilon > 1, got {epsilon!r}")
     if not 4.0 <= sup_even_gamma:
@@ -317,10 +314,10 @@ def deviation_budget(epsilon: float, sup_even_gamma: float) -> float:
 
 def deviation_cap(n: int, epsilon: float, budget: float) -> float:
     """Largest admissible max(alpha, beta) for odd index n under the budget."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 3 or n % 2 == 0:
+    if _index(n) < 3 or n % 2 == 0:
         raise InputError("the cap applies to odd indices n >= 3")
-    epsilon = float(epsilon)
-    budget = float(budget)
+    epsilon = _real(epsilon, "epsilon")
+    budget = _real(budget, "budget")
     if not (epsilon > 0.0 and 0.0 <= budget < math.inf):
         raise InputError("need epsilon > 0 and a finite nonnegative budget")
     return (n + math.sqrt(budget) * n ** ((1.0 - epsilon) / 2.0)) ** 2

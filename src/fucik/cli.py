@@ -21,7 +21,6 @@ from .certify import (
     MODES,
     SPLIT_AUTO,
     SPLIT_DEFAULT,
-    InputError,
     certify_system,
     deviation_budget,
     deviation_cap,
@@ -32,6 +31,9 @@ from .envelope import envelope, envelope_root
 from .fourier import coefficient
 from .spectrum import (
     FucikPoint,
+    InputError,
+    _index,
+    _real,
     point_from_gamma,
     solve_beta,
     solve_alpha,
@@ -195,19 +197,14 @@ def region_rows(
     the total deviation budget.  At sup = 4 the sector collapses to the
     diagonal and arcs degenerate to single points.
     """
-    sup = float(sup)
+    sup = _real(sup, "sup")
     root = envelope_root()
     if not 4.0 <= sup <= root:
         raise InputError(
             f"sup must lie in [4, {root:.6f}], the certifiable range"
         )
-    if isinstance(nmax, bool) or not isinstance(nmax, int) or nmax < 2:
-        raise InputError("nmax must be an integer >= 2")
-    if (
-        isinstance(resolution, bool)
-        or not isinstance(resolution, int)
-        or not 2 <= resolution <= MAX_RESOLUTION
-    ):
+    _index(nmax, "nmax", 2)
+    if _index(resolution, "resolution", 2) > MAX_RESOLUTION:
         raise InputError(f"resolution must be an integer in [2, {MAX_RESOLUTION}]")
     if nmax * resolution > MAX_REGION_POINTS:
         raise InputError(f"nmax * resolution must be at most {MAX_REGION_POINTS}")
@@ -219,7 +216,7 @@ def region_rows(
         if len(alphas) > 1:
             curves.append((f"even-{n}-beta", betas, alphas))
     if epsilon is not None:
-        epsilon = float(epsilon)
+        epsilon = _real(epsilon, "epsilon")
         if not epsilon > 0.0 or not math.isfinite(epsilon):
             raise InputError("epsilon must be positive")
         # at sup equal to the envelope root the budget vanishes exactly

@@ -15,10 +15,13 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .fourier import _check_index, coefficient, dilation_norm_bound
+from .fourier import _alpha_major, dilation_norm_bound
+from .spectrum import InputError, _index, _real
 
 # the k >= 5 tail's weight: the largest compression norm over k >= 5
 TAIL_WEIGHT = dilation_norm_bound(5)
+# each displayed index k = 1..4 with its compression norm
+_HEAD = tuple((k, dilation_norm_bound(k)) for k in range(1, 5))
 
 # The k = 3 majorant has a removable singularity at gamma = 9; staying a hair
 # below keeps every factor representable without special-casing the limit.
@@ -26,9 +29,9 @@ GAMMA_MAX = 9.0 - 1e-9
 
 
 def _check_gamma(gamma: float) -> float:
-    g = float(gamma)
+    g = _real(gamma, "gamma")
     if not 4.0 <= g <= GAMMA_MAX:
-        raise ValueError("gamma must lie in [4, 9), capped at 9 - 1e-9")
+        raise InputError("gamma must lie in [4, 9), capped at 9 - 1e-9")
     return g
 
 
@@ -46,10 +49,13 @@ def coefficient_bound(k: int, gamma: float) -> float:
     it drops the oscillating sine factor from the closed form, leaving a
     positive rational expression.  All of them vanish at gamma = 4.
     """
-    _check_index(k)
-    g = _check_gamma(gamma)
+    return _majorant(_index(k, "k"), _check_gamma(gamma))
+
+
+def _majorant(k: int, g: float) -> float:
+    """coefficient_bound for an index and a gamma that are already checked."""
     if k in (1, 3):
-        return abs(coefficient(g, k))
+        return abs(_alpha_major(g, k))
     s = math.sqrt(g)
     q = (g - 4.0) / (s + 2.0)  # s - 2 without cancellation
     if k == 2:
@@ -73,10 +79,10 @@ def zeta(s: float, a: float = 1.0) -> float:
     through B14, summed by fsum: within 2.2e-16 relative of mpmath for s in
     (1, 501] and a in {1, 3/2, 5}.  zeta(s) is the Riemann zeta function.
     """
-    s = float(s)
-    a = float(a)
+    s = _real(s, "s")
+    a = _real(a, "a")
     if not (s > 1.0 and a > 0.0):
-        raise ValueError("zeta(s, a) requires s > 1 and a > 0")
+        raise InputError("zeta(s, a) requires s > 1 and a > 0")
     terms = [(k + a) ** -s for k in range(10)]
     x = a + 10.0
     edge = x ** -s
@@ -125,13 +131,7 @@ def envelope(gamma: float) -> EnvelopeEval:
     """Envelope at gamma with the five summands recorded separately; the
     k >= 5 tail is summed in full, not truncated."""
     g = _check_gamma(gamma)
-    summands = (
-        dilation_norm_bound(1) * coefficient_bound(1, g),
-        dilation_norm_bound(2) * coefficient_bound(2, g),
-        dilation_norm_bound(3) * coefficient_bound(3, g),
-        dilation_norm_bound(4) * coefficient_bound(4, g),
-        _tail_closed_form(g),
-    )
+    summands = (*(norm * _majorant(k, g) for k, norm in _HEAD), _tail_closed_form(g))
     return EnvelopeEval(g, summands, math.fsum(summands))
 
 

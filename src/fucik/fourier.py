@@ -12,11 +12,7 @@ from __future__ import annotations
 
 import math
 
-
-def _check_index(k: int) -> None:
-    """Refuse k unless it is a plain positive int: a sine index."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive integer")
+from .spectrum import InputError, _index, _real
 
 
 def _sin_pi_ratio(k: int, s: float) -> float:
@@ -58,17 +54,15 @@ def coefficient(gamma: float, k: int) -> float:
     for k = 2 and 0 otherwise.  The mirrored profile (negative arc first)
     has these coefficients times (-1)^k.
     """
-    gamma = float(gamma)
+    gamma = _real(gamma, "gamma")
     if not 4.0 <= gamma < 9.0:
-        raise ValueError("gamma must lie in [4, 9)")
-    _check_index(k)
-    return _alpha_major(gamma, k)
+        raise InputError("gamma must lie in [4, 9)")
+    return _alpha_major(gamma, _index(k, "k"))
 
 
 def dilation_norm_bound(k: int) -> float:
     """Operator-norm constant of the k-th compression: 1 if k is even,
     sqrt(1 + 1/k) if k is odd."""
-    _check_index(k)
-    if k % 2 == 0:
+    if _index(k, "k") % 2 == 0:
         return 1.0
     return math.sqrt(1.0 + 1.0 / k)

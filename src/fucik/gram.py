@@ -17,14 +17,8 @@ The Gauss-Legendre reference in
 tests/test_gram.py and the benchmark oracle (perfbench/oracle.py) check it
 independently, and the per-row engine in tests/reference.py bit for bit.
 
-Known gap: the certificate can pass systems this check falsifies.  When
-the envelope absorbs a large constant-shape family (every even n <= N at
-one dilation parameter), each rescaled member has the same component mu
-along the unit constant 1/sqrt(pi), so the truncated top eigenvalue grows
-like (N/2) mu^2 and the family is not even Bessel, while the certificate
-total does not depend on N.  At gamma = 5, N = 64 the total is 0.278
-(theta 0.527) but the top eigenvalue is 2.618 > (1 + theta)^2: the
-certificate is the false part, not the Gram matrix.
+Known gap: the certificate passes some large absorbed constant-shape
+families that this check falsifies; fucik.certify states the gap.
 """
 
 from __future__ import annotations
@@ -37,7 +31,7 @@ import numpy as np
 
 from .certify import SystemSpec, certify_system
 from .eigenfunction import _arc_row, _sign_rows, _sign_terms, _start
-from .spectrum import is_diagonal
+from .spectrum import InputError, _index, is_diagonal
 
 # Slack added on both sides of the certified window, for rounding noise only.
 CUSHION = 0.02
@@ -232,9 +226,7 @@ def gram_matrix(spec: SystemSpec, n_trunc: int, rescale: bool = True) -> np.ndar
     nothing; the members of E among themselves go through the arc-overlap
     engine, which reads the batch's arrays as they are.
     """
-    if isinstance(n_trunc, bool) or not isinstance(n_trunc, int) or n_trunc < 1:
-        raise ValueError("n_trunc must be a positive integer")
-    g = np.eye(n_trunc)
+    g = np.eye(_index(n_trunc, "n_trunc"))
     perturbed = [p for p in spec.entries if p.n <= n_trunc and not is_diagonal(p)]
     if not perturbed:
         return g
@@ -255,11 +247,11 @@ def extremal_eigenvalues(m: np.ndarray) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a symmetric matrix."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("need a square matrix")
+        raise InputError("need a square matrix")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
+        raise InputError("matrix has non-finite entries")
     if float(np.max(np.abs(m - m.T))) > 1e-8:
-        raise ValueError("matrix is not symmetric")
+        raise InputError("matrix is not symmetric")
     eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
     return float(eigs[0]), float(eigs[-1])
 
@@ -288,12 +280,12 @@ def gram_witness(spec: SystemSpec, n_trunc: int, matrix: np.ndarray) -> GramWitn
     a failing certificate claims no lower frame bound, so the floor is 0.  A truncation
     escaping the window falsifies the certificate, never the other way
     around (truncations can be tamer than the full system).  Large absorbed
-    constant-shape families do escape it (see the module docstring), so
-    within_window is False there although the certificate passes.
+    constant-shape families do escape it (the known gap that fucik.certify
+    states), so within_window is False there although the certificate passes.
     """
     theta = math.sqrt(certify_system(spec).total)
     if np.shape(matrix) != (n_trunc, n_trunc):
-        raise ValueError("matrix shape does not match n_trunc")
+        raise InputError("matrix shape does not match n_trunc")
     lo, hi = extremal_eigenvalues(matrix)
     window_low = max(1.0 - theta, 0.0) ** 2 - CUSHION
     window_high = (1.0 + theta) ** 2 + CUSHION

@@ -8,6 +8,10 @@ Even n uses n/2 arcs of each sign; odd n >= 3 uses (n+1)/2 positive and
 The index n = 1 degenerates to the plain sine line and is pinned here to the
 single representative (1, 1) because every point of the two trivial lines
 carries the same profile.
+
+This module is also the package's one intake of scalar arguments: _index
+decides what an index is and _real what a real argument is, and InputError,
+the class of every refusal, and its subclass SpectrumError live here.
 """
 
 from __future__ import annotations
@@ -21,8 +25,14 @@ from collections import namedtuple
 MEMBERSHIP_TOL = 1e-10
 
 
-class SpectrumError(ValueError):
-    """A point or parameter does not describe a valid curve member."""
+class InputError(ValueError):
+    """Every refusal of the package: a malformed system description, or an
+    argument of the wrong type or range.  The CLI exits 2 on it."""
+
+
+class SpectrumError(InputError):
+    """A point or index does not describe a valid curve member, or an
+    argument fails the index or real rule of this module."""
 
 
 class ReflectedCurveError(SpectrumError):
@@ -85,26 +95,33 @@ class FucikPoint(namedtuple("FucikPoint", "n alpha beta")):
         return super().__new__(cls, n, alpha, beta)
 
 
-def _index(n) -> int:
-    """n, refused unless it is a plain int (not a bool) of at least 1."""
+def _index(n, name: str = "index n", least: int = 1) -> int:
+    """n, refused unless it is a plain int (not a bool) of at least least:
+    the one index rule of the package."""
     if isinstance(n, bool) or not isinstance(n, int):
-        raise SpectrumError("index n must be a plain positive integer")
-    if n < 1:
-        raise SpectrumError(f"index n must be >= 1, got {n}")
+        raise SpectrumError(f"{name} must be a plain positive integer")
+    if n < least:
+        raise SpectrumError(f"{name} must be >= {least}, got {n}")
     return n
 
 
-def _coordinate(value, name: str) -> float:
-    """value as a float, refused unless a finite positive real: a value with
-    __float__ other than a bool, so not a string or bytes that float() parses."""
+def _real(value, name: str) -> float:
+    """value as a float, refused unless it has __float__ and is no bool (so
+    no string or bytes that float() parses) and no int beyond the float
+    range.  The one real rule of the package; each caller tests its range."""
     if isinstance(value, bool) or not hasattr(value, "__float__"):
         raise SpectrumError(f"{name} must be a real number")
     try:
-        value = float(value)
+        return float(value)
     except OverflowError:
         raise SpectrumError(f"{name} lies beyond the float range") from None
     except (TypeError, ValueError):
         raise SpectrumError(f"{name} must be a real number") from None
+
+
+def _coordinate(value, name: str) -> float:
+    """value as a float, refused unless a finite positive real."""
+    value = _real(value, name)
     if not math.isfinite(value) or value <= 0.0:
         raise SpectrumError(f"{name} must be finite and positive")
     return value
@@ -173,7 +190,7 @@ def dilation_parameter(p: FucikPoint) -> float:
 
 def point_from_gamma(n: int, gamma: float) -> FucikPoint:
     """Even-index point with dilation parameter gamma, alpha on the major side."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2 or n % 2 == 1:
+    if _index(n) < 2 or n % 2 == 1:
         raise SpectrumError("gamma parametrization targets even indices n >= 2")
     gamma = _coordinate(gamma, "the dilation parameter")
     if gamma < 4.0:

@@ -13,10 +13,9 @@ import numpy as np
 from fucik.certify import InputError
 from fucik.eigenfunction import SUP_NORM
 from fucik.envelope import GAMMA_MAX, TAIL_WEIGHT
-from fucik.fourier import _check_index
 from fucik.gram import ProfileBatch, build_batch
 from fucik.quadrature import integrate
-from fucik.spectrum import FucikPoint
+from fucik.spectrum import FucikPoint, _index
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +97,7 @@ def defect_details(p: FucikPoint, tol: float = 1e-12) -> dict:
 
 def quadrature_coefficient(p: FucikPoint, k: int) -> float:
     """Independent oracle: <profile(p), sqrt(2/pi) sin(k x)> by quadrature."""
-    _check_index(k)
+    _index(k, "k")
     f = profile(p)
     kk = float(k)
 
@@ -217,7 +216,7 @@ def apply_dilation(k: int, g):
     sin(k n x / 2) exactly, for every k >= 1.  g must vanish at 0 and pi so
     the folded function stays continuous.
     """
-    _check_index(k)
+    _index(k, "k")
     for probe in (0.0, math.pi):
         if abs(float(g(probe))) > 1e-9:
             raise ValueError("g must vanish at 0 and pi")

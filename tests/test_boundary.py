@@ -30,3 +30,30 @@ def test_imports_are_top_level_and_numpy_stays_in_its_layer(path):
         assert "numpy" not in roots or path.name in NUMPY_MODULES, f"{path.name}:{line}"
         # records are namedtuples: dataclasses would load inspect at start-up
         assert "dataclasses" not in roots, f"{path.name}:{line}"
+
+
+def _is_bool_test(node):
+    """True for isinstance(x, bool) and isinstance(x, (..., bool, ...))."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
+        return False
+    kinds = node.args[1] if len(node.args) > 1 else None
+    names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+    return any(getattr(name, "id", None) == "bool" for name in names)
+
+
+def _raises_value_error(node):
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", None) == "ValueError"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_one_module_types_arguments_and_refusals_are_input_errors(path):
+    # fucik.spectrum's _index and _real are the one type rule for indices
+    # and reals, and every refusal is an InputError, except in the
+    # quadrature rule that only tests import
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+        assert not _is_bool_test(node) or path.name == "spectrum.py", f"{where} tests for bool"
+        assert not _raises_value_error(node) or path.name == "quadrature.py", f"{where} raises ValueError"

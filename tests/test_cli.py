@@ -332,6 +332,20 @@ def test_coeffs_gamma_outside_its_range_exits_two(capsys, gamma):
     assert (code, out, err) == (2, "", "error: gamma must lie in [4, 9)\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gram", "--n", "0"], "n_trunc must be >= 1, got 0"),
+    (["gram", "--n", "-1"], "n_trunc must be >= 1, got -1"),
+    (["region", "--sup", "5", "--nmax", "1"], "nmax must be >= 2, got 1"),
+    (["region", "--sup", "5", "--resolution", "1"], "resolution must be >= 2, got 1"),
+    (["certify", "--split", "0"], "split index must be >= 1, got 0"),
+])
+def test_index_below_its_least_exits_two(capsys, write_spec, argv, message):
+    # the library's one index rule names the argument, its least value and the value given
+    if argv[0] != "region":
+        argv = [*argv, "--spec", write_spec({"entries": [{"n": 2, "alpha": 6.4}]})]
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("gamma", [4.0, 4.25, 5.0, 6.25, 8.75, 8.999])
 def test_coeffs_cross_check_is_the_arc_closed_form(capsys, gamma):
     code, out, err = run(capsys, ["coeffs", "--gamma", repr(gamma), "--kmax", "200"])

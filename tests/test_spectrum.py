@@ -3,9 +3,18 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import fucik
+import fucik.certify
+import fucik.spectrum
+from fucik.certify import SystemSpec, deviation_budget, deviation_cap
+from fucik.cli import region_rows
+from fucik.envelope import coefficient_bound, envelope, envelope_value, zeta
+from fucik.fourier import coefficient, dilation_norm_bound
+from fucik.gram import gram_matrix
 from fucik.spectrum import (
     MEMBERSHIP_TOL,
     FucikPoint,
+    InputError,
     ReflectedCurveError,
     SpectrumError,
     _residual,
@@ -92,6 +101,43 @@ def test_intake_refuses_junk_coordinates():
         for call in calls:
             with pytest.raises(SpectrumError):
                 call()
+    # every other public real or index argument has the same two rules
+    spec = SystemSpec((FucikPoint(2, 6.4),))
+    reals = [
+        lambda x: coefficient(x, 2),
+        lambda x: coefficient_bound(2, x),
+        envelope,
+        envelope_value,
+        zeta,
+        lambda x: zeta(2.0, x),
+        lambda x: point_from_gamma(2, x),
+        lambda x: deviation_budget(x, 5.0),
+        lambda x: deviation_budget(0.5, x),
+        lambda x: deviation_cap(3, x, 0.1),
+        lambda x: deviation_cap(3, 0.5, x),
+        region_rows,
+    ]
+    indices = [
+        lambda n: coefficient(5.0, n),
+        lambda n: coefficient_bound(n, 5.0),
+        dilation_norm_bound,
+        lambda n: point_from_gamma(n, 5.0),
+        lambda n: deviation_cap(n, 0.5, 0.1),
+        lambda n: gram_matrix(spec, n),
+        lambda n: region_rows(5.0, nmax=n),
+        lambda n: region_rows(5.0, resolution=n),
+        lambda n: SystemSpec(spec.entries, split=[n]),
+    ]
+    type_junk = [None, True, "5.5", b"5", [5], {}]
+    # None is no epsilon, so region_rows takes it
+    cases = [(call, junk) for call in reals for junk in [*type_junk, 10**400]]
+    cases += [(lambda x: region_rows(5.0, epsilon=x), junk) for junk in [*type_junk[1:], 10**400]]
+    cases += [(call, junk) for call in indices for junk in [*type_junk, 2.0]]
+    for call, junk in cases:
+        with pytest.raises(InputError):
+            call(junk)
+    assert issubclass(SpectrumError, InputError)
+    assert fucik.InputError is fucik.certify.InputError is fucik.spectrum.InputError
 
 
 def test_intake_completes_a_missing_coordinate():
