@@ -1,14 +1,15 @@
 """Command line front end.
 
-Subcommands: certify, envelope, root, coeffs, gram, region, dump.  Exit
-codes: 0 success (for certify: certified), 1 not certified, 2 bad input.
+Subcommands: certify, envelope, root, coeffs, gram, region, dump, each
+read from one table, _COMMANDS, with its flags and positionals.  Exit
+codes: 0 success (for certify: certified), 1 not certified, 2 bad input,
+an argument error included.
 All numbers are printed to 12 significant digits and identical inputs give
 byte-identical output.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import math
@@ -18,7 +19,6 @@ from array import array
 import fucik
 
 from .certify import (
-    MODES,
     SPLIT_AUTO,
     SPLIT_DEFAULT,
     certify_system,
@@ -101,15 +101,14 @@ def _load_system(path: str, mode: str | None, split: str | None):
     return parse_system(data)
 
 
-def _cmd_certify(args) -> int:
-    spec = _load_system(args.spec, args.mode, args.split)
-    cert = certify_system(spec)
+def _cmd_certify(spec: str, mode: str | None, split: str | None) -> int:
+    cert = certify_system(_load_system(spec, mode, split))
     _print_json(cert.as_dict())
     return 0 if cert.passed else 1
 
 
-def _cmd_envelope(args) -> int:
-    ev = envelope(args.gamma)
+def _cmd_envelope(gamma: float) -> int:
+    ev = envelope(gamma)
     for k, term in enumerate(ev.summands[:4], start=1):
         print(f"summand_k{k} = {_fmt(term)}")
     print(f"summand_tail = {_fmt(ev.summands[4])}")
@@ -118,40 +117,40 @@ def _cmd_envelope(args) -> int:
     return 0
 
 
-def _cmd_root(args) -> int:
+def _cmd_root() -> int:
     print(_fmt(envelope_root()))
     return 0
 
 
-def _cmd_coeffs(args) -> int:
-    if not 1 <= args.kmax <= MAX_KMAX:
+def _cmd_coeffs(gamma: float, kmax: int, csv: str | None) -> int:
+    if not 1 <= kmax <= MAX_KMAX:
         raise InputError(f"kmax must lie in [1, {MAX_KMAX}]")
-    ks = range(1, args.kmax + 1)
+    ks = range(1, kmax + 1)
     # first, so that a gamma outside [4, 9) gets coefficient's refusal
-    column = [coefficient(args.gamma, k) for k in ks]
+    column = [coefficient(gamma, k) for k in ks]
     # moments sums the profile's arcs in closed form and shares no code
     # with coefficient's two-arc formula, so each row checks one against
     # the other
-    _, arc_sums = moments(point_from_gamma(2, args.gamma), ks)
+    _, arc_sums = moments(point_from_gamma(2, gamma), ks)
     lines = ["k,coefficient,reflected_coefficient,arc_sum,abs_error"]
     for k, direct, arc_sum in zip(ks, column, arc_sums):
         reflected = -direct if k % 2 else direct  # the mirrored profile
         lines.append(
             f"{k},{_fmt(direct)},{_fmt(reflected)},{_fmt(arc_sum)},{_fmt(abs(direct - arc_sum))}"
         )
-    _write_lines(lines, args.csv)
+    _write_lines(lines, csv)
     return 0
 
 
-def _cmd_gram(args) -> int:
-    if args.n > MAX_GRAM_N:
+def _cmd_gram(spec: str, n: int, no_rescale: bool, csv: str | None) -> int:
+    if n > MAX_GRAM_N:
         raise InputError(f"n must be at most {MAX_GRAM_N}")
-    spec = _load_system(args.spec, None, None)
-    matrix = fucik.gram_matrix(spec, args.n, rescale=not args.no_rescale)
-    witness = fucik.gram_witness(spec, args.n, matrix)
+    system = _load_system(spec, None, None)
+    matrix = fucik.gram_matrix(system, n, rescale=not no_rescale)
+    witness = fucik.gram_witness(system, n, matrix)
     # the file first, so that a path that cannot be opened leaves stdout empty
-    if args.csv is not None:
-        _write_lines((",".join(map(_fmt, row)) for row in matrix), args.csv)
+    if csv is not None:
+        _write_lines((",".join(map(_fmt, row)) for row in matrix), csv)
     _print_json(witness.as_dict())
     return 0
 
@@ -280,19 +279,19 @@ def _svg_lines(curves):
     yield "</svg>"
 
 
-def _cmd_region(args) -> int:
-    curves = region_rows(
-        args.sup, nmax=args.nmax, resolution=args.resolution, epsilon=args.epsilon
-    )
+def _cmd_region(
+    sup: float, nmax: int, resolution: int, epsilon: float | None, csv: str | None, svg: str | None
+) -> int:
+    curves = region_rows(sup, nmax=nmax, resolution=resolution, epsilon=epsilon)
     # the figure first, so that a path that cannot be opened leaves stdout empty
-    if args.svg is not None:
-        _write_lines(_svg_lines(curves), args.svg)
+    if svg is not None:
+        _write_lines(_svg_lines(curves), svg)
     rows = (
         f"{cid},{_fmt(a)},{_fmt(b)}"
         for cid, alphas, betas in curves
         for a, b in zip(alphas, betas)
     )
-    _write_lines(itertools.chain(["curve_id,alpha,beta"], rows), args.csv)
+    _write_lines(itertools.chain(["curve_id,alpha,beta"], rows), csv)
     return 0
 
 
@@ -333,78 +332,176 @@ def _dump_lines(p: FucikPoint):
     yield f'  ],\n  "n": {p.n},\n  "sup_norm": {_num(max(map(abs, amps)))}\n}}'
 
 
-def _cmd_dump(args) -> int:
-    _write_lines(_dump_lines(FucikPoint(args.n, args.alpha, args.beta)), None)
+def _cmd_dump(n: int, alpha: float, beta: float | None) -> int:
+    _write_lines(_dump_lines(FucikPoint(n, alpha, beta)), None)
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fucik",
-        description="Certify asymmetric-oscillation systems as Riesz bases "
-        "of L2(0, pi) and inspect the machinery behind the criterion.",
+def _cmd_help(text: str) -> int:
+    sys.stdout.write(text)
+    return 0
+
+
+_REQUIRED = object()
+
+# Each subcommand's handler, one-line help and arguments, as
+# (name, kind, default, help).  A name starting with "--" is a flag, any
+# other a positional, taken in order.  kind converts the text (int, float
+# or str), or is bool for a switch that gives True.  An argument whose
+# default is _REQUIRED must be given.  The handler takes each value under
+# its name without dashes, "-" read as "_".
+_COMMANDS = {
+    "certify": (_cmd_certify, "run the sufficient criterion on a system file", (
+        ("--spec", str, _REQUIRED, "path of the system JSON file"),
+        ("--mode", str, None, "override the file: exact (closed-form defects) or bound (majorants)"),
+        ("--split", str, None, "override the file: default, auto or even indices as 2,4"),
+    )),
+    "envelope": (_cmd_envelope, "evaluate the coefficient envelope", (
+        ("--gamma", float, _REQUIRED, "dilation parameter"),
+    )),
+    "root": (_cmd_root, "where the envelope reaches 1", ()),
+    "coeffs": (_cmd_coeffs, "coefficient table cross-checked against the summed arcs", (
+        ("--gamma", float, _REQUIRED, "dilation parameter in [4, 9)"),
+        ("--kmax", int, 20, f"last sine index, at most {MAX_KMAX}"),
+        ("--csv", str, None, "write the table here instead of stdout"),
+    )),
+    "gram": (_cmd_gram, "truncated Gram-matrix eigenvalue witness", (
+        ("--spec", str, _REQUIRED, "path of the system JSON file"),
+        ("--n", int, _REQUIRED, f"truncation size, at most {MAX_GRAM_N}"),
+        ("--no-rescale", bool, False, "the matrix of the unscaled profiles"),
+        ("--csv", str, None, "also write the full matrix here"),
+    )),
+    "region": (_cmd_region, "emit admissible-region polylines", (
+        ("--sup", float, _REQUIRED, "dilation-parameter cap"),
+        ("--nmax", int, 9, "last curve index"),
+        ("--resolution", int, 100, "points per arc"),
+        ("--epsilon", float, None, "also emit odd-index segments for this decay"),
+        ("--csv", str, None, "write rows here instead of stdout"),
+        ("--svg", str, None, "also render a static figure here"),
+    )),
+    "dump": (_cmd_dump, "print one profile as JSON", (
+        ("n", int, _REQUIRED, "curve index"),
+        ("alpha", float, _REQUIRED, "coordinate of the positive arcs"),
+        ("beta", float, None, "coordinate of the negative arcs, completed when left out"),
+    )),
+}
+
+_DESCRIPTION = (
+    "Certify asymmetric-oscillation systems as Riesz bases of L2(0, pi) and "
+    "inspect the machinery behind the criterion."
+)
+_KIND_NAMES = {int: "an integer", float: "a number"}
+
+
+def _usage(command: str | None) -> str:
+    """The help text of the program, or of one subcommand, from the table."""
+    rows = [("-h, --help", "show this help and exit")]
+    if command is None:
+        head, summary = f"[-h] {{{','.join(_COMMANDS)}}} ...", _DESCRIPTION
+        rows += [(name, row[1]) for name, row in _COMMANDS.items()]
+    else:
+        _, summary, arguments = _COMMANDS[command]
+        words = [command, "[-h]"]
+        for name, kind, default, text in arguments:
+            spelled = name if kind is bool or name[0] != "-" else f"{name} {name[2:].upper()}"
+            words.append(spelled if default is _REQUIRED else f"[{spelled}]")
+            if default not in (_REQUIRED, None, False):
+                text += f" (default {default})"
+            rows.append((spelled, text))
+        head = " ".join(words)
+    width = max(len(left) for left, _ in rows) + 2
+    return f"usage: fucik {head}\n\n{summary}\n\n" + "".join(
+        f"  {left:<{width}}{right}\n" for left, right in rows
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("certify", help="run the sufficient criterion on a system file")
-    c.add_argument("--spec", required=True, help="path of the system JSON file")
-    c.add_argument(
-        "--mode",
-        choices=MODES,
-        help="override the file: exact closed-form defects or their majorants",
-    )
-    c.add_argument(
-        "--split",
-        help='override the file: "default" (every non-symmetric even), "auto" '
-        "(the split of least total), or comma-separated even indices",
-    )
-    c.set_defaults(handler=_cmd_certify)
 
-    e = sub.add_parser("envelope", help="evaluate the coefficient envelope")
-    e.add_argument("--gamma", type=float, required=True)
-    e.set_defaults(handler=_cmd_envelope)
+def _is_flag(token: str) -> bool:
+    """True for a token that names a flag: a dash and no number, as "--csv"
+    or "-h" but not "-10" or "-"."""
+    try:
+        float(token)
+    except ValueError:
+        return token.startswith("-") and token != "-"
+    return False
 
-    r = sub.add_parser("root", help="where the envelope reaches 1")
-    r.set_defaults(handler=_cmd_root)
 
-    k = sub.add_parser(
-        "coeffs", help="coefficient table cross-checked against the summed arcs"
-    )
-    k.add_argument("--gamma", type=float, required=True)
-    k.add_argument("--kmax", type=int, default=20)
-    k.add_argument("--csv", help="write the table here instead of stdout")
-    k.set_defaults(handler=_cmd_coeffs)
+def _match(key: str, names) -> str:
+    """The one name among names that key spells or abbreviates; -h is --help."""
+    if key == "-h":
+        return "--help"
+    if key in names:
+        return key
+    found = [name for name in names if len(key) > 2 and name.startswith(key)]
+    if len(found) == 1:
+        return found[0]
+    if found:
+        raise InputError(f"ambiguous option {key}: {' or '.join(found)}")
+    raise InputError(f"unknown option {key}")
 
-    g = sub.add_parser("gram", help="truncated Gram-matrix eigenvalue witness")
-    g.add_argument("--spec", required=True, help="path of the system JSON file")
-    g.add_argument("--n", type=int, required=True, help="truncation size")
-    g.add_argument("--no-rescale", action="store_true")
-    g.add_argument("--csv", help="also write the full matrix here")
-    g.set_defaults(handler=_cmd_gram)
 
-    m = sub.add_parser("region", help="emit admissible-region polylines")
-    m.add_argument("--sup", type=float, required=True, help="dilation-parameter cap")
-    m.add_argument("--nmax", type=int, default=9)
-    m.add_argument("--resolution", type=int, default=100)
-    m.add_argument(
-        "--epsilon", type=float, help="also emit odd-index segments for this decay"
-    )
-    m.add_argument("--csv", help="write rows here instead of stdout")
-    m.add_argument("--svg", help="also render a static figure here")
-    m.set_defaults(handler=_cmd_region)
+def _parse(argv: list[str]):
+    """(handler, keyword values) for argv, the subcommand and its arguments.
 
-    d = sub.add_parser("dump", help="print one profile as JSON")
-    d.add_argument("n", type=int)
-    d.add_argument("alpha", type=float)
-    d.add_argument("beta", type=float, nargs="?")
-    d.set_defaults(handler=_cmd_dump)
-    return parser
+    Flags come in any order, as "--flag value" or "--flag=value", and any
+    unique prefix names a flag.  A value or positional may be a negative
+    number, and every token after "--" is a positional.  -h or --help
+    anywhere gives the help handler and the usage text.
+    """
+    if not argv:
+        raise InputError(f"a subcommand is required: {', '.join(_COMMANDS)}")
+    command, *rest = argv
+    if _is_flag(command):
+        _match(command, ("--help",))
+        return _cmd_help, {"text": _usage(None)}
+    if command not in _COMMANDS:
+        raise InputError(f"unknown subcommand {command!r}: choose from {', '.join(_COMMANDS)}")
+    handler, _, arguments = _COMMANDS[command]
+    flags = {name: kind for name, kind, _, _ in arguments if name.startswith("--")}
+    flags["--help"] = None
+    given, loose = {}, []
+    tokens = iter(rest)
+    for token in tokens:
+        if token == "--":
+            loose.extend(tokens)
+        elif not _is_flag(token):
+            loose.append(token)
+        else:
+            key, eq, value = token.partition("=")
+            name = _match(key, flags)
+            if name == "--help":
+                return _cmd_help, {"text": _usage(command)}
+            if flags[name] is bool:
+                if eq:
+                    raise InputError(f"{name} takes no value")
+                value = True
+            elif not eq:
+                value = next(tokens, None)
+                if value is None or _is_flag(value):
+                    raise InputError(f"{name} needs a value")
+            given[name] = value
+    positionals = [name for name, _, _, _ in arguments if not name.startswith("--")]
+    if len(loose) > len(positionals):
+        raise InputError(f"unexpected argument {loose[len(positionals)]!r}")
+    given.update(zip(positionals, loose))
+    values = {}
+    for name, kind, default, _ in arguments:
+        dest = name.lstrip("-").replace("-", "_")
+        if name not in given:
+            if default is _REQUIRED:
+                raise InputError(f"{name} is required")
+            values[dest] = default
+            continue
+        try:
+            values[dest] = kind(given[name])
+        except ValueError:
+            raise InputError(f"{name} needs {_KIND_NAMES[kind]}, got {given[name]!r}") from None
+    return handler, values
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        handler, values = _parse(sys.argv[1:] if argv is None else list(argv))
+        return handler(**values)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .spectrum import FucikPoint, SpectrumError, _arc_counts
+from .spectrum import FucikPoint, SpectrumError, _arc_counts, _real
 
 SUP_NORM = math.sqrt(2.0 / math.pi)
 
@@ -158,9 +158,13 @@ def moments(p: FucikPoint, indices) -> tuple[float, list[float]]:
     / (2 P) with p = rint(j / 2P), where j - 2 P p is an exact integer, and
     theta = j pi / 2 - j (Q + 1 - P) w- / 2 for the positive arcs,
     j pi / 2 + j (Q + 1 - P) w+ / 2 for the negative ones.  A point that
-    _arc_row refuses raises its SpectrumError.
+    _arc_row refuses raises its SpectrumError, and so does an index that
+    _real refuses.
     """
     plus, minus = _sign_rows(p)
-    inner = [_sign_terms(j, plus, math.sin, round, math.fmod)
-             + _sign_terms(j, minus, math.sin, round, math.fmod) for j in map(float, indices)]
+    inner = []
+    for j in indices:
+        j = _real(j, "sine index")
+        inner.append(_sign_terms(j, plus, math.sin, round, math.fmod)
+                     + _sign_terms(j, minus, math.sin, round, math.fmod))
     return plus[8], inner

@@ -245,7 +245,10 @@ def gram_matrix(spec: SystemSpec, n_trunc: int, rescale: bool = True) -> np.ndar
 
 def extremal_eigenvalues(m: np.ndarray) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a symmetric matrix."""
-    m = np.asarray(m, dtype=float)
+    try:
+        m = np.asarray(m, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError("matrix entries must be real numbers") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError("need a square matrix")
     if not np.all(np.isfinite(m)):

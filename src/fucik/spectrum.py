@@ -17,12 +17,14 @@ the class of every refusal, and its subclass SpectrumError live here.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 # Absolute tolerance on the tiling residual.  The residual is an O(1)
 # quantity (a length deficit measured against pi), so an absolute test is
 # meaningful across the whole working range.
 MEMBERSHIP_TOL = 1e-10
+_FLOAT_MAX = sys.float_info.max
 
 
 class InputError(ValueError):
@@ -96,12 +98,15 @@ class FucikPoint(namedtuple("FucikPoint", "n alpha beta")):
 
 
 def _index(n, name: str = "index n", least: int = 1) -> int:
-    """n, refused unless it is a plain int (not a bool) of at least least:
-    the one index rule of the package."""
+    """n, refused unless it is a plain int (not a bool) of at least least
+    and within the float range, where the arc counts of a curve index meet
+    floats: the one index rule of the package."""
     if isinstance(n, bool) or not isinstance(n, int):
         raise SpectrumError(f"{name} must be a plain positive integer")
     if n < least:
         raise SpectrumError(f"{name} must be >= {least}, got {n}")
+    if n > _FLOAT_MAX:
+        raise SpectrumError(f"{name} lies beyond the float range")
     return n
 
 

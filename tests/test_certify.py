@@ -202,6 +202,22 @@ def test_parse_rejects_malformed_input():
         parse_system({"entries": [{"n": 2, "alpha": 5.0}], "tail_rule": "mirror"})
 
 
+def test_parse_names_an_index_beyond_the_float_range():
+    # the curve equation meets the arc counts with floats, so such an index
+    # is refused as a bad entry, not as an overflow
+    n = 10**400
+    for entry in ({"n": n, "alpha": 5.0}, {"n": n, "beta": 5.0}, {"n": n, "alpha": 5.0, "beta": 5.0}):
+        with pytest.raises(InputError) as info:
+            parse_system({"entries": [entry]})
+        assert str(info.value) == f"entry n={n}: index n lies beyond the float range"
+        assert isinstance(info.value.__cause__, SpectrumError)
+    # bound mode builds no profile, so an index above the profile cap that a
+    # float holds is still taken
+    for n in (1_000_001, 10**60 + 1):
+        spec = parse_system({"entries": [{"n": n, "alpha": (1.2 * n) ** 2}], "mode": "bound"})
+        assert spec.entries[0].n == n and certify_system(spec).passed
+
+
 def test_parse_refuses_every_junk_coordinate():
     for junk in JUNK:
         entries = [{"n": 3, "alpha": junk}, {"n": 3, "beta": junk}]

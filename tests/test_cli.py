@@ -191,6 +191,13 @@ def test_certify_survives_any_spec_file(tmp_path_factory, spec):
             _strict_json(out.getvalue())
 
 
+def test_an_index_beyond_the_float_range_names_its_entry(capsys, write_spec):
+    n = 10**400
+    code, out, err = run(capsys, ["certify", "--spec", write_spec({"entries": [{"n": n, "alpha": 5.0}]})])
+    assert (code, out) == (2, "")
+    assert err == f"error: entry n={n}: index n lies beyond the float range\n"
+
+
 @pytest.mark.parametrize("argv, spec", [
     (["dump", "3", "1e308"], None),
     (["certify"], _HUGE_EXACT),
@@ -301,10 +308,7 @@ def test_numeric_flags_never_crash(tmp_path_factory, argv):
     if not spec.exists():
         spec.write_text('{"entries": [{"n": 2, "alpha": 6.4}]}', encoding="utf-8")
     argv = [a.format(spec=spec) for a in argv]
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse refuses a value it cannot convert
-        code = exc.code
+    code = main(argv)
     assert code in (0, 1, 2)
 
 
@@ -463,6 +467,105 @@ def test_writer_bytes_are_pinned(capsys, write_spec, tmp_path, name):
     assert (code, err) == (0, "")
     data = out.read_bytes() if "{out}" in argv else stdout.encode("utf-8")
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# pinned runs spelled with unique prefixes, "=" and the flags in another order
+SHORT_FORMS = {
+    "certify-readme-bound": ["certify", "--m=bound", "--spe", "{readme}"],
+    "certify-readme-auto": ["certify", "--spl", "auto", "--spec={readme}"],
+    "coeffs": ["coeffs", "--k=6", "--g", "6.25"],
+    "region-csv": ["region", "--cs={out}", "--eps", "0.5", "--res=6", "--nm", "4", "--su", "5"],
+    "region-svg": ["region", "--e=0.5", "--sv", "{out}", "--r", "6", "--n=4", "--sup=5"],
+    "region-diagonal-csv": ["region", "--res=5", "--nm", "4", "--su=4"],
+    "dump-long": ["dump", "--", "999", "998001.3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHORT_FORMS))
+def test_short_spellings_give_the_pinned_bytes(capsys, write_spec, tmp_path, name):
+    argv, digest = SHORT_FORMS[name], WRITER_PINS[name][1]
+    out = tmp_path / "out"
+    readme = _readme_spec(tmp_path)
+    code, stdout, err = run(capsys, [a.format(out=out, readme=readme) for a in argv])
+    assert (code, err) == (0, "")
+    data = out.read_bytes() if any("{out}" in a for a in argv) else stdout.encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+# the README grammar: each subcommand's flags and positionals
+GRAMMAR = {
+    "certify": ["--spec", "--mode", "--split"],
+    "envelope": ["--gamma"],
+    "root": [],
+    "coeffs": ["--gamma", "--kmax", "--csv"],
+    "gram": ["--spec", "--n", "--no-rescale", "--csv"],
+    "region": ["--sup", "--nmax", "--resolution", "--epsilon", "--csv", "--svg"],
+    "dump": ["n", "alpha", "beta"],
+}
+
+
+def test_the_table_holds_the_readme_grammar():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.S).group(1).splitlines()
+    assert [line.split()[1] for line in lines] == list(GRAMMAR)
+    for line in lines:
+        flags = [name for name in GRAMMAR[line.split()[1]] if name.startswith("--")]
+        assert re.findall(r"--[\w-]+", line) == flags, line
+    table = {name: [arg[0] for arg in row[2]] for name, row in fucik.cli._COMMANDS.items()}
+    assert table == GRAMMAR
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"]]
+                         + [[name, flag] for name in GRAMMAR for flag in ("--help", "-h")])
+def test_help_goes_to_stdout_and_names_every_argument(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: fucik ")
+    names = GRAMMAR[argv[0]] if argv[0] in GRAMMAR else list(GRAMMAR)
+    for name in names:
+        assert re.search(rf"(?<![\w-]){name}(?![\w-])", out), name
+
+
+@pytest.mark.parametrize("argv, token", [
+    (["frobnicate"], "'frobnicate'"),
+    ([], "a subcommand is required"),
+    (["root", "--verbose"], "--verbose"),
+    (["envelope", "-x", "5"], "-x"),
+    (["certify", "--s", "x.json"], "ambiguous option --s"),
+    (["coeffs", "--kmax", "6", "--gamma"], "--gamma"),
+    (["region", "--sup", "--nmax", "4"], "--sup"),
+    (["coeffs", "--kmax", "6"], "--gamma"),
+    (["dump"], "n is required"),
+    (["coeffs", "--gamma", "6.25", "--kmax", "six"], "'six'"),
+    (["coeffs", "--gamma", "6.25", "--kmax", "2.5"], "'2.5'"),
+    (["envelope", "--gamma=five"], "'five'"),
+    (["dump", "3.5", "16"], "'3.5'"),
+    (["dump", "3", "16", "4", "5"], "'5'"),
+    (["root", "extra"], "'extra'"),
+    (["gram", "--no-rescale=yes", "--n", "4", "--spec", "x.json"], "--no-rescale"),
+], ids=["unknown-subcommand", "no-subcommand", "unknown-flag", "unknown-short-flag",
+        "ambiguous-prefix", "missing-value", "flag-for-value", "missing-required",
+        "missing-positional", "non-numeric-int", "fractional-int", "non-numeric-float",
+        "fractional-positional", "extra-positional", "argument-for-none", "value-for-switch"])
+def test_argument_errors_exit_two_and_name_the_token(capsys, argv, token):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert token in err, err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dump", "3", "-10"], "alpha must be finite and positive"),
+    (["dump", "-3", "16"], "index n must be >= 1, got -3"),
+    (["region", "--sup", "5", "--epsilon", "-1"], "epsilon must be positive"),
+    (["region", "--sup", "5", "--epsilon=-1e-3"], "epsilon must be positive"),
+    (["gram", "--spec", "{spec}", "--n", "-4"], "n_trunc must be >= 1, got -4"),
+    (["certify", "--spec", "{spec}", "--mode", "fast"], "mode must be one of ('exact', 'bound')"),
+])
+def test_negative_numbers_and_modes_reach_the_library(capsys, write_spec, argv, message):
+    spec = write_spec({"entries": [{"n": 2, "alpha": 6.4}]})
+    code, out, err = run(capsys, [a.format(spec=spec) for a in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_region_output_is_deterministic_and_on_curve(capsys):
@@ -675,6 +778,8 @@ def test_exact_defect_is_clamped_at_zero(capsys, write_spec):
 ARRAY_LAYERS = ("numpy", "fucik.gram")
 # what a dataclass would load at start-up; numpy loads inspect on its own
 INTROSPECTION = ("dataclasses", "inspect")
+# what an argparse parser would load at start-up
+PARSING = ("argparse", "gettext")
 
 
 def _loaded_after(code, watched=ARRAY_LAYERS):
@@ -697,7 +802,7 @@ def test_scalar_subcommands_start_without_numpy(tmp_path, write_spec):
     # both entries are off their diagonal, so exact mode takes their defects
     odd = write_spec({"entries": [{"n": 3, "alpha": 10.0}, {"n": 7, "alpha": 50.5}]}, "odd.json")
     # every subcommand but gram loads neither numpy nor the Gram layer, and
-    # none of these loads dataclasses or inspect
+    # none of these loads dataclasses, inspect, argparse or gettext
     for argv in (
         ["envelope", "--gamma", "5"],
         ["root"],
@@ -717,14 +822,23 @@ def test_scalar_subcommands_start_without_numpy(tmp_path, write_spec):
         ["dump", "2", "1e30"],
         ["certify", "--spec", write_spec({"entries": [{"n": 3, "alpha": 1e30}]}, "narrow.json"),
          "--mode", "exact"],
+        ["--help"],
+        ["region", "--help"],
     ):
-        # as `python -m fucik` runs it
-        code = (
-            f"import runpy, sys\nsys.argv = ['fucik', *{argv!r}]\n"
-            "try:\n    runpy.run_module('fucik', run_name='__main__')\n"
-            "except SystemExit as exit:\n    assert exit.code in (0, 1), exit.code\n"
-        )
-        assert _loaded_after(code, ARRAY_LAYERS + INTROSPECTION) == set(), argv
+        code = _as_main(argv)
+        assert _loaded_after(code, ARRAY_LAYERS + INTROSPECTION + PARSING) == set(), argv
+    # gram loads the array layers, but no argument parser either
+    code = _as_main(["gram", "--spec", absorbed, "--n", "16"])
+    assert _loaded_after(code, ARRAY_LAYERS + PARSING) == set(ARRAY_LAYERS)
+
+
+def _as_main(argv):
+    """Code that runs argv as `python -m fucik` does and checks it exits 0 or 1."""
+    return (
+        f"import runpy, sys\nsys.argv = ['fucik', *{argv!r}]\n"
+        "try:\n    runpy.run_module('fucik', run_name='__main__')\n"
+        "except SystemExit as exit:\n    assert exit.code in (0, 1), exit.code\n"
+    )
 
 
 def test_dump_of_a_long_chain_stays_small():

@@ -178,6 +178,12 @@ def test_moments_refuse_what_build_refuses(alpha, beta):
         batch_moments([good, FucikPoint(3, alpha, beta), good], [[2], [3], [2]])
 
 
+@pytest.mark.parametrize("junk", ["x", "2", b"2", None, True])
+def test_moments_refuse_an_index_that_is_no_real_number(junk):
+    with pytest.raises(SpectrumError, match="sine index must be a real number"):
+        moments(point_from_gamma(2, 5.0), (2, junk))
+
+
 def test_narrow_arcs_that_build_get_closed_form_moments(monkeypatch):
     # w+ = pi * 1e-15, about 7 ulp(pi): narrow arcs whose moments still come
     # from the closed form

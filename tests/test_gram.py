@@ -9,7 +9,7 @@ from reference import evaluate, per_row_gram, profile, quadrature_coefficient
 
 import fucik.gram
 import fucik.quadrature
-from fucik.certify import SystemSpec, certify_system, parse_system, profile_scaling
+from fucik.certify import InputError, SystemSpec, certify_system, parse_system, profile_scaling
 from fucik.cli import main
 from fucik.gram import (
     _exact_gram,
@@ -295,6 +295,12 @@ def test_extremal_eigenvalues_validation():
         extremal_eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         extremal_eigenvalues(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("junk", ["ab", [["x", 1.0], [1.0, 1.0]], [[1j]]])
+def test_extremal_eigenvalues_refuse_entries_that_are_no_numbers(junk):
+    with pytest.raises(InputError, match="matrix entries must be real numbers"):
+        extremal_eigenvalues(junk)
 
 
 def test_witness_for_a_certified_sparse_system():
