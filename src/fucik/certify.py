@@ -75,12 +75,15 @@ def projection_defect_bound(p: FucikPoint) -> float:
     if n % 2 == 0:
         const = 8.0 * (3.0 + math.pi * math.pi) / 9.0
         dev = max(sa, sb) - n
-    elif sa >= n:
-        const = 8.0 * n * n * (n * n + 1.0) / (n - 1.0) ** 4
-        dev = sa - n
     else:
-        const = 10.0 * n * n * (n * n + 1.0) / (n + 1.0) ** 4
-        dev = sb - n
+        # n^2 (n^2 + 1) / (n -+ 1)^4 in r = 1 / n, finite for every float n
+        r = 1.0 / n
+        if sa >= n:
+            const = 8.0 * (1.0 + r * r) / (1.0 - r) ** 4
+            dev = sa - n
+        else:
+            const = 10.0 * (1.0 + r * r) / (1.0 + r) ** 4
+            dev = sb - n
     return const * (dev / n) ** 2
 
 

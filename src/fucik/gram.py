@@ -9,7 +9,10 @@ give an identity block, a member of E against a sine is one O(1)
 closed-form inner product (batch_moments), and only the members of E among
 themselves are summed as closed-form integrals of sine products over the
 overlaps of two profiles' arcs, laid out by build_batch, many rows of the
-matrix to one numpy sweep.  This is the one layer of the package that
+matrix to one numpy sweep.  Two even profiles n_i, n_j repeat together
+g = gcd(n_i / 2, n_j / 2) times over (0, pi), so their entry sums one shared
+period and multiplies by g; a diagonal entry is the squared norm of the
+profile's own arcs.  This is the one layer of the package that
 imports numpy: build_batch and batch_moments run the floats-only rules of
 fucik.eigenfunction (_arc_row, _start, _sign_rows, _sign_terms) elementwise
 on arrays, bit for bit what arcs and moments give one point at a time.
@@ -30,7 +33,7 @@ from collections import namedtuple
 import numpy as np
 
 from .certify import SystemSpec, certify_system
-from .eigenfunction import _arc_row, _sign_rows, _sign_terms, _start
+from .eigenfunction import _TINY, _arc_row, _sign_rows, _sign_terms, _start
 from .spectrum import InputError, _index, is_diagonal
 
 # Slack added on both sides of the certified window, for rounding noise only.
@@ -128,13 +131,21 @@ def _exact_gram(batch: ProfileBatch) -> np.ndarray:
 
     Reads the batch's concatenated arc arrays as they are.  Arcs
     A sin(w (x - s)) and B sin(v (x - t)) overlapping on [m - h, m + h]
-    give AB [h cos(a - b) sinc((w - v) h) - cos(a + b) sin((w + v) h) / (w + v)]
-    with a = w (m - s), b = v (m - t), sinc(y) = sin(y) / y.  Every overlap
-    starts at an arc start of one side, inside one arc of the other side, so
-    row i against its partners j >= i takes sum_j (n_i + n_j - 1) terms.
-    Consecutive rows share one sweep of at most PASS_TERMS terms (see
-    passes), and each entry is one bincount over its own terms in a fixed
-    order, so the matrix does not depend on how the rows are grouped.
+    give AB [h cos(a - b) sin(z) / z - cos(a + b) sin((w + v) h) / (w + v)]
+    with a = w (m - s), b = v (m - t), z = (w - v) h, moved off z = 0 by
+    _TINY as in _sign_terms.  Every overlap starts at an arc start of one
+    side, inside one arc of the other side.  An even profile is n / 2
+    copies of one (positive, negative) pair of arcs, up to the rounding of
+    the laid-out starts, so two even profiles n_i, n_j repeat together
+    g_ij = gcd(n_i / 2, n_j / 2) times over (0, pi); a pair with an odd
+    member has g_ij = 1.  Pair (i, j), j > i, sums its first period, the
+    n_i / g_ij arcs of i and the n_j / g_ij - 1 starts of j inside it, and
+    multiplies by g_ij: row i takes sum_{j > i} ((n_i + n_j) / g_ij - 1)
+    terms.  The diagonal is each profile's squared norm, A^2 (e - s) / 2
+    summed over its own arcs.  Consecutive rows share one sweep of at most
+    PASS_TERMS terms (see passes), and each entry is one bincount over its
+    own terms in a fixed order, so the matrix does not depend on how the
+    rows are grouped.
     """
     off = batch.offsets
     count = np.diff(off)
@@ -143,21 +154,28 @@ def _exact_gram(batch: ProfileBatch) -> np.ndarray:
     # integer keys that order the starts exactly as their values do
     uniques, rank = np.unique(starts, return_inverse=True)
     stride = len(uniques)
-    partners = size - np.arange(size)
+    # every pair (i, j), j > i, row by row: those of row i start at at[i]
+    partners = size - 1 - np.arange(size)
+    at = _firsts(partners)
+    pairs_i = np.repeat(np.arange(size), partners)
+    pairs_j = pairs_i + 1 + np.arange(len(pairs_i)) - np.repeat(at, partners)
+    # two even profiles repeat together gcd(n_i / 2, n_j / 2) times over (0, pi)
+    n_i, n_j = count[pairs_i], count[pairs_j]
+    periods = np.where((n_i | n_j) & 1, 1, np.gcd(n_i >> 1, n_j >> 1))
+    # pair (i, j) sums the arcs of i in its first period, each against the
+    # arc of j that holds its start, then the starts of j inside that
+    # period, each against the arc of i that holds it
+    n_arcs, n_starts = n_i // periods, n_j // periods - 1
     g = np.zeros((size, size))
-    # row i: n_i terms with each partner and one per start in (0, pi) of profiles i..
-    for r0, r1 in passes((partners * count + off[-1] - off[:-1] - partners).tolist()):
+    for r0, r1 in passes(np.add.reduceat(n_arcs + n_starts, at[:-1]).tolist()):
         rows = np.arange(r0, r1)
-        part = partners[r0:r1]
-        pair_i = np.repeat(rows, part)
-        pair_j = pair_i + np.arange(len(pair_i)) - np.repeat(_firsts(part), part)
+        sweep = slice(at[r0], at[r1])
+        pair_i, pair_j = pairs_i[sweep], pairs_j[sweep]
         n_pairs = len(pair_i)
-        # pair (i, j) sums the arcs of i, each against the arc of j that
-        # holds its start, then the starts in (0, pi) of j, each against the
-        # arc of i that holds it.  The sweep lists the first kind of term for
-        # every pair, then the second; ai and aj start as the arc whose start
-        # a term lists, and the holding arcs are filled in below
-        runs = np.concatenate((count[pair_i], count[pair_j] - 1))
+        # the sweep lists the first kind of term for every pair, then the
+        # second; ai and aj start as the arc whose start a term lists, and
+        # the holding arcs are filled in below
+        runs = np.concatenate((n_arcs[sweep], n_starts[sweep]))
         first = _firsts(runs)
         n_own, theirs = int(first[n_pairs]), runs[n_pairs:]
         shift = np.concatenate((off[pair_i], off[pair_j] + 1)) - first
@@ -169,10 +187,15 @@ def _exact_gram(batch: ProfileBatch) -> np.ndarray:
         # that lie below it
         own = np.repeat((rows - r0) * stride, count[r0:r1]) + rank[off[r0] : off[r1]]
         key = rank[aj[n_own:]] + np.repeat((pair_i - r0) * stride, theirs)
-        np.add(np.searchsorted(own, key), off[r0] - 1, out=ai[n_own:])
+        inside = ai[n_own:]
+        np.add(np.searchsorted(own, key), off[r0] - 1, out=inside)
+        # a start of j that rounding puts past the period's last arc of i
+        # stays in that arc, a sliver of a few ulp at most, so no term
+        # lands in the next pair's bins
+        np.minimum(inside, np.repeat(off[pair_i] + runs[:n_pairs] - 1, theirs), out=inside)
         # a start of i lies in the arc of j counted by the starts of j below
         # it: bin those by the arc of i holding them and count the bins before
-        key = ai[n_own:] + np.repeat(first[:n_pairs] - off[pair_i], theirs)
+        key = inside + np.repeat(first[:n_pairs] - off[pair_i], theirs)
         held = np.bincount(key, minlength=n_own)
         aj[:n_own] = np.repeat(off[pair_j] - first[n_pairs:] + n_own, runs[:n_pairs])
         aj[1:n_own] += np.cumsum(held[:-1])
@@ -192,12 +215,15 @@ def _exact_gram(batch: ProfileBatch) -> np.ndarray:
         b *= v
         near = np.subtract(a, b, out=mid)
         a += b
-        y = np.subtract(w, v, out=b)
-        y *= h / math.pi
+        z = np.subtract(w, v, out=b)
+        z *= h
+        z += _TINY
+        w += v
+        sinc = np.sin(z, out=v)
+        sinc /= z
         np.cos(near, out=near)
         near *= h
-        near *= np.sinc(y)
-        w += v
+        near *= sinc
         far = np.cos(a, out=a)
         h *= w
         far *= np.sin(h, out=h)
@@ -207,8 +233,12 @@ def _exact_gram(batch: ProfileBatch) -> np.ndarray:
         vals *= near
         # bincount adds in input order: within a pair, arcs of i before starts of j
         pair = np.repeat(np.tile(np.arange(n_pairs), 2), runs)
-        g[pair_i, pair_j] = np.bincount(pair, weights=vals, minlength=n_pairs)
-    return g + np.triu(g, 1).T
+        g[pair_i, pair_j] = np.bincount(pair, weights=vals, minlength=n_pairs) * periods[sweep]
+    g += g.T
+    norms = amps * amps
+    norms *= ends - starts
+    np.fill_diagonal(g, 0.5 * np.bincount(np.repeat(np.arange(size), count), weights=norms, minlength=size))
+    return g
 
 
 def gram_matrix(spec: SystemSpec, n_trunc: int, rescale: bool = True) -> np.ndarray:

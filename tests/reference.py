@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fucik.certify import InputError
-from fucik.eigenfunction import SUP_NORM
+from fucik.eigenfunction import _TINY, SUP_NORM
 from fucik.envelope import GAMMA_MAX, TAIL_WEIGHT
 from fucik.gram import ProfileBatch, build_batch
 from fucik.quadrature import integrate
@@ -127,41 +127,56 @@ def profile_moments(f: Profile, n: int) -> tuple[float, float]:
 def per_row_gram(batch: ProfileBatch) -> np.ndarray:
     """Unscaled Gram matrix of a batch by the arc-overlap formula of
     fucik.gram._exact_gram, one row at a time: row i finds the arcs holding
-    each start with searchsorted and sums its pair (i, j) terms, the arcs of
-    i before the starts of j, with one bincount.  The swept engine is held
-    to it bit for bit."""
+    each start with searchsorted and sums its pair (i, j), j > i, over the
+    pair's first shared period, the arcs of i before the starts of j, with
+    one bincount, times the number of periods; the diagonal is each
+    profile's A^2 (e - s) / 2 summed over its arcs.  The swept engine is
+    held to it bit for bit."""
     off = batch.offsets
     count = np.diff(off)
     size = len(batch.points)
     starts, ends, amps, freqs = batch.starts, batch.ends, batch.amps, batch.freqs
     owner = np.repeat(np.arange(size), count)
-    later = np.delete(np.arange(off[-1]), off[:-1])  # all starts but each first 0.0
+    local = np.arange(off[-1]) - off[owner]
     g = np.zeros((size, size))
-    for i in range(size):
-        n_i, lo, partners = count[i], off[i], size - i
+    for i in range(size - 1):
+        n_i, lo, partners = count[i], off[i], size - i - 1
+        # two even profiles repeat together gcd(n_i / 2, n_j / 2) times
+        rest = count[i + 1:]
+        per = np.where((n_i | rest) & 1, 1, np.gcd(n_i >> 1, rest >> 1))
+        mine = n_i // per
         own = starts[lo:off[i + 1]]
-        # partner starts in (0, pi); the arc of i holding one is the last to start below it
-        theirs = later[np.searchsorted(later, lo):]
-        pair_t = owner[theirs] - i
-        below = np.searchsorted(own, starts[theirs])
+        # partner starts in (0, pi) inside the pair's first period
+        theirs = np.flatnonzero((owner > i) & (local > 0))
+        pair_t = owner[theirs] - i - 1
+        inside = local[theirs] < rest[pair_t] // per[pair_t]
+        theirs, pair_t = theirs[inside], pair_t[inside]
+        # the arc of i holding one is the last to start below it, and never
+        # past the period's last arc
+        below = np.minimum(np.searchsorted(own, starts[theirs]), mine[pair_t])
         # a start of i lies in the partner arc counted by the partner starts at or before it
         hist = np.bincount(pair_t * (n_i + 1) + below, minlength=partners * (n_i + 1))
-        holder = off[i:-1, None] + np.cumsum(hist.reshape(partners, -1)[:, :n_i], axis=1)
-        ai = np.concatenate((np.tile(np.arange(lo, lo + n_i), partners), lo + below - 1))
-        aj = np.concatenate((holder.ravel(), theirs))
-        left = np.concatenate((np.tile(own, partners), starts[theirs]))
-        pair = np.concatenate((np.repeat(np.arange(partners), n_i), pair_t))
+        holder = off[i + 1:-1, None] + np.cumsum(hist.reshape(partners, -1)[:, :n_i], axis=1)
+        keep = np.arange(n_i) < mine[:, None]
+        pair, arc = np.nonzero(keep)
+        ai = np.concatenate((lo + arc, lo + below - 1))
+        aj = np.concatenate((holder[keep], theirs))
+        left = np.concatenate((own[arc], starts[theirs]))
+        pair = np.concatenate((pair, pair_t))
         h = 0.5 * (np.minimum(ends[ai], ends[aj]) - left)
         mid = left + h
         w, v = freqs[ai], freqs[aj]
         a = w * (mid - starts[ai])
         b = v * (mid - starts[aj])
+        z = (w - v) * h + _TINY
         vals = amps[ai] * amps[aj] * (
-            h * np.cos(a - b) * np.sinc((w - v) * (h / math.pi))
+            h * np.cos(a - b) * (np.sin(z) / z)
             - np.cos(a + b) * np.sin((w + v) * h) / (w + v)
         )
-        g[i, i:] = np.bincount(pair, weights=vals, minlength=partners)
-    return g + np.triu(g, 1).T
+        g[i, i + 1:] = np.bincount(pair, weights=vals, minlength=partners) * per
+    g += g.T
+    np.fill_diagonal(g, 0.5 * np.bincount(owner, weights=amps * amps * (ends - starts), minlength=size))
+    return g
 
 
 def combined_criterion(residual_defect: float, families) -> tuple[float, bool]:

@@ -83,6 +83,18 @@ def test_odd_minor_side_bound_branch():
     assert projection_defect_bound(beta_major) == pytest.approx(expected, rel=1e-12)
 
 
+def test_odd_bound_constants_keep_the_old_form_to_4_ulp():
+    # the constants are n^2 (n^2 + 1) / (n -+ 1)^4 times 8 or 10, now taken
+    # in r = 1 / n; at sqrt = 9 n / 8 the factor ((sqrt - n) / n)^2 is 2^-6,
+    # so the bound times 64 is the constant to the last bit
+    for n in [*range(3, 2002, 2), 999_999]:
+        square = (1.125 * n) ** 2
+        for p, const in ((FucikPoint(n, square), 8.0 * n * n * (n * n + 1.0) / (n - 1.0) ** 4),
+                         (FucikPoint(n, None, square), 10.0 * n * n * (n * n + 1.0) / (n + 1.0) ** 4)):
+            assert max(math.sqrt(p.alpha), math.sqrt(p.beta)) == 1.125 * n
+            assert abs(64.0 * projection_defect_bound(p) - const) <= 4.0 * math.ulp(const), (n, p)
+
+
 def test_defect_identity_agreement():
     d = defect_details(point_from_gamma(2, 5.0))
     assert d["norm_sq"] == pytest.approx(0.8454915028125262, abs=1e-11)

@@ -763,6 +763,16 @@ def test_profile_cap_stops_every_route_that_builds(capsys, monkeypatch, write_sp
     assert code in (0, 1) and err == "" and json.loads(out)["mode"] == "bound"
 
 
+def test_bound_mode_takes_an_index_past_the_square_of_the_float_range(capsys, write_spec):
+    # n^4 is past the float range, n itself is not: the odd constant is
+    # taken in 1 / n, and the bound is 8 (0.2)^2 to rounding
+    n = 10**150 + 1
+    spec = write_spec({"entries": [{"n": n, "alpha": (1.2 * n) ** 2}], "mode": "bound"})
+    code, out, err = run(capsys, ["certify", "--spec", spec, "--mode", "bound"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["total"] == pytest.approx(0.32, rel=1e-12)
+
+
 def test_exact_defect_is_clamped_at_zero(capsys, write_spec):
     # 1 - <f, mode>^2 / |f|^2 rounds to -4.4e-16 on this nearly symmetric point
     spec = write_spec({"entries": [{"n": 999999, "alpha": 999998000003.0}]})

@@ -149,10 +149,14 @@ def test_norm_bound_holds_on_even_trig_sums(k, a, b):
     def f(x):
         return a * np.sin(2.0 * np.asarray(x)) + b * np.sin(4.0 * np.asarray(x))
 
-    base = integrate(lambda x: f(x) ** 2, 0.0, math.pi, tol=1e-11)
-    if base < 1e-12:
+    # |f|^2 = (a^2 + b^2) pi / 2; the quadrature error is absolute, so its
+    # tolerance shrinks with a small f, whose sqrt(base) it would swamp
+    scale = a * a + b * b
+    if scale * math.pi / 2.0 < 1e-12:
         return
+    tol = 1e-11 * min(1.0, scale)
+    base = integrate(lambda x: f(x) ** 2, 0.0, math.pi, tol=tol)
     t = apply_dilation(k, f)
     brk = [j * math.pi / k for j in range(1, k)]
-    dilated = integrate(lambda x: t(x) ** 2, 0.0, math.pi, tol=1e-11, breakpoints=brk)
+    dilated = integrate(lambda x: t(x) ** 2, 0.0, math.pi, tol=tol, breakpoints=brk)
     assert math.sqrt(dilated) <= dilation_norm_bound(k) * math.sqrt(base) + 1e-7

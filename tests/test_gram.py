@@ -2,6 +2,7 @@ import json
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ import fucik.gram
 import fucik.quadrature
 from fucik.certify import InputError, SystemSpec, certify_system, parse_system, profile_scaling
 from fucik.cli import main
+from fucik.eigenfunction import arcs
 from fucik.gram import (
     _exact_gram,
     batch_moments,
@@ -175,6 +177,82 @@ def test_engine_matches_parseval_over_the_sine_coefficients(entries):
         return
     _, c = batch_moments(points, np.broadcast_to(np.arange(1, 4001), (len(points), 4000)))
     assert np.max(np.abs(_exact_gram(build_batch(points)) - c @ c.T)) <= 1e-14
+
+
+def true_even_profile(p):
+    """Arc starts, then pi, amplitudes and frequencies of the even profile
+    of p in mpmath, from the exact sqrt(alpha) of the float alpha rather
+    than from float widths."""
+    w_pos = mpmath.pi / mpmath.sqrt(p.alpha)
+    w_neg = mpmath.pi / (p.n // 2) - w_pos
+    ratio = w_neg / w_pos  # sqrt(alpha / beta)
+    sup = mpmath.sqrt(2 / mpmath.pi)
+    amps = (sup / ratio, -sup) if ratio >= 1 else (sup, -sup * ratio)
+    edges = [(k + 1) // 2 * w_pos + k // 2 * w_neg for k in range(p.n)] + [mpmath.pi]
+    return edges, [amps[k & 1] for k in range(p.n)], [mpmath.pi / (w_pos, w_neg)[k & 1] for k in range(p.n)]
+
+
+def true_inner(f, g):
+    """<f, g> of two true_even_profile results: between consecutive edges
+    of either, the antiderivative of the product of the two arcs there."""
+    (ef, af, wf), (eg, ag, wg) = f, g
+    cuts = sorted(set(ef) | set(eg))
+    total, i, j = 0, 0, 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        while ef[i + 1] <= lo:
+            i += 1
+        while eg[j + 1] <= lo:
+            j += 1
+        w, v, s, t = wf[i], wg[j], ef[i], eg[j]
+
+        def primitive(x):
+            # twice an antiderivative of sin(w (x - s)) sin(v (x - t))
+            if w == v:
+                near = x * mpmath.cos(v * t - w * s)
+            else:
+                near = mpmath.sin((w - v) * x - w * s + v * t) / (w - v)
+            return near - mpmath.sin((w + v) * x - w * s - v * t) / (w + v)
+
+        total += af[i] * ag[j] * (primitive(hi) - primitive(lo)) / 2
+    return total
+
+
+@pytest.mark.parametrize("gamma", [4.5, 6.3])
+def test_shared_periods_match_a_40_digit_integral(gamma):
+    # pairs of even profiles whose halves n / 2 share a divisor g > 1: the
+    # engine sums one of their g shared periods, the diagonal its own arcs
+    family = constant_shape_even_family(gamma, 32).entries
+    g = _exact_gram(build_batch(family))
+    with mpmath.workdps(40):
+        for a, b in ((2, 4), (3, 6), (4, 12), (6, 15), (8, 16), (10, 15), (12, 16), (4, 4), (16, 16)):
+            want = true_inner(true_even_profile(family[a - 1]), true_even_profile(family[b - 1]))
+            assert abs(g[a - 1, b - 1] - want) <= 1e-15, (2 * a, 2 * b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_ENTRIES)
+def test_diagonal_is_the_norm_of_the_arcs(entries):
+    points = [_curve_point(n, *entries[n]) for n in sorted(entries)]
+    diagonal = np.diag(_exact_gram(build_batch(points))).tolist()
+    for p, entry in zip(points, diagonal):
+        total = 0.0
+        for start, end, amp, _ in arcs(p):
+            total += amp * amp * (end - start)
+        assert entry == 0.5 * total
+
+
+def test_a_start_rounded_past_the_shared_period_stays_inside_it():
+    # n = 8 ends its first shared period with n = 4 and 12 (g = 2) on a
+    # negative arc 8.9e-16 wide, whose start lies 4 ulp before the period's
+    # end on n = 4: moved to just past that end, the start stays in the
+    # period's last arc of n = 4, and no term lands in the next pair's sum
+    batch = build_batch([point_from_gamma(4, 5.0), FucikPoint(8, None, 1e31), point_from_gamma(12, 5.0)])
+    starts, ends = batch.starts.copy(), batch.ends.copy()
+    k = batch.offsets[1] + 3
+    starts[k] = ends[k - 1] = np.nextafter(starts[2], math.inf)
+    moved = batch._replace(starts=starts, ends=ends)
+    assert_sweeps_match_per_row(moved)
+    assert np.max(np.abs(_exact_gram(moved) - _exact_gram(batch))) <= 1e-15
 
 
 def test_sweeps_match_the_per_row_engine_on_the_family():
