@@ -10,22 +10,13 @@ that drives it.
 """
 
 import argparse
-import math
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from fucik.certify import certify_system, parse_system, profile_scaling
-from fucik.eigenfunction import arcs
+from fucik.certify import certify_system, constant_component, parse_system
 from fucik.gram import gram_matrix, gram_witness
-
-
-def unit_constant_component(point) -> float:
-    # an arc A sin over width W integrates to 2AW/pi
-    amp_widths = math.fsum(amp * (end - start) for start, end, amp, _ in arcs(point))
-    integral = 2.0 / math.pi * amp_widths
-    return profile_scaling(point) * integral / math.sqrt(math.pi)
 
 
 def main() -> int:
@@ -41,7 +32,7 @@ def main() -> int:
     cert = certify_system(spec)
     print(f"certificate: total = {cert.total:.12g}, passed = {cert.passed}")
     for p in spec.entries[:4]:
-        mu = unit_constant_component(p)
+        mu = constant_component(p)
         print(f"component along the unit constant, n = {p.n:2d}: {mu:.12g}")
     print()
     print(f"{'size':>4}  {'min_eig':>12}  {'max_eig':>12}  "

@@ -1,16 +1,16 @@
 """Certified Riesz-basis analysis of asymmetric-oscillation systems on (0, pi).
 
 The package lays out the piecewise-sine profiles attached to the spectrum
-curves of -u'' = alpha u+ - beta u-, takes their Fourier data and
-projection defects in closed form, bounds the deviation of a whole system
-from the sine basis by an explicit envelope, and certifies the Riesz-basis
-property through a Paley-Wiener-style perturbation criterion.  Gram
-matrices are an independent cross-check that certification never runs.
-No runtime path uses quadrature: fucik.quadrature is the adaptive Simpson
-rule that the tests hold the closed forms to.  Only the Gram layer,
-fucik.gram, imports numpy, and it loads on first use of one of its names as
-a package attribute, the way fucik.cli reaches it too; every other layer
-is floats only and loads with the package.  Every record is a
+curves of -u'' = alpha u+ - beta u-, takes their sine and cosine moments,
+means, shape coefficients and projection defects in closed form, bounds the
+deviation of a whole system from the sine basis by an explicit envelope, and
+certifies the Riesz-basis property through a Paley-Wiener-style perturbation
+criterion.  Gram matrices are an independent cross-check that certification
+never runs.  No runtime path uses quadrature: fucik.quadrature is the
+adaptive Simpson rule that the tests hold the closed forms to.  Only the Gram
+layer, fucik.gram, imports numpy, and it loads on first use of one of its
+names as a package attribute, the way fucik.cli reaches it too; every other
+layer is floats only and loads with the package.  Every record is a
 collections.namedtuple subclass, with no generated code, so a scalar
 subcommand never loads inspect.  fucik.spectrum holds the one rule for an
 index and the one for a real argument, which every public function checks
@@ -24,12 +24,14 @@ from .certify import (
     Certificate,
     SystemSpec,
     certify_system,
+    constant_component,
     deviation_budget,
     deviation_cap,
     parse_system,
     profile_scaling,
     projection_defect,
     projection_defect_bound,
+    shape_coefficients,
 )
 from .eigenfunction import SUP_NORM, arcs, moments
 from .envelope import (
@@ -81,6 +83,7 @@ __all__ = [
     "certify_system",
     "coefficient",
     "coefficient_bound",
+    "constant_component",
     "deviation_budget",
     "deviation_cap",
     "dilation_norm_bound",
@@ -95,6 +98,7 @@ __all__ = [
     "point_from_gamma",
     "projection_defect",
     "projection_defect_bound",
+    "shape_coefficients",
     "solve_alpha",
     "solve_beta",
     "zeta",

@@ -11,11 +11,11 @@ closed forms; tests/reference.py holds their quadrature reference.
 
 Known gap: a pass is not yet a proof when the envelope absorbs a large
 constant-shape set (every even n <= N at one dilation parameter).  Each
-rescaled member then has the same component along the unit constant
-1/sqrt(pi), so the family is not even Bessel, yet the envelope term depends
-only on the largest absorbed dilation parameter and not on N.  The Gram
-check in fucik.gram falsifies such a pass: at gamma = 5, N = 64 the total is
-0.278 while the rescaled truncation's top eigenvalue is 2.618 > (1 + 0.527)^2.
+rescaled member then has the same constant_component, so the family is not
+even Bessel, yet the envelope term depends only on the largest absorbed
+dilation parameter and not on N.  The Gram check in fucik.gram falsifies such
+a pass: at gamma = 5, N = 64 the total is 0.278 while the rescaled
+truncation's top eigenvalue is 2.618 > (1 + 0.527)^2.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .eigenfunction import moments
+from .eigenfunction import _phase_moments, moments
 from .envelope import GAMMA_MAX, envelope_root, envelope_value, zeta
 from .spectrum import (
     FucikPoint,
@@ -33,6 +33,7 @@ from .spectrum import (
     _real,
     dilation_parameter,
     is_diagonal,
+    point_from_gamma,
 )
 
 MODES = ("exact", "bound")
@@ -93,6 +94,28 @@ def profile_scaling(p: FucikPoint) -> float:
         return 1.0
     norm_sq, (inner,) = moments(p, (p.n,))
     return inner / norm_sq
+
+
+def constant_component(p: FucikPoint) -> float:
+    """mu = <rho f - e_n, 1/sqrt(pi)>, rho = profile_scaling(p), in closed form: rho times
+    the j = 0 cosine moment over sqrt(2), less sqrt(2) (1 - (-1)^n) / (pi n); 0 if is_diagonal."""
+    if is_diagonal(p):
+        return 0.0
+    _, (mean,) = _phase_moments(p, (0,), 1)
+    return profile_scaling(p) * mean / math.sqrt(2.0) - 2.0 * math.sqrt(2.0) * (p.n & 1) / (math.pi * p.n)
+
+
+def shape_coefficients(gamma: float, J: int) -> tuple[float, list[float], list[float]]:
+    """(mu, a, b) of h = rho f_2 - e_2 at dilation parameter gamma in closed form, j = 1 .. J:
+    h in the orthonormal basis 1, cos 2jx, sin 2jx of L^2(0, pi), with mu = constant_component,
+    a_j = rho <f_2, sqrt(2/pi) cos 2jx> and b_j = rho <f_2, e_2j> - [j = 1]."""
+    p = point_from_gamma(2, gamma)
+    rho = profile_scaling(p)
+    evens = range(2, 2 * _index(J, "J") + 1, 2)
+    a = [rho * c for c in _phase_moments(p, evens, 1)[1]]
+    b = [rho * s for s in moments(p, evens)[1]]
+    b[0] -= 1.0
+    return constant_component(p), a, b
 
 
 class SystemSpec(

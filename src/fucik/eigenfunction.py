@@ -8,10 +8,10 @@ which keeps the boundary zeros at machine accuracy for any admissible index.
 
 _arc_row gives a point's arc counts, widths and amplitudes; it is the one
 gate of every profile and moment, refusing a point past the cap or with an
-arc of no width.  arcs streams one point's arcs on floats.  Norms and sine
-inner products need no profile: the arcs of one sign are equally spaced, so
-their sum is a closed form of the point's row, O(1) per (point, index),
-evaluated on floats by moments.  This module is floats only: _start and
+arc of no width.  arcs streams one point's arcs on floats.  Norms, sine and
+cosine inner products need no profile: the arcs of one sign are equally
+spaced, so their sum is one closed form of the point's row, O(1) per (point,
+index), evaluated on floats by moments.  This module is floats only: _start and
 _sign_terms also run elementwise on numpy arrays, and fucik.gram, the one
 layer that loads numpy, lays out many profiles and their moments with them,
 bit for bit as here.
@@ -119,13 +119,13 @@ def _sign_rows(p: FucikPoint) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return plus, minus
 
 
-def _sign_terms(j, row, sin, rint, fmod):
-    """The arcs of one sign summed against sqrt(2/pi) sin(j x), from a _sign_rows row.
+def _sign_terms(j, quarters, row, sin, rint, fmod):
+    """The arcs of one sign summed against sqrt(2/pi) sin(j x + quarters pi / 2), from a row.
 
-    j and the row's values are floats, with math.sin, round and math.fmod,
-    or numpy arrays, with np.sin, np.rint and np.fmod.  Both round half to
-    even, and % is floor-mod on both with integer-valued operands, so both
-    give the same bits.
+    quarters is 0 for sines and 1 for cosines.  j and the row's values are
+    floats, with math.sin, round and math.fmod, or numpy arrays, with np.sin,
+    np.rint and np.fmod.  Both round half to even, and % is floor-mod on both
+    with integer-valued operands, so both give the same bits.
     """
     twice, unit, drift, counts, less, half_widths, lags, weights = row[:8]
     turns = rint(j / twice)
@@ -133,12 +133,12 @@ def _sign_terms(j, row, sin, rint, fmod):
     # removable singularities: sin(K x) / sin(x) -> +-K and sin(s) / s -> 1
     delta = (j - twice * turns) * unit + j * drift + _TINY
     dirichlet = sin(counts * delta) / sin(delta)
-    # sin(j pi / 2 + phi) = (-1)^floor(j / 2) sin(phi + (j mod 2) pi / 2), exact
-    # at phi = 0, as for every odd index; sin(K x) / sin(delta) carries
-    # (-1)^((K - 1) p), so the sign is 1 - (2 floor(j / 2) + 2 (K - 1) p mod 4)
-    odd = fmod(j, 2.0)
+    # q = j + quarters: sin(q pi / 2 + phi) = (-1)^floor(q / 2) sin(phi + (q mod 2)
+    # pi / 2), exact at phi = 0, as for every odd q; sin(K x) / sin(delta) carries
+    # (-1)^((K - 1) p), so the sign is 1 - (2 floor(q / 2) + 2 (K - 1) p mod 4)
+    odd = fmod(j + quarters, 2.0)
     sines = sin(lags * j + odd * (0.5 * math.pi))
-    signs = 1.0 - (j - odd + less * turns) % 4.0
+    signs = 1.0 - (j + quarters - odd + less * turns) % 4.0
     # A sin(s) / s w / (pi + j w) = (A w / 2) sin(s) / (s (pi - s))
     s = 0.5 * math.pi - j * half_widths + _TINY
     return weights * sin(s) / (s * (math.pi - s)) * dirichlet * sines * signs
@@ -147,24 +147,31 @@ def _sign_terms(j, row, sin, rint, fmod):
 def moments(p: FucikPoint, indices) -> tuple[float, list[float]]:
     """|f|^2 of p's profile and <f, sqrt(2/pi) sin(j x)> for every j in indices, on floats.
 
-    No profile is built: each value is O(1) in closed form.  A point with P positive arcs of width w+ and amplitude A+
-    and Q negative ones of width w- and amplitude A- has
-    |f|^2 = (P A+^2 w+ + Q A-^2 w-) / 2.  An arc A sin(pi (x - a) / w) with
-    midpoint m adds sqrt(2/pi) pi A sin(j m) sin(s) / s w / (pi + j w),
-    s = (pi - j w) / 2, and the K midpoints of one sign lie L = w+ + w-
-    apart, so their sines sum to sin(theta) sin(K x) / sin(x), x = j L / 2,
-    theta the phase of their middle.  The tiling P w+ + Q w- = pi reduces
-    both phases exactly: x - p pi = delta = (pi (j - 2 P p) + j (P - Q) w-)
-    / (2 P) with p = rint(j / 2P), where j - 2 P p is an exact integer, and
-    theta = j pi / 2 - j (Q + 1 - P) w- / 2 for the positive arcs,
-    j pi / 2 + j (Q + 1 - P) w+ / 2 for the negative ones.  A point that
-    _arc_row refuses raises its SpectrumError, and so does an index that
-    _real refuses.
+    No profile is built: each value is O(1) in closed form.  A point with P
+    positive arcs of width w+ and amplitude A+ and Q negative ones of width
+    w- and amplitude A- has |f|^2 = (P A+^2 w+ + Q A-^2 w-) / 2.  An arc
+    A sin(pi (x - a) / w) with midpoint m adds sqrt(2/pi) pi A sin(j m)
+    sin(s) / s w / (pi + j w), s = (pi - j w) / 2, and the K midpoints of
+    one sign lie L = w+ + w- apart, so their sines sum to sin(theta)
+    sin(K x) / sin(x), x = j L / 2, theta the phase of their middle.  The
+    tiling P w+ + Q w- = pi reduces both phases exactly: x - p pi = delta =
+    (pi (j - 2 P p) + j (P - Q) w-) / (2 P) with p = rint(j / 2P), where
+    j - 2 P p is an exact integer, and theta = j pi / 2 - j (Q + 1 - P) w- / 2
+    for the positive arcs, j pi / 2 + j (Q + 1 - P) w+ / 2 for the negative
+    ones.  A point that _arc_row refuses raises its SpectrumError, and so
+    does an index that _real refuses or that is not finite.
     """
+    return _phase_moments(p, indices, 0)
+
+
+def _phase_moments(p: FucikPoint, indices, quarters: int) -> tuple[float, list[float]]:
+    """moments against sqrt(2/pi) cos(j x) at quarters = 1: each arc is even about its midpoint."""
+    name = ("sine index", "cosine index")[quarters]
     plus, minus = _sign_rows(p)
     inner = []
-    for j in indices:
-        j = _real(j, "sine index")
-        inner.append(_sign_terms(j, plus, math.sin, round, math.fmod)
-                     + _sign_terms(j, minus, math.sin, round, math.fmod))
+    for j in map(_real, indices, itertools.repeat(name)):
+        if not math.isfinite(j):
+            raise SpectrumError(f"{name} must be finite")
+        inner.append(_sign_terms(j, quarters, plus, math.sin, round, math.fmod)
+                     + _sign_terms(j, quarters, minus, math.sin, round, math.fmod))
     return plus[8], inner

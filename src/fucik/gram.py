@@ -11,8 +11,8 @@ themselves are summed as closed-form integrals of sine products over the
 overlaps of two profiles' arcs, laid out by build_batch, many rows of the
 matrix to one numpy sweep.  Two even profiles n_i, n_j repeat together
 g = gcd(n_i / 2, n_j / 2) times over (0, pi), so their entry sums one shared
-period and multiplies by g; a diagonal entry is the squared norm of the
-profile's own arcs.  This is the one layer of the package that
+period and multiplies by g; a diagonal entry is the profile's squared
+norm from batch_moments.  This is the one layer of the package that
 imports numpy: build_batch and batch_moments run the floats-only rules of
 fucik.eigenfunction (_arc_row, _start, _sign_rows, _sign_terms) elementwise
 on arrays, bit for bit what arcs and moments give one point at a time.
@@ -98,7 +98,7 @@ def batch_moments(points, indices) -> tuple[np.ndarray, np.ndarray]:
     table = table.T[:, :, None]
     # every operand has 2 * size rows, so numpy never broadcasts a row
     j = np.asarray(indices, dtype=float)
-    terms = _sign_terms(np.concatenate((j, j)), table, np.sin, np.rint, np.fmod)
+    terms = _sign_terms(np.concatenate((j, j)), 0, table, np.sin, np.rint, np.fmod)
     return table[8, :size, 0], terms[:size] + terms[size:]
 
 
@@ -141,11 +141,10 @@ def _exact_gram(batch: ProfileBatch) -> np.ndarray:
     member has g_ij = 1.  Pair (i, j), j > i, sums its first period, the
     n_i / g_ij arcs of i and the n_j / g_ij - 1 starts of j inside it, and
     multiplies by g_ij: row i takes sum_{j > i} ((n_i + n_j) / g_ij - 1)
-    terms.  The diagonal is each profile's squared norm, A^2 (e - s) / 2
-    summed over its own arcs.  Consecutive rows share one sweep of at most
-    PASS_TERMS terms (see passes), and each entry is one bincount over its
-    own terms in a fixed order, so the matrix does not depend on how the
-    rows are grouped.
+    terms; the diagonal is left 0.  Consecutive rows share one sweep of at
+    most PASS_TERMS terms (see passes), and each entry is one bincount over
+    its own terms in a fixed order, so the matrix does not depend on how
+    the rows are grouped.
     """
     off = batch.offsets
     count = np.diff(off)
@@ -235,9 +234,6 @@ def _exact_gram(batch: ProfileBatch) -> np.ndarray:
         pair = np.repeat(np.tile(np.arange(n_pairs), 2), runs)
         g[pair_i, pair_j] = np.bincount(pair, weights=vals, minlength=n_pairs) * periods[sweep]
     g += g.T
-    norms = amps * amps
-    norms *= ends - starts
-    np.fill_diagonal(g, 0.5 * np.bincount(np.repeat(np.arange(size), count), weights=norms, minlength=size))
     return g
 
 
@@ -254,7 +250,7 @@ def gram_matrix(spec: SystemSpec, n_trunc: int, rescale: bool = True) -> np.ndar
     rho_n <f_n, sqrt(2/pi) sin(m x)>, taken with rho_n = profile_scaling(p_n)
     from one batch_moments over every member and every such m, which builds
     nothing; the members of E among themselves go through the arc-overlap
-    engine, which reads the batch's arrays as they are.
+    engine, and a member's diagonal entry is rho_n^2 |f_n|^2 from that call.
     """
     g = np.eye(_index(n_trunc, "n_trunc"))
     perturbed = [p for p in spec.entries if p.n <= n_trunc and not is_diagonal(p)]
@@ -269,7 +265,7 @@ def gram_matrix(spec: SystemSpec, n_trunc: int, rescale: bool = True) -> np.ndar
     factors = inner[:, 0] / norm_sq if rescale else np.ones(len(rows))
     g[np.ix_(rows, sines)] = mixed = factors[:, None] * inner[:, 1:]
     g[np.ix_(sines, rows)] = mixed.T
-    g[np.ix_(rows, rows)] = _exact_gram(batch) * np.outer(factors, factors)
+    g[np.ix_(rows, rows)] = (_exact_gram(batch) + np.diag(norm_sq)) * np.outer(factors, factors)
     return g
 
 

@@ -95,19 +95,22 @@ def defect_details(p: FucikPoint, tol: float = 1e-12) -> dict:
     }
 
 
-def quadrature_coefficient(p: FucikPoint, k: int) -> float:
-    """Independent oracle: <profile(p), sqrt(2/pi) sin(k x)> by quadrature."""
-    _index(k, "k")
+def quadrature_coefficient(p: FucikPoint, k: int, quarters: int = 0) -> float:
+    """Independent oracle: <profile(p), sqrt(2/pi) sin(k x + quarters pi / 2)>
+    by quadrature, a sine moment at quarters 0 and a cosine moment at 1,
+    where k = 0 gives sqrt(2/pi) times the integral of the profile."""
+    _index(k, "k", least=1 - quarters)
     f = profile(p)
     kk = float(k)
+    phase = 0.5 * math.pi * quarters
 
     def integrand(x):
-        return evaluate(f, x) * (SUP_NORM * np.sin(kk * x))
+        return evaluate(f, x) * (SUP_NORM * np.sin(kk * x + phase))
 
-    # split both at the profile junctions and at the zeros of sin(k x), so
-    # no panel contains a full oscillation; commensurate widths otherwise
-    # let the sample grid alias the sine into a constant
-    zeros = np.arange(1, k) * (math.pi / kk)
+    # split both at the profile junctions and at the zeros of the sine or
+    # cosine, so no panel contains a full oscillation; commensurate widths
+    # otherwise let the sample grid alias the sine into a constant
+    zeros = (np.arange(1, k + quarters) - 0.5 * quarters) * (math.pi / max(kk, 1.0))
     cuts = np.union1d(f.junctions, zeros)
     if cuts.size > 1:
         cuts = cuts[np.concatenate(([True], np.diff(cuts) > 1e-12))]
@@ -129,9 +132,8 @@ def per_row_gram(batch: ProfileBatch) -> np.ndarray:
     fucik.gram._exact_gram, one row at a time: row i finds the arcs holding
     each start with searchsorted and sums its pair (i, j), j > i, over the
     pair's first shared period, the arcs of i before the starts of j, with
-    one bincount, times the number of periods; the diagonal is each
-    profile's A^2 (e - s) / 2 summed over its arcs.  The swept engine is
-    held to it bit for bit."""
+    one bincount, times the number of periods; the diagonal is left 0.  The
+    swept engine is held to it bit for bit."""
     off = batch.offsets
     count = np.diff(off)
     size = len(batch.points)
@@ -175,7 +177,6 @@ def per_row_gram(batch: ProfileBatch) -> np.ndarray:
         )
         g[i, i + 1:] = np.bincount(pair, weights=vals, minlength=partners) * per
     g += g.T
-    np.fill_diagonal(g, 0.5 * np.bincount(owner, weights=amps * amps * (ends - starts), minlength=size))
     return g
 
 

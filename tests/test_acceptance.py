@@ -23,6 +23,7 @@ from reference import (
 
 from fucik.certify import (
     certify_system,
+    constant_component,
     deviation_budget,
     deviation_cap,
     parse_system,
@@ -220,12 +221,15 @@ def test_acceptance_11_gram_window_for_the_constant_shape_family():
     components = [unit_constant_component(p) for p in spec.entries]
     mu = components[0]
     spread = max(components) - min(components)
+    # the closed form of the library against the quadrature oracle
+    closed_gap = max(abs(constant_component(p) - c) for p, c in zip(spec.entries, components))
     evens = m[1::2, 1::2]  # rows and columns of n = 2, 4, ..., 64
     lo_free, hi_free = extremal_eigenvalues(evens - mu * mu)
     ok = (
         lo >= floor
         and hi > ceiling
         and spread <= 1e-12
+        and closed_gap <= 1e-12
         and floor <= lo_free
         and hi_free <= ceiling
     )
@@ -234,7 +238,7 @@ def test_acceptance_11_gram_window_for_the_constant_shape_family():
         "64x64 Gram leaves the window only through the shared constant component",
         ok,
         f"min {lo:.6f} vs floor {floor:.6f}, max {hi:.6f} vs ceiling {ceiling:.6f}, "
-        f"mu {mu:.6f} (spread {spread:.1e}), "
+        f"mu {mu:.6f} (spread {spread:.1e}, closed form within {closed_gap:.1e}), "
         f"even block without mu^2 11^T in [{lo_free:.6f}, {hi_free:.6f}]",
     )
 

@@ -59,3 +59,12 @@ def test_one_module_types_arguments_and_refusals_are_input_errors(path):
         where = f"{path.name}:{getattr(node, 'lineno', 0)}"
         assert not _is_bool_test(node) or path.name == "spectrum.py", f"{where} tests for bool"
         assert not _raises_value_error(node) or path.name == "quadrature.py", f"{where} raises ValueError"
+
+
+def test_the_moment_kernel_is_written_once():
+    # sines, cosines and the mean of a profile all come from the one
+    # Dirichlet kernel of fucik.eigenfunction._sign_terms, whose phase
+    # argument tells them apart, so no module writes a second copy
+    kernel = "sin(counts * delta)"
+    found = {path.name: path.read_text(encoding="utf-8").count(kernel) for path in PACKAGE.glob("*.py")}
+    assert sum(found.values()) == 1 and found["eigenfunction.py"] == 1, found

@@ -11,7 +11,13 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from reference import combined_criterion, defect_details, profile, profile_moments
+from reference import (
+    combined_criterion,
+    defect_details,
+    profile,
+    profile_moments,
+    quadrature_coefficient,
+)
 from test_acceptance import sampled_defects, sampled_points
 from test_spectrum import JUNK
 
@@ -22,12 +28,14 @@ from fucik.certify import (
     InputError,
     SystemSpec,
     certify_system,
+    constant_component,
     deviation_budget,
     deviation_cap,
     parse_system,
     profile_scaling,
     projection_defect,
     projection_defect_bound,
+    shape_coefficients,
     zeta,
 )
 from fucik.eigenfunction import moments
@@ -622,3 +630,85 @@ def test_deviation_cap_grows_with_budget(j, epsilon):
     lo = deviation_cap(n, epsilon, 0.01)
     hi = deviation_cap(n, epsilon, 0.02)
     assert n * n < lo < hi
+
+
+# Shape coefficients of h = rho f_2 - e_2, across the envelope's range of gamma
+SHAPE_GAMMAS = (4.1, 4.5, 5.0, 6.0, 6.4, 8.0, 8.999)
+
+
+@pytest.mark.parametrize("p", [
+    point_from_gamma(2, 5.0),
+    point_from_gamma(6, 8.999),
+    point_from_gamma(64, 4.1),
+    FucikPoint(3, 1.2 * 9),
+    FucikPoint(7, None, 1.3 * 49),  # beta side
+    FucikPoint(11, 1.2 * 121),
+], ids=lambda p: f"n={p.n}")
+def test_constant_component_matches_quadrature(p):
+    # the mean of f by quadrature, <f, sqrt(2/pi)> at phase pi / 2 and k = 0,
+    # and <e_n, sqrt(2/pi)> = 2 (1 - cos(n pi)) / (pi n) in closed form
+    mode = 2.0 * (1.0 - math.cos(p.n * math.pi)) / (math.pi * p.n)
+    want = (profile_scaling(p) * quadrature_coefficient(p, 0, 1) - mode) / math.sqrt(2.0)
+    assert abs(constant_component(p) - want) <= 1e-12
+
+
+def test_constant_component_is_one_value_per_shape():
+    # every even member at one gamma is a dilate of the n = 2 profile
+    for gamma, mu in ((4.5, -0.101514), (5.0, -0.181098), (6.0, -0.286165),
+                      (6.4, -0.313161), (8.0, -0.370661)):
+        values = [constant_component(point_from_gamma(n, gamma)) for n in (2, 64, 2000)]
+        assert max(values) - min(values) <= 1e-15
+        assert values[0] == pytest.approx(mu, abs=5e-7)
+    for n, mu in ((11, -0.169029), (101, -0.154464), (1001, -0.152903), (100001, -0.152730)):
+        assert constant_component(FucikPoint(n, 1.2 * n * n)) == pytest.approx(mu, abs=5e-7)
+    for p in (FucikPoint(1), FucikPoint(6, 36.0, 36.0), FucikPoint(7, 49.0, 49.0)):
+        assert constant_component(p) == 0.0
+
+
+@pytest.mark.parametrize("gamma", [4.5, 6.4, 8.999])
+def test_shape_coefficients_match_quadrature(gamma):
+    p = point_from_gamma(2, gamma)
+    rho = profile_scaling(p)
+    mu, a, b = shape_coefficients(gamma, 20)
+    assert mu == constant_component(p) and len(a) == len(b) == 20
+    for j in range(1, 21):
+        assert abs(a[j - 1] - rho * quadrature_coefficient(p, 2 * j, 1)) <= 1e-12
+        assert abs(b[j - 1] - (rho * quadrature_coefficient(p, 2 * j) - (j == 1))) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", SHAPE_GAMMAS)
+def test_shape_coefficients_close_parseval(gamma):
+    # 1, cos 2jx and sin 2jx, normalized, are an orthonormal basis of
+    # L^2(0, pi), and |h|^2 = 1 - <f, e_2>^2 / |f|^2; with |a_j|, |b_j| <= 1 / j^4,
+    # as the decay test finds up to j = 4000, the squares past J = 20000 sum
+    # below 1e-30
+    mu, a, b = shape_coefficients(gamma, 20000)
+    total = math.fsum([mu * mu, *(x * x for x in a), *(x * x for x in b)])
+    assert abs(total - projection_defect(point_from_gamma(2, gamma))) <= 1e-14
+
+
+@pytest.mark.parametrize("gamma", SHAPE_GAMMAS)
+def test_shape_coefficients_decay_like_j_to_the_minus_four(gamma):
+    # h is C^2 and pi-periodic, with h''' jumping at its zeros, so four
+    # integrations by parts bound both coefficients by c(gamma) / j^4; the
+    # largest j^4 hypot(a_j, b_j) measured is 0.975, at gamma = 8.999.  A
+    # cosine with the wrong phase decays no faster than 1 / j^2
+    _, a, b = shape_coefficients(gamma, 4000)
+    assert max(j ** 4 * math.hypot(a[j - 1], b[j - 1]) for j in range(1, 4001)) <= 1.0
+
+
+def test_shape_coefficients_refuse_what_their_intakes_refuse():
+    with pytest.raises(SpectrumError, match="at least 4"):
+        shape_coefficients(3.9, 10)
+    with pytest.raises(SpectrumError, match="J must be >= 1"):
+        shape_coefficients(5.0, 0)
+    with pytest.raises(SpectrumError, match="J must be a plain positive integer"):
+        shape_coefficients(5.0, 10.0)
+
+
+def test_shape_coefficients_load_no_numpy():
+    code = ("import sys, fucik; fucik.shape_coefficients(8.999, 2000); "
+            "fucik.constant_component(fucik.FucikPoint(3, 10.8)); "
+            "assert 'numpy' not in sys.modules")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

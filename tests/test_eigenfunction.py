@@ -178,9 +178,10 @@ def test_moments_refuse_what_build_refuses(alpha, beta):
         batch_moments([good, FucikPoint(3, alpha, beta), good], [[2], [3], [2]])
 
 
-@pytest.mark.parametrize("junk", ["x", "2", b"2", None, True])
+@pytest.mark.parametrize("junk", ["x", "2", b"2", None, True, math.nan, math.inf, -math.inf])
 def test_moments_refuse_an_index_that_is_no_real_number(junk):
-    with pytest.raises(SpectrumError, match="sine index must be a real number"):
+    reason = "finite" if isinstance(junk, float) else "a real number"
+    with pytest.raises(SpectrumError, match=f"sine index must be {reason}"):
         moments(point_from_gamma(2, 5.0), (2, junk))
 
 

@@ -96,11 +96,17 @@ def test_unscaled_diagonal_is_the_closed_form_norm(name):
         assert abs(m[p.n - 1, p.n - 1] - batch_moments((p,), [[p.n]])[0][0]) <= 1e-15
 
 
+def with_norms(points, g):
+    """The engine's matrix g of the points, whose diagonal it leaves 0, with
+    each |f|^2 from batch_moments there, as gram_matrix writes it."""
+    return g + np.diag(batch_moments(points, [[p.n] for p in points])[0])
+
+
 def all_pairs_gram(spec, n_trunc, rescale):
     """Every profile n <= n_trunc through the arc-overlap engine, then the
     scaling factors: the Gram matrix before it was assembled by blocks."""
     batch = build_batch(spec_points(spec, n_trunc))
-    g = _exact_gram(batch)
+    g = with_norms(batch.points, _exact_gram(batch))
     if rescale:
         factors = np.array([profile_scaling(p) for p in batch.points])
         g *= np.outer(factors, factors)
@@ -171,12 +177,14 @@ def test_sweeps_match_the_per_row_engine(entries):
 def test_engine_matches_parseval_over_the_sine_coefficients(entries):
     # Parseval: <f, g> = sum_j <f, e_j> <g, e_j>.  C comes from the points
     # in closed form and the engine from the built arcs, so the two share no
-    # arithmetic; past j = 4000 the squared coefficients sum below 1e-14
+    # arithmetic; past j = 4000 the squared coefficients sum below 1e-14.
+    # The diagonal is the closed-form |f|^2 that comes with C
     points = [_curve_point(n, *entries[n]) for n in sorted(entries)]
     if not points:
         return
-    _, c = batch_moments(points, np.broadcast_to(np.arange(1, 4001), (len(points), 4000)))
-    assert np.max(np.abs(_exact_gram(build_batch(points)) - c @ c.T)) <= 1e-14
+    norm_sq, c = batch_moments(points, np.broadcast_to(np.arange(1, 4001), (len(points), 4000)))
+    g = _exact_gram(build_batch(points)) + np.diag(norm_sq)
+    assert np.max(np.abs(g - c @ c.T)) <= 1e-14
 
 
 def true_even_profile(p):
@@ -220,9 +228,10 @@ def true_inner(f, g):
 @pytest.mark.parametrize("gamma", [4.5, 6.3])
 def test_shared_periods_match_a_40_digit_integral(gamma):
     # pairs of even profiles whose halves n / 2 share a divisor g > 1: the
-    # engine sums one of their g shared periods, the diagonal its own arcs
+    # engine sums one of their g shared periods; the diagonal is |f|^2 from
+    # batch_moments
     family = constant_shape_even_family(gamma, 32).entries
-    g = _exact_gram(build_batch(family))
+    g = with_norms(family, _exact_gram(build_batch(family)))
     with mpmath.workdps(40):
         for a, b in ((2, 4), (3, 6), (4, 12), (6, 15), (8, 16), (10, 15), (12, 16), (4, 4), (16, 16)):
             want = true_inner(true_even_profile(family[a - 1]), true_even_profile(family[b - 1]))
@@ -232,13 +241,16 @@ def test_shared_periods_match_a_40_digit_integral(gamma):
 @settings(max_examples=30, deadline=None)
 @given(_ENTRIES)
 def test_diagonal_is_the_norm_of_the_arcs(entries):
+    # the diagonal that gram_matrix writes, |f|^2 from batch_moments, against
+    # A^2 (e - s) / 2 summed over the arcs one at a time: n terms in sequence
+    # round by at most about n + 8 units in the last place of the sum
     points = [_curve_point(n, *entries[n]) for n in sorted(entries)]
-    diagonal = np.diag(_exact_gram(build_batch(points))).tolist()
+    diagonal = np.diag(with_norms(points, _exact_gram(build_batch(points)))).tolist()
     for p, entry in zip(points, diagonal):
         total = 0.0
         for start, end, amp, _ in arcs(p):
             total += amp * amp * (end - start)
-        assert entry == 0.5 * total
+        assert abs(entry - 0.5 * total) <= (p.n + 8) * sys.float_info.epsilon * entry
 
 
 def test_a_start_rounded_past_the_shared_period_stays_inside_it():
