@@ -159,7 +159,8 @@ def moments(p: FucikPoint, indices) -> tuple[float, list[float]]:
     j - 2 P p is an exact integer, and theta = j pi / 2 - j (Q + 1 - P) w- / 2
     for the positive arcs, j pi / 2 + j (Q + 1 - P) w+ / 2 for the negative
     ones.  A point that _arc_row refuses raises its SpectrumError, and so
-    does an index that _real refuses or that is not finite.
+    does an index that _real refuses or that is not finite and below 2**53
+    in magnitude, where the reduction stops being exact.
     """
     return _phase_moments(p, indices, 0)
 
@@ -170,8 +171,8 @@ def _phase_moments(p: FucikPoint, indices, quarters: int) -> tuple[float, list[f
     plus, minus = _sign_rows(p)
     inner = []
     for j in map(_real, indices, itertools.repeat(name)):
-        if not math.isfinite(j):
-            raise SpectrumError(f"{name} must be finite")
+        if not abs(j) < 2.0 ** 53:
+            raise SpectrumError(f"{name} must be finite and below 2**53 in magnitude")
         inner.append(_sign_terms(j, quarters, plus, math.sin, round, math.fmod)
                      + _sign_terms(j, quarters, minus, math.sin, round, math.fmod))
     return plus[8], inner

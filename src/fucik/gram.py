@@ -8,8 +8,8 @@ exactly and pays only for the perturbed entries E: the unperturbed sines
 give an identity block, a member of E against a sine is one O(1)
 closed-form inner product (batch_moments), and only the members of E among
 themselves are summed as closed-form integrals of sine products over the
-overlaps of two profiles' arcs, laid out by build_batch, many rows of the
-matrix to one numpy sweep.  Two even profiles n_i, n_j repeat together
+overlaps of two profiles' arcs, laid out by build_batch, many pairs of
+profiles to one numpy sweep.  Two even profiles n_i, n_j repeat together
 g = gcd(n_i / 2, n_j / 2) times over (0, pi), so their entry sums one shared
 period and multiplies by g; a diagonal entry is the profile's squared
 norm from batch_moments.  This is the one layer of the package that
@@ -39,8 +39,9 @@ from .spectrum import InputError, _index, is_diagonal
 # Slack added on both sides of the certified window, for rounding noise only.
 CUSHION = 0.02
 
-# Overlap terms one sweep of the Gram engine may hold; a row alone may need
-# more.  Sweeps this small keep their arrays in cache.
+# Overlap terms per lap of the Gram engine: a sweep takes the pairs whose
+# last term falls in one lap, so it holds fewer than PASS_TERMS terms past
+# its first pair.  Sweeps this small keep their arrays in cache.
 PASS_TERMS = 1 << 16
 
 
@@ -102,23 +103,6 @@ def batch_moments(points, indices) -> tuple[np.ndarray, np.ndarray]:
     return table[8, :size, 0], terms[:size] + terms[size:]
 
 
-def passes(counts):
-    """Split consecutive rows into runs (lo, hi) of at most PASS_TERMS terms.
-
-    counts holds each row's number of terms; a row alone always forms a
-    run, so one sweep never holds more than the largest single row or
-    PASS_TERMS terms, whichever is more.
-    """
-    lo, held = 0, 0
-    for k, terms in enumerate(counts):
-        if k > lo and held + terms > PASS_TERMS:
-            yield lo, k
-            lo, held = k, 0
-        held += terms
-    if lo < len(counts):
-        yield lo, len(counts)
-
-
 def _firsts(counts: np.ndarray) -> np.ndarray:
     """Where each run of the given lengths starts when the runs lie end to end."""
     first = np.zeros(len(counts), dtype=np.intp)
@@ -127,7 +111,7 @@ def _firsts(counts: np.ndarray) -> np.ndarray:
 
 
 def _exact_gram(batch: ProfileBatch) -> np.ndarray:
-    """Unscaled Gram matrix, summed exactly over arc overlaps, many rows per numpy sweep.
+    """Unscaled Gram matrix, summed exactly over arc overlaps, many pairs per numpy sweep.
 
     Reads the batch's concatenated arc arrays as they are.  Arcs
     A sin(w (x - s)) and B sin(v (x - t)) overlapping on [m - h, m + h]
@@ -140,11 +124,11 @@ def _exact_gram(batch: ProfileBatch) -> np.ndarray:
     g_ij = gcd(n_i / 2, n_j / 2) times over (0, pi); a pair with an odd
     member has g_ij = 1.  Pair (i, j), j > i, sums its first period, the
     n_i / g_ij arcs of i and the n_j / g_ij - 1 starts of j inside it, and
-    multiplies by g_ij: row i takes sum_{j > i} ((n_i + n_j) / g_ij - 1)
-    terms; the diagonal is left 0.  Consecutive rows share one sweep of at
-    most PASS_TERMS terms (see passes), and each entry is one bincount over
-    its own terms in a fixed order, so the matrix does not depend on how
-    the rows are grouped.
+    multiplies by g_ij: it takes (n_i + n_j) / g_ij - 1 terms; the diagonal
+    is left 0.  The pairs, listed row by row, are cut into sweeps where
+    their running count of terms crosses a multiple of PASS_TERMS, and each
+    entry is one bincount over its own terms in a fixed order, so the
+    matrix does not depend on where the sweeps are cut.
     """
     off = batch.offsets
     count = np.diff(off)
@@ -165,12 +149,16 @@ def _exact_gram(batch: ProfileBatch) -> np.ndarray:
     # arc of j that holds its start, then the starts of j inside that
     # period, each against the arc of i that holds it
     n_arcs, n_starts = n_i // periods, n_j // periods - 1
+    # a sweep takes every pair whose last term falls in one lap of PASS_TERMS
+    laps = (np.cumsum(n_arcs + n_starts) - 1) // PASS_TERMS
+    cuts = np.flatnonzero(np.diff(laps, prepend=-1)).tolist() + [len(laps)]
     g = np.zeros((size, size))
-    for r0, r1 in passes(np.add.reduceat(n_arcs + n_starts, at[:-1]).tolist()):
-        rows = np.arange(r0, r1)
-        sweep = slice(at[r0], at[r1])
+    for lo, hi in itertools.pairwise(cuts):
+        sweep = slice(lo, hi)
         pair_i, pair_j = pairs_i[sweep], pairs_j[sweep]
         n_pairs = len(pair_i)
+        r0, r1 = pair_i[0], pair_i[-1] + 1
+        rows = np.arange(r0, r1)
         # the sweep lists the first kind of term for every pair, then the
         # second; ai and aj start as the arc whose start a term lists, and
         # the holding arcs are filled in below
@@ -275,8 +263,8 @@ def extremal_eigenvalues(m: np.ndarray) -> tuple[float, float]:
         m = np.asarray(m, dtype=float)
     except (TypeError, ValueError):
         raise InputError("matrix entries must be real numbers") from None
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError("need a square matrix")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise InputError("need a non-empty square matrix")
     if not np.all(np.isfinite(m)):
         raise InputError("matrix has non-finite entries")
     if float(np.max(np.abs(m - m.T))) > 1e-8:

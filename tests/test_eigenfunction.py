@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 
 import mpmath
 import numpy as np
@@ -12,7 +13,7 @@ from reference import JunctionError, evaluate, ode_residual, profile, profile_mo
 import fucik.eigenfunction
 import fucik.gram
 from fucik.cli import main
-from fucik.eigenfunction import SUP_NORM, arcs, moments
+from fucik.eigenfunction import SUP_NORM, _phase_moments, arcs, moments
 from fucik.gram import batch_moments, build_batch
 from fucik.spectrum import FucikPoint, SpectrumError, point_from_gamma, solve_alpha, solve_beta
 
@@ -178,11 +179,20 @@ def test_moments_refuse_what_build_refuses(alpha, beta):
         batch_moments([good, FucikPoint(3, alpha, beta), good], [[2], [3], [2]])
 
 
-@pytest.mark.parametrize("junk", ["x", "2", b"2", None, True, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "junk",
+    ["x", "2", b"2", None, True, math.nan, math.inf, -math.inf, 2.0**53, 1.7e308, -sys.float_info.max],
+)
 def test_moments_refuse_an_index_that_is_no_real_number(junk):
+    # from 2**53 on, j + 1 and j - 2 P p are no longer exact integers, so
+    # the phase reduction fails, and near the top of the float range the
+    # sign overflows to NaN
     reason = "finite" if isinstance(junk, float) else "a real number"
     with pytest.raises(SpectrumError, match=f"sine index must be {reason}"):
         moments(point_from_gamma(2, 5.0), (2, junk))
+    if isinstance(junk, float):
+        with pytest.raises(SpectrumError, match="cosine index must be finite and below 2"):
+            _phase_moments(FucikPoint(3, 10.8), (0, junk), 1)
 
 
 def test_narrow_arcs_that_build_get_closed_form_moments(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import sys
@@ -158,8 +159,9 @@ def test_blocks_match_the_all_pairs_engine(entries, n_trunc, rescale):
 
 def assert_sweeps_match_per_row(batch):
     want = per_row_gram(batch)
-    # one row per sweep, the default sweeps, and every row in one sweep
-    for cap in (1, fucik.gram.PASS_TERMS, 2**40):
+    # one pair per sweep, sweeps that cut rows, the default sweeps, and
+    # every pair in one sweep
+    for cap in (1, 64, fucik.gram.PASS_TERMS, 2**40):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fucik.gram, "PASS_TERMS", cap)
             assert np.array_equal(_exact_gram(batch), want), cap
@@ -170,6 +172,34 @@ def assert_sweeps_match_per_row(batch):
 def test_sweeps_match_the_per_row_engine(entries):
     points = [_curve_point(n, *entries[n]) for n in sorted(entries)]
     assert_sweeps_match_per_row(build_batch(points))
+
+
+def test_no_sweep_outgrows_the_cap_by_more_than_one_pair(monkeypatch):
+    # every pair here holds n_i + n_j - 1 terms, at most 279, and a row of
+    # the odd profiles thousands: a sweep cut only between rows outgrows the
+    # cap of 64 by far more than one pair
+    ns = [2, *range(101, 142, 2)]
+    batch = build_batch([point_from_gamma(2, 5.0)] + [FucikPoint(n, (n + 0.2) ** 2) for n in ns[1:]])
+    want = _exact_gram(batch)
+    terms = [n_i + n_j - 1 for n_i, n_j in itertools.combinations(ns, 2)]
+    sweeps = []
+
+    class RecordingNumpy:
+        """numpy, with the length of every weighted bincount, one per sweep, recorded."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def bincount(self, x, weights=None, minlength=0):
+            if weights is not None:
+                sweeps.append(len(weights))
+            return np.bincount(x, weights=weights, minlength=minlength)
+
+    monkeypatch.setattr(fucik.gram, "PASS_TERMS", 64)
+    monkeypatch.setattr(fucik.gram, "np", RecordingNumpy())
+    assert np.array_equal(_exact_gram(batch), want)
+    assert sum(sweeps) == sum(terms)
+    assert max(sweeps) <= 64 + max(terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -379,12 +409,13 @@ def test_extremal_eigenvalues_validation():
     assert extremal_eigenvalues(np.eye(3)) == (1.0, 1.0)
     lo, hi = extremal_eigenvalues(np.diag([0.25, 4.0]))
     assert (lo, hi) == (0.25, 4.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="not symmetric"):
         extremal_eigenvalues(np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="non-finite"):
         extremal_eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        extremal_eigenvalues(np.ones((2, 3)))
+    for shape in ((2, 3), (0, 0)):
+        with pytest.raises(InputError, match="need a non-empty square matrix"):
+            extremal_eigenvalues(np.zeros(shape))
 
 
 @pytest.mark.parametrize("junk", ["ab", [["x", 1.0], [1.0, 1.0]], [[1j]]])
