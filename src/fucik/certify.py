@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .eigenfunction import _phase_moments, moments
+from .eigenfunction import _own_moments, _phase_moments, moments
 from .envelope import GAMMA_MAX, envelope_root, envelope_value, zeta
 from .spectrum import (
     FucikPoint,
@@ -40,6 +40,9 @@ MODES = ("exact", "bound")
 SPLIT_DEFAULT = "default"
 SPLIT_AUTO = "auto"
 
+_SPEC_KEYS = frozenset(("entries", "split", "mode", "tail_rule"))
+_ENTRY_KEYS = frozenset(("n", "alpha", "beta"))
+
 _NOTE = (
     "a pass certifies the basis property; a fail only means this sufficient "
     "criterion did not apply at the attempted split"
@@ -50,13 +53,13 @@ def projection_defect(p: FucikPoint) -> float:
     """1 - <f, mode>^2 / |f|^2 for the profile of p, in closed form.
 
     Exactly zero at index 1 and at symmetric points, where the profile is
-    the mode itself.  Otherwise one moments call on floats, which builds no
-    profile and loads no numpy.  A squared distance, so rounding below zero
-    is clamped to zero.
+    the mode itself.  Otherwise the own-mode moments on floats, which build
+    no profile and load no numpy.  A squared distance, so rounding below
+    zero is clamped to zero.
     """
     if is_diagonal(p):
         return 0.0
-    sq, (dot,) = moments(p, (p.n,))
+    sq, dot = _own_moments(p)
     # defect first, so that a NaN reaches the finiteness check
     return max(1.0 - dot * dot / sq, 0.0)
 
@@ -92,7 +95,7 @@ def profile_scaling(p: FucikPoint) -> float:
     """<f, mode> / |f|^2 in closed form: the best scaling of p's profile f onto its mode."""
     if is_diagonal(p):
         return 1.0
-    norm_sq, (inner,) = moments(p, (p.n,))
+    norm_sq, inner = _own_moments(p)
     return inner / norm_sq
 
 
@@ -170,9 +173,8 @@ def parse_system(obj: dict) -> SystemSpec:
     """
     if not isinstance(obj, dict):
         raise InputError("system description must be a JSON object")
-    unknown = set(obj) - {"entries", "split", "mode", "tail_rule"}
-    if unknown:
-        raise InputError(f"unknown keys: {sorted(unknown)}")
+    if not _SPEC_KEYS.issuperset(obj):
+        raise InputError(f"unknown keys: {sorted(set(obj) - _SPEC_KEYS)}")
     raw_entries = obj.get("entries", [])
     if not isinstance(raw_entries, list):
         raise InputError("entries must be a list")
@@ -181,9 +183,8 @@ def parse_system(obj: dict) -> SystemSpec:
     for item in raw_entries:
         if not isinstance(item, dict):
             raise InputError("each entry must be an object")
-        extra = set(item) - {"n", "alpha", "beta"}
-        if extra:
-            raise InputError(f"unknown entry keys: {sorted(extra)}")
+        if not _ENTRY_KEYS.issuperset(item):
+            raise InputError(f"unknown entry keys: {sorted(set(item) - _ENTRY_KEYS)}")
         n = item.get("n")
         try:
             point = FucikPoint(n, item.get("alpha"), item.get("beta"))

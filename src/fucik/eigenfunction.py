@@ -44,6 +44,9 @@ _TINY = 1e-300
 # sqrt(2/pi) pi / 2, the factor of A w in each arc's inner product.
 _WEIGHT = 0.5 * SUP_NORM * math.pi
 
+# The same double as 0.5 * math.pi on floats and inside numpy arrays.
+_HALF_PI = 0.5 * math.pi
+
 
 def _start(k, w_pos, w_neg):
     """Start of arc k: the summed widths of the arcs before it, positive first.
@@ -137,10 +140,10 @@ def _sign_terms(j, quarters, row, sin, rint, fmod):
     # pi / 2), exact at phi = 0, as for every odd q; sin(K x) / sin(delta) carries
     # (-1)^((K - 1) p), so the sign is 1 - (2 floor(q / 2) + 2 (K - 1) p mod 4)
     odd = fmod(j + quarters, 2.0)
-    sines = sin(lags * j + odd * (0.5 * math.pi))
+    sines = sin(lags * j + odd * _HALF_PI)
     signs = 1.0 - (j + quarters - odd + less * turns) % 4.0
     # A sin(s) / s w / (pi + j w) = (A w / 2) sin(s) / (s (pi - s))
-    s = 0.5 * math.pi - j * half_widths + _TINY
+    s = _HALF_PI - j * half_widths + _TINY
     return weights * sin(s) / (s * (math.pi - s)) * dirichlet * sines * signs
 
 
@@ -163,6 +166,18 @@ def moments(p: FucikPoint, indices) -> tuple[float, list[float]]:
     in magnitude, where the reduction stops being exact.
     """
     return _phase_moments(p, indices, 0)
+
+
+def _own_moments(p: FucikPoint) -> tuple[float, float]:
+    """|f|^2 of p's profile and <f, sqrt(2/pi) sin(n x)> at its own index n.
+
+    Bit for bit moments(p, (p.n,)), without its intake of each index: p.n is
+    an int that FucikPoint checked, and _sign_rows refuses it past MAX_ARCS.
+    """
+    plus, minus = _sign_rows(p)
+    j = float(p.n)
+    return plus[8], (_sign_terms(j, 0, plus, math.sin, round, math.fmod)
+                     + _sign_terms(j, 0, minus, math.sin, round, math.fmod))
 
 
 def _phase_moments(p: FucikPoint, indices, quarters: int) -> tuple[float, list[float]]:

@@ -127,16 +127,23 @@ def _tail_closed_form(g: float) -> float:
     return TAIL_WEIGHT * (2.0 * s / (math.pi * (s - 1.0))) * total
 
 
+def _summands(g: float) -> tuple[float, ...]:
+    """The five summands of the envelope at a checked gamma: the four
+    weighted majorants k = 1..4, then the k >= 5 tail summed in full."""
+    return (*(norm * _majorant(k, g) for k, norm in _HEAD), _tail_closed_form(g))
+
+
 def envelope(gamma: float) -> EnvelopeEval:
     """Envelope at gamma with the five summands recorded separately; the
     k >= 5 tail is summed in full, not truncated."""
     g = _check_gamma(gamma)
-    summands = (*(norm * _majorant(k, g) for k, norm in _HEAD), _tail_closed_form(g))
+    summands = _summands(g)
     return EnvelopeEval(g, summands, math.fsum(summands))
 
 
 def envelope_value(gamma: float) -> float:
-    return envelope(gamma).value
+    """The envelope at gamma: envelope(gamma).value, without the record."""
+    return math.fsum(_summands(_check_gamma(gamma)))
 
 
 @lru_cache(maxsize=1)

@@ -94,7 +94,7 @@ class FucikPoint(namedtuple("FucikPoint", "n alpha beta")):
                 raise SpectrumError(
                     f"({alpha}, {beta}) is not on curve {n}: residual {residual:.3e}"
                 )
-        return super().__new__(cls, n, alpha, beta)
+        return tuple.__new__(cls, (n, alpha, beta))
 
 
 def _index(n, name: str = "index n", least: int = 1) -> int:

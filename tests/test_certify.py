@@ -198,10 +198,12 @@ def test_parse_sorts_entries_by_index():
 def test_parse_rejects_malformed_input():
     with pytest.raises(InputError):
         parse_system([])
-    with pytest.raises(InputError):
-        parse_system({"entries": [], "color": "red"})
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^unknown keys: \['alpha', 'beta', 'color', 'zeta'\]$"):
+        parse_system({"entries": [], "color": "red", "zeta": 1, "alpha": 5.0, "beta": 2})
+    with pytest.raises(InputError, match=r"^unknown entry keys: \['gamma'\]$"):
         parse_system({"entries": [{"n": 2, "alpha": 5.0, "gamma": 1.0}]})
+    with pytest.raises(InputError, match=r"^unknown entry keys: \['a', 'b', 'y', 'z'\]$"):
+        parse_system({"entries": [{"n": 2, "alpha": 5.0}, {"z": 0, "n": 3, "y": 0, "a": 1, "b": 1}]})
     with pytest.raises(InputError):
         parse_system({"entries": [{"n": 2.0, "alpha": 5.0}]})
     with pytest.raises(InputError):
@@ -471,6 +473,47 @@ def test_both_modes_read_a_defect_only_when_the_walk_leaves_it_outside(entries, 
     if split != "auto":
         # one level: the walk drops no candidate, in either mode
         assert list(reads["exact"]) == list(reads["bound"]) == outside
+
+
+def _outcome(call):
+    """(value, None) of call(), or (None, (type, message)) of the InputError it raises."""
+    try:
+        return call(), None
+    except InputError as err:
+        return None, (type(err), str(err))
+
+
+def test_own_mode_defects_are_those_of_moments():
+    # projection_defect and profile_scaling skip the index intake of moments
+    # but must give its values and refusals bit for bit
+    rng = random.Random(20341)
+    points = []
+    for _ in range(60):
+        n = rng.randrange(3, 4000, 2)
+        points.append(FucikPoint(n, (n + rng.uniform(1e-3, 0.5)) ** 2))
+        points.append(FucikPoint(n, None, (n + rng.uniform(1e-3, 0.5)) ** 2))
+        points.append(FucikPoint(n, (n + rng.uniform(1e-12, 1e-8)) ** 2))
+        points.append(point_from_gamma(2 * rng.randrange(1, 2000), rng.uniform(4.0, 9.0)))
+    # w+ below 4 ulp(pi), where _arc_row walks the edges; some have an arc of no width
+    points += [FucikPoint(n, alpha) for n in range(2, 8) for alpha in (4e30, 1e31, 1e32, 1e33, 1e40)]
+    top = fucik.eigenfunction.MAX_ARCS
+    points += [FucikPoint(n, (n + 0.2) ** 2) for n in range(top - 3, top + 4)]
+    points += [point_from_gamma(n, 5.0) for n in (top - 2, top, top + 2)]
+    points += [FucikPoint(3, 1e200, 1.0), FucikPoint(3, (2.0 / (1.0 + 1e-11)) ** 2, 1e300)]
+    refusals = 0
+    for p in points:
+        assert not is_diagonal(p), p
+        both, refused = _outcome(lambda: moments(p, (p.n,)))
+        if both is None:
+            refusals += 1
+            assert _outcome(lambda: projection_defect(p)) == (None, refused), p
+            assert _outcome(lambda: profile_scaling(p)) == (None, refused), p
+            continue
+        sq, (dot,) = both
+        assert projection_defect(p) == max(1.0 - dot * dot / sq, 0.0), p
+        assert profile_scaling(p) == dot / sq, p
+    # four points past the cap, two given and eight narrow ones of no width
+    assert refusals == 4 + 2 + 8, refusals
 
 
 def test_exact_certify_refuses_the_first_unbuildable_entry_in_order():

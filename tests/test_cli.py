@@ -123,9 +123,12 @@ def test_certify_bad_inputs_exit_two(capsys, write_spec, tmp_path):
     code, _, err = run(capsys, ["certify", "--spec", str(mangled)])
     assert code == 2 and err.startswith("error:")
 
-    unknown = write_spec({"entries": [], "sneaky": 1})
-    code, _, err = run(capsys, ["certify", "--spec", unknown])
-    assert code == 2 and err.startswith("error:")
+    unknown = write_spec({"entries": [], "sneaky": 1, "color": 2})
+    assert run(capsys, ["certify", "--spec", unknown]) == (
+        2, "", "error: unknown keys: ['color', 'sneaky']\n")
+    extra = write_spec({"entries": [{"n": 2, "z": 0, "alpha": 5.0, "a": 1}]})
+    assert run(capsys, ["certify", "--spec", extra]) == (
+        2, "", "error: unknown entry keys: ['a', 'z']\n")
 
     reflected = write_spec({"entries": [{"n": 3, "alpha": 4.0, "beta": 16.0}]})
     code, _, err = run(capsys, ["certify", "--spec", reflected])

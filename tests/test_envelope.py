@@ -13,6 +13,7 @@ from fucik.envelope import (
     envelope_value,
 )
 from fucik.fourier import coefficient
+from fucik.spectrum import InputError
 
 
 def test_envelope_vanishes_at_the_symmetric_end():
@@ -110,6 +111,18 @@ def test_domain_is_half_open_below_nine():
     for bad in (3.999, 9.0, 9.5, math.nan):
         with pytest.raises(ValueError):
             envelope_value(bad)
+
+
+def test_envelope_value_is_the_value_of_envelope():
+    for g in (4.0, 4.0 + 1e-13, *(4.0 + 0.01 * k for k in range(1, 500)), GAMMA_MAX):
+        assert envelope_value(g) == envelope(g).value, g
+    for bad in (math.nan, 3.9, 9.0, "5", True):
+        with pytest.raises(InputError) as value_err:
+            envelope_value(bad)
+        with pytest.raises(InputError) as record_err:
+            envelope(bad)
+        assert type(value_err.value) is type(record_err.value)
+        assert str(value_err.value) == str(record_err.value)
 
 
 @settings(max_examples=60)
