@@ -20,11 +20,13 @@ truncation's top eigenvalue is 2.618 > (1 + 0.527)^2.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import namedtuple
 
 from .eigenfunction import _own_moments, _phase_moments, moments
-from .envelope import GAMMA_MAX, envelope_root, envelope_value, zeta
+from .envelope import GAMMA_MAX, _head, _tail_closed_form, envelope_root, envelope_value, zeta
+from .fourier import _roots
 from .spectrum import (
     FucikPoint,
     InputError,
@@ -238,6 +240,17 @@ def certify_system(spec: SystemSpec) -> Certificate:
     entries, so a pass over a large absorbed constant-shape set is not a
     proof (see the module docstring).  A defect or bound that is not finite,
     or a sum of them that overflows, raises InputError naming it.
+
+    Each walked level takes the envelope's four head summands (k = 1..4) at
+    once and its k >= 5 tail only when a comparison needs it.  With D the
+    level's defect sum, the floor D + fsum(head)^2 never exceeds the total
+    D + fsum(head + tail)^2: the tail is nonnegative, fsum is correctly
+    rounded, and adding and a faithfully rounded square are monotone on
+    nonnegative floats (distinct floats have squares at least an ulp apart).
+    So the walk sums a level's tail only when its floor is at most the
+    defects of a later level (the stop test) or could still give the least
+    total (the choice), and the certificate is bit for bit the one that
+    sums every tail.
     """
     exact = spec.mode == "exact"
     quantity = "defect" if exact else "defect bound"
@@ -268,7 +281,19 @@ def certify_system(spec: SystemSpec) -> Certificate:
         return value
 
     defects = {p.n: defect_fn(p) for p in outside}
-    best = None
+    walked = []  # (level, defect sum, head, s, q) of each walked level
+    pending = []  # heap of (floor, walk index) of the walked levels whose tail is unsummed
+    best = (math.inf, -1, 0.0)  # (total, walk index, envelope_sq): least total, first on ties
+
+    def settle(limit: tuple) -> None:
+        # sum tails, least floor first, while a floor stays below both limit and best
+        nonlocal best
+        while pending and pending[0] < min(limit, best):
+            i = heapq.heappop(pending)[1]
+            level, defect_sum, head, s, q = walked[i]
+            envelope_sq = math.fsum([*head, _tail_closed_form(level, s, q)]) ** 2
+            best = min(best, (defect_sum + envelope_sq, i, envelope_sq))
+
     for level in levels:
         while to_drop and gammas[to_drop[-1].n] > level:
             p = to_drop.pop()
@@ -277,14 +302,19 @@ def certify_system(spec: SystemSpec) -> Certificate:
             defect_sum = math.fsum(defects.values())
         except OverflowError:
             raise InputError(f"the sum of the {quantity}s is not finite") from None
-        # every smaller set leaves at least these defects outside
-        if best is not None and defect_sum >= best[3]:
+        # every smaller set leaves at least these defects outside, so the walk
+        # stops once a walked total is at most them, which only a level whose
+        # floor is at most them can have
+        settle((defect_sum, math.inf))
+        if best[0] <= defect_sum:
             break
-        envelope_sq = envelope_value(level) ** 2
-        total = defect_sum + envelope_sq
-        if best is None or total < best[3]:
-            best = (level, defect_sum, envelope_sq, total)
-    gamma_sup, defect_sum, envelope_sq, total = best
+        s, q = _roots(level)
+        head = _head(level, s, q)
+        heapq.heappush(pending, (defect_sum + math.fsum(head) ** 2, len(walked)))
+        walked.append((level, defect_sum, head, s, q))
+    settle((math.inf, math.inf))
+    total, i, envelope_sq = best
+    gamma_sup, defect_sum = walked[i][:2]
 
     chosen = {n for n, gamma in gammas.items() if gamma <= gamma_sup}
     per_index = []

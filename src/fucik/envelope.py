@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .fourier import _alpha_major, dilation_norm_bound
+from .fourier import _alpha_major, _roots, dilation_norm_bound
 from .spectrum import InputError, _index, _real
 
 # the k >= 5 tail's weight: the largest compression norm over k >= 5
@@ -49,15 +49,16 @@ def coefficient_bound(k: int, gamma: float) -> float:
     it drops the oscillating sine factor from the closed form, leaving a
     positive rational expression.  All of them vanish at gamma = 4.
     """
-    return _majorant(_index(k, "k"), _check_gamma(gamma))
+    k = _index(k, "k")
+    g = _check_gamma(gamma)
+    return _majorant(k, g, *_roots(g))
 
 
-def _majorant(k: int, g: float) -> float:
-    """coefficient_bound for an index and a gamma that are already checked."""
+def _majorant(k: int, g: float, s: float, q: float) -> float:
+    """coefficient_bound for an index and a gamma that are already checked,
+    with s and q the _roots of gamma."""
     if k in (1, 3):
-        return abs(_alpha_major(g, k))
-    s = math.sqrt(g)
-    q = (g - 4.0) / (s + 2.0)  # s - 2 without cancellation
+        return abs(_alpha_major(g, k, s, q))
     if k == 2:
         pi_sq = math.pi * math.pi
         num = ((3.0 + pi_sq) * g + (9.0 - 2.0 * pi_sq) * s - 6.0) * q
@@ -100,7 +101,7 @@ def zeta(s: float, a: float = 1.0) -> float:
 _TAIL_ZETAS = tuple(zeta(2.0 * j + 2.0, 5.0) for j in range(1, 45))
 
 
-def _tail_closed_form(g: float) -> float:
+def _tail_closed_form(g: float, s: float, q: float) -> float:
     """Weighted k >= 5 sum as one positive Hurwitz-zeta series.
 
     The product denominator splits over k^2 - s^2 and k^2 - b^2 with
@@ -110,10 +111,8 @@ def _tail_closed_form(g: float) -> float:
     quotient, and d_{j+1} = g d_j + b^(2j) d_1 adds only positive terms, so
     nothing cancels even as gamma drops to 4.  Each term is at most (3/5)^2
     of the one before, so the remainder after a term below 1e-17 of the sum
-    is smaller still.
+    is smaller still.  s and q are the _roots of gamma.
     """
-    s = math.sqrt(g)
-    q = (g - 4.0) / (s + 2.0)  # s - 2 without cancellation
     b = s / (s - 1.0)
     d1 = s * q / (s - 1.0) * (s + b)
     d, b_pow, total = d1, 1.0, 0.0
@@ -127,10 +126,16 @@ def _tail_closed_form(g: float) -> float:
     return TAIL_WEIGHT * (2.0 * s / (math.pi * (s - 1.0))) * total
 
 
+def _head(g: float, s: float, q: float) -> list[float]:
+    """The four weighted majorants k = 1..4 at a checked gamma with its _roots."""
+    return [norm * _majorant(k, g, s, q) for k, norm in _HEAD]
+
+
 def _summands(g: float) -> tuple[float, ...]:
-    """The five summands of the envelope at a checked gamma: the four
-    weighted majorants k = 1..4, then the k >= 5 tail summed in full."""
-    return (*(norm * _majorant(k, g) for k, norm in _HEAD), _tail_closed_form(g))
+    """The five summands of the envelope at a checked gamma: the _head,
+    then the k >= 5 tail summed in full."""
+    s, q = _roots(g)
+    return (*_head(g, s, q), _tail_closed_form(g, s, q))
 
 
 def envelope(gamma: float) -> EnvelopeEval:

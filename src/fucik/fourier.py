@@ -22,8 +22,15 @@ def _sin_pi_ratio(k: int, s: float) -> float:
     return (-1.0) ** (m % 2) * math.sin(math.pi * (t - m))
 
 
-def _alpha_major(gamma: float, k: int) -> float:
-    """Closed-form k-th coefficient of the alpha-major two-arc profile.
+def _roots(gamma: float) -> tuple[float, float]:
+    """s = sqrt(gamma) and q = s - 2, the latter without cancellation."""
+    s = math.sqrt(gamma)
+    return s, (gamma - 4.0) / (s + 2.0)
+
+
+def _alpha_major(gamma: float, k: int, s: float, q: float) -> float:
+    """Closed-form k-th coefficient of the alpha-major two-arc profile,
+    with s and q the _roots of gamma.
 
     The k = 2 and k = 3 formulas carry removable singularities at the ends
     of the shape range; both are evaluated through sin(u)/u forms whose
@@ -32,8 +39,6 @@ def _alpha_major(gamma: float, k: int) -> float:
     """
     if gamma == 4.0:
         return 1.0 if k == 2 else 0.0
-    s = math.sqrt(gamma)
-    q = (gamma - 4.0) / (s + 2.0)  # equals s - 2 without cancellation
     pref = (2.0 / math.pi) * gamma * gamma / (s - 1.0)
     if k == 2:
         ratio = math.sin(math.pi * q / s) / q
@@ -57,7 +62,7 @@ def coefficient(gamma: float, k: int) -> float:
     gamma = _real(gamma, "gamma")
     if not 4.0 <= gamma < 9.0:
         raise InputError("gamma must lie in [4, 9)")
-    return _alpha_major(gamma, _index(k, "k"))
+    return _alpha_major(gamma, _index(k, "k"), *_roots(gamma))
 
 
 def dilation_norm_bound(k: int) -> float:

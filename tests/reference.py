@@ -1,6 +1,7 @@
 """Test-only references: one profile as arc arrays and its evaluator,
 quadrature, series and arc-sum oracles for the closed forms of the library,
-the per-row Gram engine that the swept one is held to, the abstract
+the per-row Gram engine that the swept one is held to, the eager split walk
+that the lazy one is held to, the abstract
 criterion and dilation operator that the tests check on their own, and the
 ODE residual of a profile.  Nothing in fucik imports this module.
 """
@@ -10,12 +11,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fucik.certify import InputError
+from fucik.certify import (
+    _NOTE,
+    SPLIT_AUTO,
+    SPLIT_DEFAULT,
+    Certificate,
+    InputError,
+    SystemSpec,
+    projection_defect,
+    projection_defect_bound,
+)
 from fucik.eigenfunction import _TINY, SUP_NORM
-from fucik.envelope import GAMMA_MAX, TAIL_WEIGHT
+from fucik.envelope import GAMMA_MAX, TAIL_WEIGHT, envelope_value
 from fucik.gram import ProfileBatch, build_batch
 from fucik.quadrature import integrate
-from fucik.spectrum import FucikPoint, _index
+from fucik.spectrum import FucikPoint, _index, dilation_parameter, is_diagonal
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,6 +188,84 @@ def per_row_gram(batch: ProfileBatch) -> np.ndarray:
         g[i, i + 1:] = np.bincount(pair, weights=vals, minlength=partners) * per
     g += g.T
     return g
+
+
+def eager_certify_system(spec: SystemSpec) -> Certificate:
+    """fucik.certify.certify_system as it was when every walked level summed
+    its envelope in full: each level takes envelope_value, and the walk
+    stops once the defects it read reach the least total so far.  The lazy
+    walk of the library is held to it bit for bit."""
+    exact = spec.mode == "exact"
+    quantity = "defect" if exact else "defect bound"
+    if spec.split in (SPLIT_DEFAULT, SPLIT_AUTO):
+        candidates = [p for p in spec.entries if p.n % 2 == 0 and not is_diagonal(p)]
+    else:
+        candidates = [p for p in spec.entries if p.n in spec.split]
+    gammas = {p.n: dilation_parameter(p) for p in candidates}
+    for n, gamma in gammas.items():
+        if gamma > GAMMA_MAX:
+            raise InputError(
+                f"entry n={n} has dilation parameter above 9 - 1e-9; the envelope "
+                "cannot absorb it (give an explicit split without it)"
+            )
+
+    levels = sorted({4.0, *gammas.values()}, reverse=True)
+    if spec.split != SPLIT_AUTO:
+        levels = levels[:1]
+    outside = [p for p in spec.entries if p.n not in gammas]
+    to_drop = sorted(candidates, key=lambda p: gammas[p.n])
+    # the library's own defect and majorant
+    defect = projection_defect if exact else projection_defect_bound
+
+    def defect_fn(p: FucikPoint) -> float:
+        value = defect(p)
+        if not math.isfinite(value):
+            raise InputError(f"entry n={p.n}: {quantity} is not finite")
+        return value
+
+    defects = {p.n: defect_fn(p) for p in outside}
+    best = None
+    for level in levels:
+        while to_drop and gammas[to_drop[-1].n] > level:
+            p = to_drop.pop()
+            defects[p.n] = defect_fn(p)
+        try:
+            defect_sum = math.fsum(defects.values())
+        except OverflowError:
+            raise InputError(f"the sum of the {quantity}s is not finite") from None
+        # every smaller set leaves at least these defects outside
+        if best is not None and defect_sum >= best[3]:
+            break
+        envelope_sq = envelope_value(level) ** 2
+        total = defect_sum + envelope_sq
+        if best is None or total < best[3]:
+            best = (level, defect_sum, envelope_sq, total)
+    gamma_sup, defect_sum, envelope_sq, total = best
+
+    chosen = {n for n, gamma in gammas.items() if gamma <= gamma_sup}
+    per_index = []
+    for p in spec.entries:
+        if p.n in chosen:
+            rec = {"n": p.n, "method": "envelope", "value": gammas[p.n]}
+        else:
+            rec = {
+                "n": p.n,
+                "method": "quadrature-defect" if exact else "closed-form-bound",
+                "value": defects[p.n],
+            }
+        per_index.append(rec)
+    return Certificate(
+        mode=spec.mode,
+        split=tuple(sorted(chosen)),
+        defect_sum=defect_sum,
+        gamma_sup=gamma_sup,
+        envelope_sq=envelope_sq,
+        total=total,
+        passed=total < 1.0,
+        margin=1.0 - total,
+        per_index=tuple(per_index),
+        note=_NOTE,
+    )
 
 
 def combined_criterion(residual_defect: float, families) -> tuple[float, bool]:

@@ -135,6 +135,14 @@ def test_certify_bad_inputs_exit_two(capsys, write_spec, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_certify_refuses_a_completion_beyond_the_float_range(capsys, write_spec):
+    n = 2 * 10**150
+    spec = write_spec({"entries": [{"n": n, "alpha": 1.0000000000000006e300}]})
+    for mode in ("exact", "bound"):
+        assert run(capsys, ["certify", "--spec", spec, "--mode", mode]) == (
+            2, "", f"error: entry n={n}: the beta completing this alpha lies beyond the float range\n")
+
+
 @pytest.mark.parametrize("text", [
     '{"entries": [{"n": 2, "alpha": 5.0}], "split": [2, "a"]}',
     '{"entries": [{"n": 2, "alpha": 5.0}], "split": [null, 2]}',

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import mpmath
 import pytest
@@ -111,6 +113,22 @@ def test_domain_is_half_open_below_nine():
     for bad in (3.999, 9.0, 9.5, math.nan):
         with pytest.raises(ValueError):
             envelope_value(bad)
+
+
+# sha256 of the reprs below as the envelope gave them when each summand took
+# its own square roots: sharing them must leave every bit where it was
+_ENVELOPE_DIGEST = "19d355cc072a15d9313f1282bf953d6f05c461ff777a045561d4f372335d14bf"
+
+
+def test_envelope_bits_are_pinned():
+    rng = random.Random(20350)
+    gammas = [rng.uniform(4.0, GAMMA_MAX) for _ in range(10_000)] + [4.0, 4.0 + 1e-15, GAMMA_MAX]
+    digest = hashlib.sha256()
+    for g in gammas:
+        digest.update(repr(envelope(g)).encode())
+        for k in range(1, 7):
+            digest.update(repr((coefficient_bound(k, g), coefficient(g, k))).encode())
+    assert digest.hexdigest() == _ENVELOPE_DIGEST
 
 
 def test_envelope_value_is_the_value_of_envelope():

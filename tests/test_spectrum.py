@@ -17,6 +17,7 @@ from fucik.spectrum import (
     InputError,
     ReflectedCurveError,
     SpectrumError,
+    _arc_counts,
     _residual,
     dilation_parameter,
     is_diagonal,
@@ -39,7 +40,7 @@ def test_solve_beta_even_reference_point():
 def test_diagonal_points_have_zero_residual():
     for n in range(2, 12):
         p = FucikPoint(n, float(n * n), float(n * n))
-        assert _residual(n, p.alpha, p.beta) == pytest.approx(0.0, abs=1e-13)
+        assert _residual(_arc_counts(n), p.alpha, p.beta) == pytest.approx(0.0, abs=1e-13)
         assert is_diagonal(p)
 
 
@@ -153,6 +154,26 @@ def test_intake_completes_a_missing_coordinate():
             FucikPoint(n, *coordinate)
 
 
+# at a huge even index, sqrt(alpha) a few ulp past the diagonal leaves so
+# little room that the completed coordinate squares past the float range
+HUGE_EVEN, NEAR_DIAGONAL = 2 * 10**150, 1.0000000000000006e300
+
+
+def test_a_completion_beyond_the_float_range_is_refused():
+    for call, missing, given in (
+        (lambda: FucikPoint(HUGE_EVEN, NEAR_DIAGONAL), "beta", "alpha"),
+        (lambda: solve_beta(HUGE_EVEN, NEAR_DIAGONAL), "beta", "alpha"),
+        (lambda: FucikPoint(HUGE_EVEN, None, NEAR_DIAGONAL), "alpha", "beta"),
+        (lambda: solve_alpha(HUGE_EVEN, NEAR_DIAGONAL), "alpha", "beta"),
+    ):
+        with pytest.raises(SpectrumError) as err:
+            call()
+        assert str(err.value) == f"the {missing} completing this {given} lies beyond the float range"
+    # further from the diagonal the completion stays finite
+    assert math.isfinite(FucikPoint(HUGE_EVEN, 1.01e300).beta)
+    assert math.isfinite(FucikPoint(HUGE_EVEN, None, 1.01e300).alpha)
+
+
 def test_solve_beta_needs_room_for_positive_arcs():
     # sqrt(alpha) = 2 makes the two positive arcs of n=4 fill (0, pi) alone
     with pytest.raises(SpectrumError):
@@ -172,7 +193,7 @@ def test_point_from_gamma_places_alpha_on_major_side():
     p = point_from_gamma(6, 5.5)
     assert p.alpha == 5.5 * 9.0
     assert p.alpha >= p.beta
-    assert abs(_residual(6, p.alpha, p.beta)) <= MEMBERSHIP_TOL
+    assert abs(_residual(_arc_counts(6), p.alpha, p.beta)) <= MEMBERSHIP_TOL
     assert dilation_parameter(p) == pytest.approx(5.5, abs=1e-12)
     assert is_diagonal(point_from_gamma(4, 4.0))
     with pytest.raises(SpectrumError):
@@ -196,7 +217,7 @@ def test_solve_roundtrip_stays_on_curve(n, t):
     alpha = sa * sa
     beta = solve_beta(n, alpha)
     FucikPoint(n, alpha, beta)  # checks membership
-    assert abs(_residual(n, alpha, beta)) <= 1e-9
+    assert abs(_residual(_arc_counts(n), alpha, beta)) <= 1e-9
     assert solve_alpha(n, beta) == pytest.approx(alpha, rel=1e-9)
 
 
@@ -205,4 +226,4 @@ def test_gamma_parametrization_roundtrip(n, gamma):
     even = 2 * n
     p = point_from_gamma(even, gamma)
     assert dilation_parameter(p) == pytest.approx(gamma, rel=1e-13)
-    assert abs(_residual(even, p.alpha, p.beta)) <= MEMBERSHIP_TOL
+    assert abs(_residual(_arc_counts(even), p.alpha, p.beta)) <= MEMBERSHIP_TOL
