@@ -25,8 +25,7 @@ import math
 from collections import namedtuple
 
 from .eigenfunction import _own_moments, _phase_moments, moments
-from .envelope import GAMMA_MAX, _head, _tail_closed_form, envelope_root, envelope_value, zeta
-from .fourier import _roots
+from .envelope import GAMMA_MAX, _head_and_floor, _value, envelope_root, envelope_value, zeta
 from .spectrum import (
     FucikPoint,
     InputError,
@@ -281,7 +280,7 @@ def certify_system(spec: SystemSpec) -> Certificate:
         return value
 
     defects = {p.n: defect_fn(p) for p in outside}
-    walked = []  # (level, defect sum, head, s, q) of each walked level
+    walked = []  # (level, defect sum, envelope head) of each walked level
     pending = []  # heap of (floor, walk index) of the walked levels whose tail is unsummed
     best = (math.inf, -1, 0.0)  # (total, walk index, envelope_sq): least total, first on ties
 
@@ -290,8 +289,8 @@ def certify_system(spec: SystemSpec) -> Certificate:
         nonlocal best
         while pending and pending[0] < min(limit, best):
             i = heapq.heappop(pending)[1]
-            level, defect_sum, head, s, q = walked[i]
-            envelope_sq = math.fsum([*head, _tail_closed_form(level, s, q)]) ** 2
+            _, defect_sum, head = walked[i]
+            envelope_sq = _value(head) ** 2
             best = min(best, (defect_sum + envelope_sq, i, envelope_sq))
 
     for level in levels:
@@ -308,10 +307,9 @@ def certify_system(spec: SystemSpec) -> Certificate:
         settle((defect_sum, math.inf))
         if best[0] <= defect_sum:
             break
-        s, q = _roots(level)
-        head = _head(level, s, q)
-        heapq.heappush(pending, (defect_sum + math.fsum(head) ** 2, len(walked)))
-        walked.append((level, defect_sum, head, s, q))
+        head, floor = _head_and_floor(level)
+        heapq.heappush(pending, (defect_sum + floor ** 2, len(walked)))
+        walked.append((level, defect_sum, head))
     settle((math.inf, math.inf))
     total, i, envelope_sq = best
     gamma_sup, defect_sum = walked[i][:2]

@@ -126,29 +126,44 @@ def _tail_closed_form(g: float, s: float, q: float) -> float:
     return TAIL_WEIGHT * (2.0 * s / (math.pi * (s - 1.0))) * total
 
 
-def _head(g: float, s: float, q: float) -> list[float]:
-    """The four weighted majorants k = 1..4 at a checked gamma with its _roots."""
-    return [norm * _majorant(k, g, s, q) for k, norm in _HEAD]
-
-
-def _summands(g: float) -> tuple[float, ...]:
-    """The five summands of the envelope at a checked gamma: the _head,
-    then the k >= 5 tail summed in full."""
+def _head(g: float) -> tuple:
+    """The envelope at a checked gamma up to its k >= 5 tail: gamma, its
+    _roots s and q, and the four weighted majorants k = 1..4."""
     s, q = _roots(g)
-    return (*_head(g, s, q), _tail_closed_form(g, s, q))
+    return g, s, q, [norm * _majorant(k, g, s, q) for k, norm in _HEAD]
+
+
+def _summands(head: tuple) -> tuple[float, ...]:
+    """The five summands of the envelope from its _head: the four weighted
+    majorants, then the k >= 5 tail summed in full."""
+    g, s, q, majorants = head
+    return (*majorants, _tail_closed_form(g, s, q))
+
+
+def _head_and_floor(g: float) -> tuple[tuple, float]:
+    """The _head at a checked gamma and the fsum of its majorants, which the
+    envelope never falls below: the tail is nonnegative and fsum is
+    correctly rounded."""
+    head = _head(g)
+    return head, math.fsum(head[3])
+
+
+def _value(head: tuple) -> float:
+    """The envelope from its _head: the five _summands by fsum."""
+    return math.fsum(_summands(head))
 
 
 def envelope(gamma: float) -> EnvelopeEval:
     """Envelope at gamma with the five summands recorded separately; the
     k >= 5 tail is summed in full, not truncated."""
     g = _check_gamma(gamma)
-    summands = _summands(g)
+    summands = _summands(_head(g))
     return EnvelopeEval(g, summands, math.fsum(summands))
 
 
 def envelope_value(gamma: float) -> float:
     """The envelope at gamma: envelope(gamma).value, without the record."""
-    return math.fsum(_summands(_check_gamma(gamma)))
+    return _value(_head(_check_gamma(gamma)))
 
 
 @lru_cache(maxsize=1)

@@ -68,13 +68,12 @@ class FucikPoint(namedtuple("FucikPoint", "n alpha beta")):
             if n != 1:
                 raise SpectrumError(f"index {n} needs alpha or beta")
             alpha = 1.0
-        counts = _arc_counts(n)
         if beta is None:
             alpha = _coordinate(alpha, "alpha")
-            beta = _complete(n, counts, alpha, "alpha")
+            beta = _complete(n, alpha, "alpha")
         elif alpha is None:
             beta = _coordinate(beta, "beta")
-            alpha = _complete(n, counts, beta, "beta")
+            alpha = _complete(n, beta, "beta")
         else:
             alpha = _coordinate(alpha, "alpha")
             beta = _coordinate(beta, "beta")
@@ -85,9 +84,9 @@ class FucikPoint(namedtuple("FucikPoint", "n alpha beta")):
                     "trivial lines carry the identical profile"
                 )
         else:
-            residual = _residual(counts, alpha, beta)
+            residual = _residual(n, alpha, beta)
             if not abs(residual) <= MEMBERSHIP_TOL:
-                if n % 2 == 1 and abs(_residual(counts, beta, alpha)) <= MEMBERSHIP_TOL:
+                if n % 2 == 1 and abs(_residual(n, beta, alpha)) <= MEMBERSHIP_TOL:
                     raise ReflectedCurveError(
                         f"({alpha}, {beta}) solves the sign-swapped equation for "
                         f"n={n}; swap the coordinates and negate the profile"
@@ -126,10 +125,8 @@ def _real(value, name: str) -> float:
 
 
 def _coordinate(value, name: str) -> float:
-    """value as a float, refused unless a finite positive real; an exact
-    float needs none of _real's probes."""
-    if type(value) is not float:
-        value = _real(value, name)
+    """value as a float, refused unless a finite positive real."""
+    value = _real(value, name)
     if not math.isfinite(value) or value <= 0.0:
         raise SpectrumError(f"{name} must be finite and positive")
     return value
@@ -145,24 +142,22 @@ def _arc_counts(n: int) -> tuple[int, int]:
     return (n + 1) // 2, n // 2
 
 
-def _residual(counts: tuple[int, int], alpha: float, beta: float) -> float:
-    """Tiling residual on curve n >= 2, with counts its _arc_counts: total
-    arc length minus pi, 0 on the curve."""
-    n_pos, n_neg = counts
+def _residual(n: int, alpha: float, beta: float) -> float:
+    """Tiling residual on curve n >= 2: total arc length minus pi, 0 on the curve."""
+    n_pos, n_neg = _arc_counts(n)
     return n_pos * math.pi / math.sqrt(alpha) + n_neg * math.pi / math.sqrt(beta) - math.pi
 
 
-def _complete(n: int, counts: tuple[int, int], value: float, name: str) -> float:
+def _complete(n: int, value: float, name: str) -> float:
     """The other coordinate of the point on curve n whose coordinate name
     ("alpha" runs the positive arcs, "beta" the negative ones) is value,
-    for an index and a value already checked by _index and _coordinate,
-    with counts the _arc_counts of n.  A completion beyond the float range
-    is refused: it is no coordinate."""
+    for an index and a value already checked by _index and _coordinate.
+    A completion beyond the float range is refused: it is no coordinate."""
     if n == 1:
         if abs(value - 1.0) > MEMBERSHIP_TOL:
             raise SpectrumError(f"index 1 admits only {name} = 1")
         return 1.0
-    n_pos, n_neg = counts
+    n_pos, n_neg = _arc_counts(n)
     if name == "alpha":
         own, other, sign, missing = n_pos, n_neg, "positive", "beta"
     else:
@@ -182,14 +177,12 @@ def _complete(n: int, counts: tuple[int, int], value: float, name: str) -> float
 
 def solve_beta(n: int, alpha: float) -> float:
     """The unique beta completing (n, alpha, beta) on the n-th curve."""
-    n = _index(n)
-    return _complete(n, _arc_counts(n), _coordinate(alpha, "alpha"), "alpha")
+    return _complete(_index(n), _coordinate(alpha, "alpha"), "alpha")
 
 
 def solve_alpha(n: int, beta: float) -> float:
     """The unique alpha completing (n, alpha, beta) on the n-th curve."""
-    n = _index(n)
-    return _complete(n, _arc_counts(n), _coordinate(beta, "beta"), "beta")
+    return _complete(_index(n), _coordinate(beta, "beta"), "beta")
 
 
 def dilation_parameter(p: FucikPoint) -> float:

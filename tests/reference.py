@@ -1,7 +1,8 @@
 """Test-only references: one profile as arc arrays and its evaluator,
 quadrature, series and arc-sum oracles for the closed forms of the library,
 the per-row Gram engine that the swept one is held to, the eager split walk
-that the lazy one is held to, the abstract
+that the lazy one is held to, the envelope summands with each taking its
+own square roots that the shared roots are held to, the abstract
 criterion and dilation operator that the tests check on their own, and the
 ODE residual of a profile.  Nothing in fucik imports this module.
 """
@@ -22,7 +23,8 @@ from fucik.certify import (
     projection_defect_bound,
 )
 from fucik.eigenfunction import _TINY, SUP_NORM
-from fucik.envelope import GAMMA_MAX, TAIL_WEIGHT, envelope_value
+from fucik.envelope import _HEAD, _TAIL_ZETAS, GAMMA_MAX, TAIL_WEIGHT, envelope_value
+from fucik.fourier import _sin_pi_ratio
 from fucik.gram import ProfileBatch, build_batch
 from fucik.quadrature import integrate
 from fucik.spectrum import FucikPoint, _index, dilation_parameter, is_diagonal
@@ -266,6 +268,61 @@ def eager_certify_system(spec: SystemSpec) -> Certificate:
         per_index=tuple(per_index),
         note=_NOTE,
     )
+
+
+def own_roots_alpha_major(gamma: float, k: int) -> float:
+    """fucik.fourier._alpha_major as it was when it took its own square
+    root; fucik.fourier.coefficient is held to it bit for bit."""
+    if gamma == 4.0:
+        return 1.0 if k == 2 else 0.0
+    s = math.sqrt(gamma)
+    q = (gamma - 4.0) / (s + 2.0)  # equals s - 2 without cancellation
+    pref = (2.0 / math.pi) * gamma * gamma / (s - 1.0)
+    if k == 2:
+        ratio = math.sin(math.pi * q / s) / q
+        return pref * ratio / ((s + 2.0) * (3.0 * s - 2.0))
+    if k == 3:
+        u = (9.0 - gamma) / (3.0 + s)  # equals 3 - s without cancellation
+        ratio = math.sin(math.pi * u / s) / u
+        return pref * q * ratio / ((3.0 + s) * (2.0 * s - 3.0) * (4.0 * s - 3.0))
+    num = -pref * q * _sin_pi_ratio(k, s)
+    den = (k * k - gamma) * ((k - 1) * s - k) * ((k + 1) * s - k)
+    return num / den
+
+
+def own_roots_majorant(k: int, g: float) -> float:
+    """fucik.envelope.coefficient_bound's majorant as it was when it took
+    its own square root."""
+    if k in (1, 3):
+        return abs(own_roots_alpha_major(g, k))
+    s = math.sqrt(g)
+    q = (g - 4.0) / (s + 2.0)  # s - 2 without cancellation
+    if k == 2:
+        pi_sq = math.pi * math.pi
+        num = ((3.0 + pi_sq) * g + (9.0 - 2.0 * pi_sq) * s - 6.0) * q
+        den = 3.0 * (s - 1.0) * (s + 2.0) * (3.0 * s - 2.0)
+        return num / den
+    pref = (2.0 / math.pi) * g * g * q / (s - 1.0)
+    return pref / ((k * k - g) * ((k - 1) * s - k) * ((k + 1) * s - k))
+
+
+def own_roots_summands(g: float) -> tuple[float, ...]:
+    """The five envelope summands at gamma as they were when every majorant
+    and the k >= 5 tail took their own square roots."""
+    s = math.sqrt(g)
+    q = (g - 4.0) / (s + 2.0)  # s - 2 without cancellation
+    b = s / (s - 1.0)
+    d1 = s * q / (s - 1.0) * (s + b)
+    d, b_pow, total = d1, 1.0, 0.0
+    for z in _TAIL_ZETAS:
+        term = d * z
+        total += term
+        if term <= 1e-17 * total:
+            break
+        b_pow *= b * b
+        d = g * d + b_pow * d1
+    tail = TAIL_WEIGHT * (2.0 * s / (math.pi * (s - 1.0))) * total
+    return (*(norm * own_roots_majorant(k, g) for k, norm in _HEAD), tail)
 
 
 def combined_criterion(residual_defect: float, families) -> tuple[float, bool]:

@@ -5,7 +5,7 @@ import random
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import envelope_tail_series
+from reference import envelope_tail_series, own_roots_alpha_major, own_roots_majorant, own_roots_summands
 
 from fucik.envelope import (
     GAMMA_MAX,
@@ -115,16 +115,31 @@ def test_domain_is_half_open_below_nine():
             envelope_value(bad)
 
 
+def _pinned_gammas() -> list[float]:
+    rng = random.Random(20350)
+    return [rng.uniform(4.0, GAMMA_MAX) for _ in range(10_000)] + [4.0, 4.0 + 1e-15, GAMMA_MAX]
+
+
+def test_envelope_bits_are_those_of_summands_with_their_own_roots():
+    # the same libm on both sides, so this holds on any platform
+    for g in _pinned_gammas():
+        summands = own_roots_summands(g)
+        assert repr(tuple(envelope(g))) == repr((g, summands, math.fsum(summands))), g
+        for k in range(1, 7):
+            assert repr(coefficient_bound(k, g)) == repr(own_roots_majorant(k, g)), (k, g)
+            assert repr(coefficient(g, k)) == repr(own_roots_alpha_major(g, k)), (k, g)
+
+
 # sha256 of the reprs below as the envelope gave them when each summand took
-# its own square roots: sharing them must leave every bit where it was
+# its own square roots.  It pins libm's sin and pow too (glibc 2.36 on
+# x86-64 with FMA); where the test above passes and this one fails, the
+# libm differs, not the envelope.
 _ENVELOPE_DIGEST = "19d355cc072a15d9313f1282bf953d6f05c461ff777a045561d4f372335d14bf"
 
 
 def test_envelope_bits_are_pinned():
-    rng = random.Random(20350)
-    gammas = [rng.uniform(4.0, GAMMA_MAX) for _ in range(10_000)] + [4.0, 4.0 + 1e-15, GAMMA_MAX]
     digest = hashlib.sha256()
-    for g in gammas:
+    for g in _pinned_gammas():
         digest.update(repr(envelope(g)).encode())
         for k in range(1, 7):
             digest.update(repr((coefficient_bound(k, g), coefficient(g, k))).encode())

@@ -17,7 +17,6 @@ from fucik.spectrum import (
     InputError,
     ReflectedCurveError,
     SpectrumError,
-    _arc_counts,
     _residual,
     dilation_parameter,
     is_diagonal,
@@ -40,7 +39,7 @@ def test_solve_beta_even_reference_point():
 def test_diagonal_points_have_zero_residual():
     for n in range(2, 12):
         p = FucikPoint(n, float(n * n), float(n * n))
-        assert _residual(_arc_counts(n), p.alpha, p.beta) == pytest.approx(0.0, abs=1e-13)
+        assert _residual(n, p.alpha, p.beta) == pytest.approx(0.0, abs=1e-13)
         assert is_diagonal(p)
 
 
@@ -193,7 +192,7 @@ def test_point_from_gamma_places_alpha_on_major_side():
     p = point_from_gamma(6, 5.5)
     assert p.alpha == 5.5 * 9.0
     assert p.alpha >= p.beta
-    assert abs(_residual(_arc_counts(6), p.alpha, p.beta)) <= MEMBERSHIP_TOL
+    assert abs(_residual(6, p.alpha, p.beta)) <= MEMBERSHIP_TOL
     assert dilation_parameter(p) == pytest.approx(5.5, abs=1e-12)
     assert is_diagonal(point_from_gamma(4, 4.0))
     with pytest.raises(SpectrumError):
@@ -217,7 +216,7 @@ def test_solve_roundtrip_stays_on_curve(n, t):
     alpha = sa * sa
     beta = solve_beta(n, alpha)
     FucikPoint(n, alpha, beta)  # checks membership
-    assert abs(_residual(_arc_counts(n), alpha, beta)) <= 1e-9
+    assert abs(_residual(n, alpha, beta)) <= 1e-9
     assert solve_alpha(n, beta) == pytest.approx(alpha, rel=1e-9)
 
 
@@ -226,4 +225,4 @@ def test_gamma_parametrization_roundtrip(n, gamma):
     even = 2 * n
     p = point_from_gamma(even, gamma)
     assert dilation_parameter(p) == pytest.approx(gamma, rel=1e-13)
-    assert abs(_residual(_arc_counts(even), p.alpha, p.beta)) <= MEMBERSHIP_TOL
+    assert abs(_residual(even, p.alpha, p.beta)) <= MEMBERSHIP_TOL
