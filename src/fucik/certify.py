@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import namedtuple
+from operator import itemgetter
 
 from .eigenfunction import _own_moments, _phase_moments, moments
 from .envelope import GAMMA_MAX, _head_and_floor, _value, envelope_root, envelope_value, zeta
@@ -194,7 +195,7 @@ def parse_system(obj: dict) -> SystemSpec:
         points.append(point)
 
     return SystemSpec(
-        entries=tuple(sorted(points, key=lambda p: p.n)),
+        entries=tuple(sorted(points, key=itemgetter(0))),
         split=obj.get("split", SPLIT_DEFAULT),
         mode=obj.get("mode", "exact"),
         tail_rule=obj.get("tail_rule", "identity"),

@@ -68,15 +68,21 @@ class FucikPoint(namedtuple("FucikPoint", "n alpha beta")):
             if n != 1:
                 raise SpectrumError(f"index {n} needs alpha or beta")
             alpha = 1.0
+        counts = _arc_counts(n)
         if beta is None:
             alpha = _coordinate(alpha, "alpha")
-            beta = _complete(n, alpha, "alpha")
+            ra = math.sqrt(alpha)
+            beta = _complete(n, counts, alpha, ra, "alpha")
+            rb = math.sqrt(beta)
         elif alpha is None:
             beta = _coordinate(beta, "beta")
-            alpha = _complete(n, beta, "beta")
+            rb = math.sqrt(beta)
+            alpha = _complete(n, counts, beta, rb, "beta")
+            ra = math.sqrt(alpha)
         else:
             alpha = _coordinate(alpha, "alpha")
             beta = _coordinate(beta, "beta")
+            ra, rb = math.sqrt(alpha), math.sqrt(beta)
         if n == 1:
             if not max(abs(alpha - 1.0), abs(beta - 1.0)) <= MEMBERSHIP_TOL:
                 raise SpectrumError(
@@ -84,9 +90,9 @@ class FucikPoint(namedtuple("FucikPoint", "n alpha beta")):
                     "trivial lines carry the identical profile"
                 )
         else:
-            residual = _residual(n, alpha, beta)
+            residual = _residual(counts, ra, rb)
             if not abs(residual) <= MEMBERSHIP_TOL:
-                if n % 2 == 1 and abs(_residual(n, beta, alpha)) <= MEMBERSHIP_TOL:
+                if n % 2 == 1 and abs(_residual(counts, rb, ra)) <= MEMBERSHIP_TOL:
                     raise ReflectedCurveError(
                         f"({alpha}, {beta}) solves the sign-swapped equation for "
                         f"n={n}; swap the coordinates and negate the profile"
@@ -100,8 +106,10 @@ class FucikPoint(namedtuple("FucikPoint", "n alpha beta")):
 def _index(n, name: str = "index n", least: int = 1) -> int:
     """n, refused unless it is a plain int (not a bool) of at least least
     and within the float range, where the arc counts of a curve index meet
-    floats: the one index rule of the package."""
-    if isinstance(n, bool) or not isinstance(n, int):
+    floats: the one index rule of the package.  The first test is
+    type(n) is int, so an exact int skips the bool and int tests; those
+    refuse no exact int, so the fast path admits nothing they refuse."""
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, int)):
         raise SpectrumError(f"{name} must be a plain positive integer")
     if n < least:
         raise SpectrumError(f"{name} must be >= {least}, got {n}")
@@ -113,8 +121,12 @@ def _index(n, name: str = "index n", least: int = 1) -> int:
 def _real(value, name: str) -> float:
     """value as a float, refused unless it has __float__ and is no bool (so
     no string or bytes that float() parses) and no int beyond the float
-    range.  The one real rule of the package; each caller tests its range."""
-    if isinstance(value, bool) or not hasattr(value, "__float__"):
+    range.  The one real rule of the package; each caller tests its range.
+    The first test is isinstance(value, float), so a float or a float
+    subclass such as numpy.float64 goes straight to float(); it is no bool
+    and has __float__, so the fast path admits nothing the full tests
+    refuse, and a __float__ that raises is refused as before."""
+    if not isinstance(value, float) and (isinstance(value, bool) or not hasattr(value, "__float__")):
         raise SpectrumError(f"{name} must be a real number")
     try:
         return float(value)
@@ -142,27 +154,29 @@ def _arc_counts(n: int) -> tuple[int, int]:
     return (n + 1) // 2, n // 2
 
 
-def _residual(n: int, alpha: float, beta: float) -> float:
-    """Tiling residual on curve n >= 2: total arc length minus pi, 0 on the curve."""
-    n_pos, n_neg = _arc_counts(n)
-    return n_pos * math.pi / math.sqrt(alpha) + n_neg * math.pi / math.sqrt(beta) - math.pi
+def _residual(counts: tuple[int, int], ra: float, rb: float) -> float:
+    """Tiling residual on a curve n >= 2 of arc counts _arc_counts(n), with
+    ra = sqrt(alpha) and rb = sqrt(beta): total arc length minus pi, 0 on the curve."""
+    n_pos, n_neg = counts
+    return n_pos * math.pi / ra + n_neg * math.pi / rb - math.pi
 
 
-def _complete(n: int, value: float, name: str) -> float:
+def _complete(n: int, counts: tuple[int, int], value: float, root: float, name: str) -> float:
     """The other coordinate of the point on curve n whose coordinate name
     ("alpha" runs the positive arcs, "beta" the negative ones) is value,
-    for an index and a value already checked by _index and _coordinate.
+    for an index and a value already checked by _index and _coordinate,
+    with counts = _arc_counts(n) and root = sqrt(value) taken by the caller.
     A completion beyond the float range is refused: it is no coordinate."""
     if n == 1:
         if abs(value - 1.0) > MEMBERSHIP_TOL:
             raise SpectrumError(f"index 1 admits only {name} = 1")
         return 1.0
-    n_pos, n_neg = _arc_counts(n)
+    n_pos, n_neg = counts
     if name == "alpha":
         own, other, sign, missing = n_pos, n_neg, "positive", "beta"
     else:
         own, other, sign, missing = n_neg, n_pos, "negative", "alpha"
-    room = 1.0 - own / math.sqrt(value)
+    room = 1.0 - own / root
     if room <= 0.0:
         raise SpectrumError(
             f"need sqrt({name}) > {own} for index {n}; the {sign} arcs "
@@ -177,12 +191,16 @@ def _complete(n: int, value: float, name: str) -> float:
 
 def solve_beta(n: int, alpha: float) -> float:
     """The unique beta completing (n, alpha, beta) on the n-th curve."""
-    return _complete(_index(n), _coordinate(alpha, "alpha"), "alpha")
+    _index(n)
+    alpha = _coordinate(alpha, "alpha")
+    return _complete(n, _arc_counts(n), alpha, math.sqrt(alpha), "alpha")
 
 
 def solve_alpha(n: int, beta: float) -> float:
     """The unique alpha completing (n, alpha, beta) on the n-th curve."""
-    return _complete(_index(n), _coordinate(beta, "beta"), "beta")
+    _index(n)
+    beta = _coordinate(beta, "beta")
+    return _complete(n, _arc_counts(n), beta, math.sqrt(beta), "beta")
 
 
 def dilation_parameter(p: FucikPoint) -> float:

@@ -3,11 +3,14 @@ quadrature, series and arc-sum oracles for the closed forms of the library,
 the per-row Gram engine that the swept one is held to, the eager split walk
 that the lazy one is held to, the envelope summands with each taking its
 own square roots that the shared roots are held to, the abstract
-criterion and dilation operator that the tests check on their own, and the
-ODE residual of a profile.  Nothing in fucik imports this module.
+criterion and dilation operator that the tests check on their own, the
+ODE residual of a profile, and the point intake with each helper making
+its own tests and taking its own roots that the one-pass intake is held
+to.  Nothing in fucik imports this module.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +30,16 @@ from fucik.envelope import _HEAD, _TAIL_ZETAS, GAMMA_MAX, TAIL_WEIGHT, envelope_
 from fucik.fourier import _sin_pi_ratio
 from fucik.gram import ProfileBatch, build_batch
 from fucik.quadrature import integrate
-from fucik.spectrum import FucikPoint, _index, dilation_parameter, is_diagonal
+from fucik.spectrum import (
+    _FLOAT_MAX,
+    MEMBERSHIP_TOL,
+    FucikPoint,
+    ReflectedCurveError,
+    SpectrumError,
+    _arc_counts,
+    dilation_parameter,
+    is_diagonal,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,3 +428,136 @@ def ode_residual(f: Profile, x, junction_tol: float = 1e-9) -> float:
     u = float(f.amps[idx]) * math.sin(freq * (x - start))
     second = -(freq ** 2) * u
     return -second - f.point.alpha * max(u, 0.0) + f.point.beta * max(-u, 0.0)
+
+
+# ---- the point intake as it was when each helper took its own tests, arc
+# counts and square roots: fucik.spectrum's one-pass intake is held to it.
+# The class and the three functions are renamed; every body is verbatim.
+
+
+class ParentPoint(namedtuple("FucikPoint", "n alpha beta")):
+    """fucik.spectrum.FucikPoint as it was, checks and all."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, alpha: float | None = None, beta: float | None = None) -> FucikPoint:
+        _index(n)
+        if alpha is None and beta is None:
+            if n != 1:
+                raise SpectrumError(f"index {n} needs alpha or beta")
+            alpha = 1.0
+        if beta is None:
+            alpha = _coordinate(alpha, "alpha")
+            beta = _complete(n, alpha, "alpha")
+        elif alpha is None:
+            beta = _coordinate(beta, "beta")
+            alpha = _complete(n, beta, "beta")
+        else:
+            alpha = _coordinate(alpha, "alpha")
+            beta = _coordinate(beta, "beta")
+        if n == 1:
+            if not max(abs(alpha - 1.0), abs(beta - 1.0)) <= MEMBERSHIP_TOL:
+                raise SpectrumError(
+                    "index 1 is only represented by (1, 1); other points of the "
+                    "trivial lines carry the identical profile"
+                )
+        else:
+            residual = _residual(n, alpha, beta)
+            if not abs(residual) <= MEMBERSHIP_TOL:
+                if n % 2 == 1 and abs(_residual(n, beta, alpha)) <= MEMBERSHIP_TOL:
+                    raise ReflectedCurveError(
+                        f"({alpha}, {beta}) solves the sign-swapped equation for "
+                        f"n={n}; swap the coordinates and negate the profile"
+                    )
+                raise SpectrumError(
+                    f"({alpha}, {beta}) is not on curve {n}: residual {residual:.3e}"
+                )
+        return tuple.__new__(cls, (n, alpha, beta))
+
+
+def _index(n, name: str = "index n", least: int = 1) -> int:
+    """n, refused unless it is a plain int (not a bool) of at least least
+    and within the float range, where the arc counts of a curve index meet
+    floats: the one index rule of the package."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise SpectrumError(f"{name} must be a plain positive integer")
+    if n < least:
+        raise SpectrumError(f"{name} must be >= {least}, got {n}")
+    if n > _FLOAT_MAX:
+        raise SpectrumError(f"{name} lies beyond the float range")
+    return n
+
+
+def _real(value, name: str) -> float:
+    """value as a float, refused unless it has __float__ and is no bool (so
+    no string or bytes that float() parses) and no int beyond the float
+    range.  The one real rule of the package; each caller tests its range."""
+    if isinstance(value, bool) or not hasattr(value, "__float__"):
+        raise SpectrumError(f"{name} must be a real number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SpectrumError(f"{name} lies beyond the float range") from None
+    except (TypeError, ValueError):
+        raise SpectrumError(f"{name} must be a real number") from None
+
+
+def _coordinate(value, name: str) -> float:
+    """value as a float, refused unless a finite positive real."""
+    value = _real(value, name)
+    if not math.isfinite(value) or value <= 0.0:
+        raise SpectrumError(f"{name} must be finite and positive")
+    return value
+
+
+def _residual(n: int, alpha: float, beta: float) -> float:
+    """Tiling residual on curve n >= 2: total arc length minus pi, 0 on the curve."""
+    n_pos, n_neg = _arc_counts(n)
+    return n_pos * math.pi / math.sqrt(alpha) + n_neg * math.pi / math.sqrt(beta) - math.pi
+
+
+def _complete(n: int, value: float, name: str) -> float:
+    """The other coordinate of the point on curve n whose coordinate name
+    ("alpha" runs the positive arcs, "beta" the negative ones) is value,
+    for an index and a value already checked by _index and _coordinate.
+    A completion beyond the float range is refused: it is no coordinate."""
+    if n == 1:
+        if abs(value - 1.0) > MEMBERSHIP_TOL:
+            raise SpectrumError(f"index 1 admits only {name} = 1")
+        return 1.0
+    n_pos, n_neg = _arc_counts(n)
+    if name == "alpha":
+        own, other, sign, missing = n_pos, n_neg, "positive", "beta"
+    else:
+        own, other, sign, missing = n_neg, n_pos, "negative", "alpha"
+    room = 1.0 - own / math.sqrt(value)
+    if room <= 0.0:
+        raise SpectrumError(
+            f"need sqrt({name}) > {own} for index {n}; the {sign} arcs "
+            "alone would already overfill (0, pi)"
+        )
+    root = other / room
+    square = root * root
+    if not math.isfinite(square):
+        raise SpectrumError(f"the {missing} completing this {name} lies beyond the float range")
+    return square
+
+
+def parent_solve_beta(n: int, alpha: float) -> float:
+    """The unique beta completing (n, alpha, beta) on the n-th curve."""
+    return _complete(_index(n), _coordinate(alpha, "alpha"), "alpha")
+
+
+def parent_solve_alpha(n: int, beta: float) -> float:
+    """The unique alpha completing (n, alpha, beta) on the n-th curve."""
+    return _complete(_index(n), _coordinate(beta, "beta"), "beta")
+
+
+def parent_point_from_gamma(n: int, gamma: float) -> ParentPoint:
+    """Even-index point with dilation parameter gamma, alpha on the major side."""
+    if _index(n) < 2 or n % 2 == 1:
+        raise SpectrumError("gamma parametrization targets even indices n >= 2")
+    gamma = _coordinate(gamma, "the dilation parameter")
+    if gamma < 4.0:
+        raise SpectrumError("the dilation parameter is at least 4")
+    return ParentPoint(n, gamma * n * n / 4.0)

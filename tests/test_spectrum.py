@@ -1,7 +1,11 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from reference import ParentPoint, parent_point_from_gamma, parent_solve_alpha, parent_solve_beta
 
 import fucik
 import fucik.certify
@@ -17,6 +21,7 @@ from fucik.spectrum import (
     InputError,
     ReflectedCurveError,
     SpectrumError,
+    _arc_counts,
     _residual,
     dilation_parameter,
     is_diagonal,
@@ -24,6 +29,11 @@ from fucik.spectrum import (
     solve_alpha,
     solve_beta,
 )
+
+
+def residual(n, alpha, beta):
+    """The tiling residual of (n, alpha, beta) as the intake takes it."""
+    return _residual(_arc_counts(n), math.sqrt(alpha), math.sqrt(beta))
 
 
 def test_solve_beta_odd_reference_point():
@@ -39,7 +49,7 @@ def test_solve_beta_even_reference_point():
 def test_diagonal_points_have_zero_residual():
     for n in range(2, 12):
         p = FucikPoint(n, float(n * n), float(n * n))
-        assert _residual(n, p.alpha, p.beta) == pytest.approx(0.0, abs=1e-13)
+        assert residual(n, p.alpha, p.beta) == pytest.approx(0.0, abs=1e-13)
         assert is_diagonal(p)
 
 
@@ -192,7 +202,7 @@ def test_point_from_gamma_places_alpha_on_major_side():
     p = point_from_gamma(6, 5.5)
     assert p.alpha == 5.5 * 9.0
     assert p.alpha >= p.beta
-    assert abs(_residual(6, p.alpha, p.beta)) <= MEMBERSHIP_TOL
+    assert abs(residual(6, p.alpha, p.beta)) <= MEMBERSHIP_TOL
     assert dilation_parameter(p) == pytest.approx(5.5, abs=1e-12)
     assert is_diagonal(point_from_gamma(4, 4.0))
     with pytest.raises(SpectrumError):
@@ -216,7 +226,7 @@ def test_solve_roundtrip_stays_on_curve(n, t):
     alpha = sa * sa
     beta = solve_beta(n, alpha)
     FucikPoint(n, alpha, beta)  # checks membership
-    assert abs(_residual(n, alpha, beta)) <= 1e-9
+    assert abs(residual(n, alpha, beta)) <= 1e-9
     assert solve_alpha(n, beta) == pytest.approx(alpha, rel=1e-9)
 
 
@@ -225,4 +235,108 @@ def test_gamma_parametrization_roundtrip(n, gamma):
     even = 2 * n
     p = point_from_gamma(even, gamma)
     assert dilation_parameter(p) == pytest.approx(gamma, rel=1e-13)
-    assert abs(_residual(even, p.alpha, p.beta)) <= MEMBERSHIP_TOL
+    assert abs(residual(even, p.alpha, p.beta)) <= MEMBERSHIP_TOL
+
+
+class _FloatWithoutFloat(float):
+    """A float whose __float__ raises: the intake refuses it as no real number."""
+
+    def __float__(self):
+        raise ValueError("no float value")
+
+
+def _float32(x):
+    with np.errstate(over="ignore"):
+        return np.float32(x)
+
+
+# every form a coordinate may arrive in, the exotic ones only where they
+# take a value; floats and numpy.float64 come first and most often
+_FORMS = (
+    float,
+    np.float64,
+    float,
+    np.float64,
+    _float32,
+    lambda x: int(x) if math.isfinite(x) else x,
+    lambda x: Fraction(x) if math.isfinite(x) else x,
+    lambda x: Decimal(repr(x)),
+    repr,
+    lambda x: repr(x).encode(),
+    lambda x: x > 1.0,
+    _FloatWithoutFloat,
+)
+
+
+@st.composite
+def intake_args(draw):
+    """(n, alpha, beta) for the intake: indices of every accepted and refused
+    kind, and coordinates near the curve, on its diagonal, overfull,
+    reflected, off it, and of every type that reaches the intake."""
+    n = draw(st.one_of(
+        st.integers(1, 40),
+        st.integers(2, 40),
+        st.integers(2, 40),
+        st.sampled_from([1, 2, 3, 999_999, 1_000_000, 2**52 + 1, 2**52, 10**20 + 1, 2 * 10**154, 2 * 10**154 + 1]),
+        st.sampled_from([True, False, np.int64(7), 7.0, 0, -3, 2**1024, 10**400]),
+    ))
+    k = n if type(n) is int and 1 <= n <= 10**300 else 7
+    # near k = 2 * 10**154 a completion can leave the float range; squares
+    # are products, which overflow to inf where ** raises
+    pos, neg = float((k + 1) // 2), float(max(k // 2, 1))
+    value = st.one_of(
+        st.floats(1.0 + 1e-9, 50.0).map(lambda t: pos * t * (pos * t)),
+        st.floats(1.0 + 1e-9, 50.0).map(lambda t: pos * t * (pos * t)),
+        st.floats(1.0 + 1e-9, 50.0).map(lambda t: neg * t * (neg * t)),
+        st.floats(1e-3, 1.0).map(lambda t: pos * t * (pos * t)),
+        st.integers(-8, 8).map(lambda u: float(k) * float(k) * (1.0 + u * 2.0**-52)),
+        st.floats(4.0, 12.0),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, -0.0, -1.0, 5e-324, 2.2e-308, 1.0, math.inf, -math.inf, math.nan, 1e308]),
+    )
+    a, c = draw(value), draw(value)
+    try:
+        b = parent_solve_beta(k, a)
+    except SpectrumError:
+        b = c
+    alpha, beta = draw(st.sampled_from([
+        (a, None), (None, a), (a, b), (b, a), (a, None), (None, a), (a, b), (b, a),
+        (None, None), (a, c), (a, b * (1.0 + 1e-9)), (a, math.nextafter(b, math.inf)), (a, 10**400),
+    ]))
+    forms = st.sampled_from(_FORMS)
+    return n, *(x if x is None or isinstance(x, int) else draw(forms)(x) for x in (alpha, beta))
+
+
+def _outcome(fn, *args):
+    """What fn(*args) gives, as its type and repr, a point as a plain tuple
+    (the reference's class differs only in name); or the type and message
+    of what it raises."""
+    try:
+        got = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(got, tuple):
+        got = tuple(got)
+    return type(got), repr(got)
+
+
+@settings(max_examples=600, deadline=None)
+@given(args=intake_args())
+@example(args=(7, _FloatWithoutFloat(53.29), None))
+@example(args=(7, None, _FloatWithoutFloat(4.0)))
+@example(args=(7, np.float64(53.29), None))
+def test_the_intake_gives_the_parents_points_and_refusals(args):
+    """FucikPoint, solve_beta, solve_alpha and point_from_gamma give the
+    points, floats and refusals, in the same order, of the intake whose
+    helpers each made their own tests and took their own roots."""
+    n, alpha, beta = args
+    assert _outcome(FucikPoint, n, alpha, beta) == _outcome(ParentPoint, n, alpha, beta)
+    assert _outcome(solve_beta, n, alpha) == _outcome(parent_solve_beta, n, alpha)
+    assert _outcome(solve_alpha, n, beta) == _outcome(parent_solve_alpha, n, beta)
+    assert _outcome(point_from_gamma, n, alpha) == _outcome(parent_point_from_gamma, n, alpha)
+
+
+def test_a_float_whose_float_raises_is_no_real_number():
+    with pytest.raises(SpectrumError, match="alpha must be a real number"):
+        FucikPoint(7, _FloatWithoutFloat(53.29))
+
