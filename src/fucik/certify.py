@@ -149,7 +149,8 @@ class SystemSpec(
         if not literal and not isinstance(spec.split, (list, tuple)):
             raise InputError('split must be "auto" or a list of even indices')
         ns = [p.n for p in spec.entries]
-        if ns != sorted(set(ns)):
+        known = set(ns)
+        if ns != sorted(known):
             raise InputError("entries must be sorted with unique indices")
         if spec.mode not in MODES:
             raise InputError(f"mode must be one of {MODES}")
@@ -161,7 +162,7 @@ class SystemSpec(
         for n in split:
             if n % 2 == 1:
                 raise InputError("split indices must be even")
-            if n not in ns:
+            if n not in known:
                 raise InputError(f"split index {n} has no entry")
         return spec._replace(split=split)
 
@@ -257,7 +258,8 @@ def certify_system(spec: SystemSpec) -> Certificate:
     if spec.split in (SPLIT_DEFAULT, SPLIT_AUTO):
         candidates = [p for p in spec.entries if p.n % 2 == 0 and not is_diagonal(p)]
     else:
-        candidates = [p for p in spec.entries if p.n in spec.split]
+        split = set(spec.split)
+        candidates = [p for p in spec.entries if p.n in split]
     gammas = {p.n: dilation_parameter(p) for p in candidates}
     for n, gamma in gammas.items():
         if gamma > GAMMA_MAX:
