@@ -246,8 +246,9 @@ def certify_system(spec: SystemSpec) -> Certificate:
     once and its k >= 5 tail only when a comparison needs it.  With D the
     level's defect sum, the floor D + fsum(head)^2 never exceeds the total
     D + fsum(head + tail)^2: the tail is nonnegative, fsum is correctly
-    rounded, and adding and a faithfully rounded square are monotone on
-    nonnegative floats (distinct floats have squares at least an ulp apart).
+    rounded, and adding and squaring are monotone on nonnegative floats.
+    Each square is the product x * x, correctly rounded under IEEE 754 and
+    so monotone, where x ** 2 would go through libm's pow.
     So the walk sums a level's tail only when its floor is at most the
     defects of a later level (the stop test) or could still give the least
     total (the choice), and the certificate is bit for bit the one that
@@ -293,7 +294,8 @@ def certify_system(spec: SystemSpec) -> Certificate:
         while pending and pending[0] < min(limit, best):
             i = heapq.heappop(pending)[1]
             _, defect_sum, head = walked[i]
-            envelope_sq = _value(head) ** 2
+            envelope = _value(head)
+            envelope_sq = envelope * envelope
             best = min(best, (defect_sum + envelope_sq, i, envelope_sq))
 
     for level in levels:
@@ -311,7 +313,7 @@ def certify_system(spec: SystemSpec) -> Certificate:
         if best[0] <= defect_sum:
             break
         head, floor = _head_and_floor(level)
-        heapq.heappush(pending, (defect_sum + floor ** 2, len(walked)))
+        heapq.heappush(pending, (defect_sum + floor * floor, len(walked)))
         walked.append((level, defect_sum, head))
     settle((math.inf, math.inf))
     total, i, envelope_sq = best
@@ -362,7 +364,8 @@ def deviation_budget(epsilon: float, sup_even_gamma: float) -> float:
         raise InputError(
             "sup_even_gamma must stay strictly below the envelope root"
         )
-    num = 1.0 - envelope_value(sup_even_gamma) ** 2
+    envelope = envelope_value(sup_even_gamma)
+    num = 1.0 - envelope * envelope
     # sum_{odd k>=3} k^(-s) = 2^(-s) zeta(s, 3/2); (1 - 2^(-s)) zeta(s) - 1 cancels
     den = 45.0 * 2.0 ** -(1.0 + epsilon) * zeta(1.0 + epsilon, 1.5)
     if not den > 0.0:

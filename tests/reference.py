@@ -206,9 +206,10 @@ def per_row_gram(batch: ProfileBatch) -> np.ndarray:
 
 def eager_certify_system(spec: SystemSpec) -> Certificate:
     """fucik.certify.certify_system as it was when every walked level summed
-    its envelope in full: each level takes envelope_value, and the walk
-    stops once the defects it read reach the least total so far.  The lazy
-    walk of the library is held to it bit for bit."""
+    its envelope in full: each level takes envelope_value and squares it
+    as a product, as the library does, and the walk stops once the defects
+    it read reach the least total so far.  The lazy walk of the library is
+    held to it bit for bit."""
     exact = spec.mode == "exact"
     quantity = "defect" if exact else "defect bound"
     if spec.split in (SPLIT_DEFAULT, SPLIT_AUTO):
@@ -250,7 +251,8 @@ def eager_certify_system(spec: SystemSpec) -> Certificate:
         # every smaller set leaves at least these defects outside
         if best is not None and defect_sum >= best[3]:
             break
-        envelope_sq = envelope_value(level) ** 2
+        envelope = envelope_value(level)
+        envelope_sq = envelope * envelope
         total = defect_sum + envelope_sq
         if best is None or total < best[3]:
             best = (level, defect_sum, envelope_sq, total)
