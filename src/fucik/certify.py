@@ -246,9 +246,8 @@ def certify_system(spec: SystemSpec) -> Certificate:
     once and its k >= 5 tail only when a comparison needs it.  With D the
     level's defect sum, the floor D + fsum(head)^2 never exceeds the total
     D + fsum(head + tail)^2: the tail is nonnegative, fsum is correctly
-    rounded, and adding and squaring are monotone on nonnegative floats.
-    Each square is the product x * x, correctly rounded under IEEE 754 and
-    so monotone, where x ** 2 would go through libm's pow.
+    rounded, and adding and squaring as x * x (correctly rounded, where x ** 2
+    calls libm's pow) are monotone on nonnegative floats.
     So the walk sums a level's tail only when its floor is at most the
     defects of a later level (the stop test) or could still give the least
     total (the choice), and the certificate is bit for bit the one that

@@ -55,7 +55,9 @@ class FucikPoint(namedtuple("FucikPoint", "n alpha beta")):
     coordinate must be a finite positive real (not a bool or a string).
     Construction then checks membership within MEMBERSHIP_TOL, so every
     instance is a curve member.  Odd points satisfying only the sign-swapped
-    arc count raise ReflectedCurveError, a subclass of SpectrumError.  A
+    arc count raise ReflectedCurveError, a subclass of SpectrumError.  The
+    first test is _index's; the arc counts and each coordinate's square root
+    are taken once, for the completion and the membership check alike.  A
     point is the tuple (n, alpha, beta) with float coordinates; _make and
     _replace skip the checks, and no fucik code calls them.
     """
@@ -106,9 +108,8 @@ class FucikPoint(namedtuple("FucikPoint", "n alpha beta")):
 def _index(n, name: str = "index n", least: int = 1) -> int:
     """n, refused unless it is a plain int (not a bool) of at least least
     and within the float range, where the arc counts of a curve index meet
-    floats: the one index rule of the package.  The first test is
-    type(n) is int, so an exact int skips the bool and int tests; those
-    refuse no exact int, so the fast path admits nothing they refuse."""
+    floats: the one index rule of the package.  An exact int passes its
+    first test, type(n) is int, which admits nothing the others refuse."""
     if type(n) is not int and (isinstance(n, bool) or not isinstance(n, int)):
         raise SpectrumError(f"{name} must be a plain positive integer")
     if n < least:
@@ -122,10 +123,8 @@ def _real(value, name: str) -> float:
     """value as a float, refused unless it has __float__ and is no bool (so
     no string or bytes that float() parses) and no int beyond the float
     range.  The one real rule of the package; each caller tests its range.
-    The first test is isinstance(value, float), so a float or a float
-    subclass such as numpy.float64 goes straight to float(); it is no bool
-    and has __float__, so the fast path admits nothing the full tests
-    refuse, and a __float__ that raises is refused as before."""
+    Its first test sends any float instance, numpy.float64 too, straight to
+    float(): none is a bool and each has __float__, so no refusal differs."""
     if not isinstance(value, float) and (isinstance(value, bool) or not hasattr(value, "__float__")):
         raise SpectrumError(f"{name} must be a real number")
     try:
@@ -155,8 +154,8 @@ def _arc_counts(n: int) -> tuple[int, int]:
 
 
 def _residual(counts: tuple[int, int], ra: float, rb: float) -> float:
-    """Tiling residual on a curve n >= 2 of arc counts _arc_counts(n), with
-    ra = sqrt(alpha) and rb = sqrt(beta): total arc length minus pi, 0 on the curve."""
+    """Tiling residual on curve n >= 2 from _arc_counts(n), sqrt(alpha) and
+    sqrt(beta): total arc length minus pi, 0 on the curve."""
     n_pos, n_neg = counts
     return n_pos * math.pi / ra + n_neg * math.pi / rb - math.pi
 

@@ -273,6 +273,7 @@ def intake_args(draw):
     """(n, alpha, beta) for the intake: indices of every accepted and refused
     kind, and coordinates near the curve, on its diagonal, overfull,
     reflected, off it, and of every type that reaches the intake."""
+    # plain indices most often, as the coordinates' common shapes below
     n = draw(st.one_of(
         st.integers(1, 40),
         st.integers(2, 40),
@@ -334,9 +335,3 @@ def test_the_intake_gives_the_parents_points_and_refusals(args):
     assert _outcome(solve_beta, n, alpha) == _outcome(parent_solve_beta, n, alpha)
     assert _outcome(solve_alpha, n, beta) == _outcome(parent_solve_alpha, n, beta)
     assert _outcome(point_from_gamma, n, alpha) == _outcome(parent_point_from_gamma, n, alpha)
-
-
-def test_a_float_whose_float_raises_is_no_real_number():
-    with pytest.raises(SpectrumError, match="alpha must be a real number"):
-        FucikPoint(7, _FloatWithoutFloat(53.29))
-
