@@ -8,36 +8,27 @@ certifies the Riesz-basis property through a Paley-Wiener-style perturbation
 criterion.  Gram matrices are an independent cross-check that certification
 never runs.  No runtime path uses quadrature: fucik.quadrature is the
 adaptive Simpson rule that the tests hold the closed forms to.  Only the Gram
-layer, fucik.gram, imports numpy, and it loads on first use of one of its
-names as a package attribute, the way fucik.cli reaches it too; every other
-layer is floats only and loads with the package.  Every record is a
-collections.namedtuple subclass, with no generated code, so a scalar
-subcommand never loads inspect.  fucik.spectrum holds the one rule for an
-index and the one for a real argument, which every public function checks
-its scalars with where they enter, and every refusal of the package is an
-InputError (a ValueError), of which SpectrumError is a subclass.
+layer, fucik.gram, imports numpy.  It, the certification engine
+fucik.certify and the profile layer fucik.eigenfunction load on first use of
+one of their names as a package attribute, the way fucik.cli reaches them
+too, so each subcommand loads only the layers it runs; fucik.spectrum,
+fucik.fourier and fucik.envelope are floats only and load with the package.
+Every record is a collections.namedtuple subclass, with no generated code,
+so a scalar subcommand never loads inspect.  fucik.spectrum holds the one
+rule for an index and the one for a real argument, which every public
+function checks its scalars with where they enter, and every refusal of the
+package is an InputError (a ValueError), of which SpectrumError is a
+subclass.
 """
 
 import importlib
 
-from .certify import (
-    Certificate,
-    SystemSpec,
-    certify_system,
-    constant_component,
-    deviation_budget,
-    deviation_cap,
-    parse_system,
-    profile_scaling,
-    projection_defect,
-    projection_defect_bound,
-    shape_coefficients,
-)
-from .eigenfunction import SUP_NORM, arcs, moments
 from .envelope import (
     GAMMA_MAX,
     EnvelopeEval,
     coefficient_bound,
+    deviation_budget,
+    deviation_cap,
     envelope,
     envelope_root,
     envelope_value,
@@ -59,9 +50,27 @@ from .spectrum import (
 
 __version__ = "0.1.0"
 
-# the one place that defers loading a layer: names of the Gram layer, the
-# only one that imports numpy, which loads on first use of one of them
+# the one place that defers loading a layer: each name below loads its layer
+# on first use.  fucik.gram is the one layer that imports numpy; certify and
+# eigenfunction are floats only, but some subcommands never run them.
+# spectrum, fourier and envelope load with the package: every subcommand runs
+# them, and loading the submodule fucik.envelope binds it as a package
+# attribute, which the function envelope, imported above, then replaces
 _LAZY = {
+    "Certificate": "certify",
+    "SPLIT_AUTO": "certify",
+    "SPLIT_DEFAULT": "certify",
+    "SystemSpec": "certify",
+    "certify_system": "certify",
+    "constant_component": "certify",
+    "parse_system": "certify",
+    "profile_scaling": "certify",
+    "projection_defect": "certify",
+    "projection_defect_bound": "certify",
+    "shape_coefficients": "certify",
+    "SUP_NORM": "eigenfunction",
+    "arcs": "eigenfunction",
+    "moments": "eigenfunction",
     "GramWitness": "gram",
     "extremal_eigenvalues": "gram",
     "gram_matrix": "gram",
@@ -69,21 +78,15 @@ _LAZY = {
 }
 
 __all__ = [
-    "Certificate",
     "EnvelopeEval",
     "FucikPoint",
     "GAMMA_MAX",
     "InputError",
     "MEMBERSHIP_TOL",
     "ReflectedCurveError",
-    "SUP_NORM",
     "SpectrumError",
-    "SystemSpec",
-    "arcs",
-    "certify_system",
     "coefficient",
     "coefficient_bound",
-    "constant_component",
     "deviation_budget",
     "deviation_cap",
     "dilation_norm_bound",
@@ -92,13 +95,7 @@ __all__ = [
     "envelope_root",
     "envelope_value",
     "is_diagonal",
-    "moments",
-    "parse_system",
-    "profile_scaling",
     "point_from_gamma",
-    "projection_defect",
-    "projection_defect_bound",
-    "shape_coefficients",
     "solve_alpha",
     "solve_beta",
     "zeta",

@@ -26,13 +26,12 @@ from collections import namedtuple
 from operator import itemgetter
 
 from .eigenfunction import _own_moments, _phase_moments, moments
-from .envelope import GAMMA_MAX, _head_and_floor, _value, envelope_root, envelope_value, zeta
+from .envelope import GAMMA_MAX, _head_and_floor, _value
 from .spectrum import (
     FucikPoint,
     InputError,
     SpectrumError,
     _index,
-    _real,
     dilation_parameter,
     is_diagonal,
     point_from_gamma,
@@ -85,12 +84,15 @@ def projection_defect_bound(p: FucikPoint) -> float:
         # n^2 (n^2 + 1) / (n -+ 1)^4 in r = 1 / n, finite for every float n
         r = 1.0 / n
         if sa >= n:
-            const = 8.0 * (1.0 + r * r) / (1.0 - r) ** 4
+            sq = (1.0 - r) * (1.0 - r)
+            const = 8.0 * (1.0 + r * r) / (sq * sq)
             dev = sa - n
         else:
-            const = 10.0 * (1.0 + r * r) / (1.0 + r) ** 4
+            sq = (1.0 + r) * (1.0 + r)
+            const = 10.0 * (1.0 + r * r) / (sq * sq)
             dev = sb - n
-    return const * (dev / n) ** 2
+    rel = dev / n
+    return const * (rel * rel)
 
 
 def profile_scaling(p: FucikPoint) -> float:
@@ -342,42 +344,3 @@ def certify_system(spec: SystemSpec) -> Certificate:
         per_index=tuple(per_index),
         note=_NOTE,
     )
-
-
-def deviation_budget(epsilon: float, sup_even_gamma: float) -> float:
-    """How much squared relative deviation the odd indices may spend in total.
-
-    With the evens capped at sup_even_gamma (strictly below the envelope
-    root) and the odd deviations decaying like n^(-(1+epsilon)/2), the worst
-    constant of the odd defect majorants is 45 (attained at n = 3), and the
-    admissible budget per unit of the zeta-type sum is what remains of 1
-    after the envelope claims its square.
-    """
-    epsilon = _real(epsilon, "epsilon")
-    sup_even_gamma = _real(sup_even_gamma, "sup_even_gamma")
-    if not 1.0 + epsilon > 1.0:
-        raise InputError(f"epsilon must be positive with 1 + epsilon > 1, got {epsilon!r}")
-    if not 4.0 <= sup_even_gamma:
-        raise InputError("sup_even_gamma must be at least 4")
-    if sup_even_gamma >= envelope_root():
-        raise InputError(
-            "sup_even_gamma must stay strictly below the envelope root"
-        )
-    envelope = envelope_value(sup_even_gamma)
-    num = 1.0 - envelope * envelope
-    # sum_{odd k>=3} k^(-s) = 2^(-s) zeta(s, 3/2); (1 - 2^(-s)) zeta(s) - 1 cancels
-    den = 45.0 * 2.0 ** -(1.0 + epsilon) * zeta(1.0 + epsilon, 1.5)
-    if not den > 0.0:
-        raise InputError(f"epsilon = {epsilon!r} is too large: the odd sum underflows")
-    return num / den
-
-
-def deviation_cap(n: int, epsilon: float, budget: float) -> float:
-    """Largest admissible max(alpha, beta) for odd index n under the budget."""
-    if _index(n) < 3 or n % 2 == 0:
-        raise InputError("the cap applies to odd indices n >= 3")
-    epsilon = _real(epsilon, "epsilon")
-    budget = _real(budget, "budget")
-    if not (epsilon > 0.0 and 0.0 <= budget < math.inf):
-        raise InputError("need epsilon > 0 and a finite nonnegative budget")
-    return (n + math.sqrt(budget) * n ** ((1.0 - epsilon) / 2.0)) ** 2

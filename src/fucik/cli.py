@@ -5,7 +5,9 @@ read from one table, _COMMANDS, with its flags and positionals.  Exit
 codes: 0 success (for certify: certified), 1 not certified, 2 bad input,
 an argument error included.
 All numbers are printed to 12 significant digits and identical inputs give
-byte-identical output.
+byte-identical output.  The module imports the layers every subcommand runs
+and reaches the rest as attributes of the package, which loads a layer on
+first use of one of its names, so each subcommand loads only what it runs.
 """
 
 from __future__ import annotations
@@ -18,16 +20,7 @@ from array import array
 
 import fucik
 
-from .certify import (
-    SPLIT_AUTO,
-    SPLIT_DEFAULT,
-    certify_system,
-    deviation_budget,
-    deviation_cap,
-    parse_system,
-)
-from .eigenfunction import arcs, moments
-from .envelope import envelope, envelope_root
+from .envelope import deviation_budget, deviation_cap, envelope, envelope_root
 from .fourier import coefficient
 from .spectrum import (
     FucikPoint,
@@ -89,7 +82,7 @@ def _load_system(path: str, mode: str | None, split: str | None):
     if mode is not None:
         data["mode"] = mode
     if split is not None:
-        if split in (SPLIT_AUTO, SPLIT_DEFAULT):
+        if split in (fucik.SPLIT_AUTO, fucik.SPLIT_DEFAULT):
             data["split"] = split
         else:
             try:
@@ -98,11 +91,11 @@ def _load_system(path: str, mode: str | None, split: str | None):
                 raise InputError(
                     'split must be "auto", "default", or comma-separated integers'
                 ) from None
-    return parse_system(data)
+    return fucik.parse_system(data)
 
 
 def _cmd_certify(spec: str, mode: str | None, split: str | None) -> int:
-    cert = certify_system(_load_system(spec, mode, split))
+    cert = fucik.certify_system(_load_system(spec, mode, split))
     _print_json(cert.as_dict())
     return 0 if cert.passed else 1
 
@@ -131,7 +124,7 @@ def _cmd_coeffs(gamma: float, kmax: int, csv: str | None) -> int:
     # moments sums the profile's arcs in closed form and shares no code
     # with coefficient's two-arc formula, so each row checks one against
     # the other
-    _, arc_sums = moments(point_from_gamma(2, gamma), ks)
+    _, arc_sums = fucik.moments(point_from_gamma(2, gamma), ks)
     lines = ["k,coefficient,reflected_coefficient,arc_sum,abs_error"]
     for k, direct, arc_sum in zip(ks, column, arc_sums):
         reflected = -direct if k % 2 else direct  # the mirrored profile
@@ -314,7 +307,7 @@ def _dump_lines(p: FucikPoint):
     unsigned amplitude, each sign's formatted once.  The arcs come from the
     curve point one at a time, and each is formatted only as it is written.
     """
-    rows = arcs(p)  # first, so that a refusal leaves stdout empty
+    rows = fucik.arcs(p)  # first, so that a refusal leaves stdout empty
     amps = {}  # signed amplitude -> its unsigned text
     last = p.n - 1
     yield f'{{\n  "alpha": {_num(p.alpha)},\n  "beta": {_num(p.beta)},\n  "bumps": ['

@@ -7,6 +7,9 @@ envelope combines them, weighted by the compression operator norms, into a
 single increasing function of gamma that vanishes at 4 and crosses 1 just
 below 6.5.  The infinite part of the sum is one series of positive terms
 over the Hurwitz values zeta(2j + 2, 5), the library's one zeta routine.
+What the envelope leaves of 1 below the envelope root is the deviation
+budget that odd indices may spend, and deviation_cap turns it into the
+largest admissible coordinate of one odd curve.
 """
 
 from __future__ import annotations
@@ -183,3 +186,43 @@ def envelope_root() -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def deviation_budget(epsilon: float, sup_even_gamma: float) -> float:
+    """How much squared relative deviation the odd indices may spend in total.
+
+    With the evens capped at sup_even_gamma (strictly below the envelope
+    root) and the odd deviations decaying like n^(-(1+epsilon)/2), the worst
+    constant of the odd defect majorants is 45 (attained at n = 3), and the
+    admissible budget per unit of the zeta-type sum is what remains of 1
+    after the envelope claims its square.
+    """
+    epsilon = _real(epsilon, "epsilon")
+    sup_even_gamma = _real(sup_even_gamma, "sup_even_gamma")
+    if not 1.0 + epsilon > 1.0:
+        raise InputError(f"epsilon must be positive with 1 + epsilon > 1, got {epsilon!r}")
+    if not 4.0 <= sup_even_gamma:
+        raise InputError("sup_even_gamma must be at least 4")
+    if sup_even_gamma >= envelope_root():
+        raise InputError(
+            "sup_even_gamma must stay strictly below the envelope root"
+        )
+    value = envelope_value(sup_even_gamma)
+    num = 1.0 - value * value
+    # sum_{odd k>=3} k^(-s) = 2^(-s) zeta(s, 3/2); (1 - 2^(-s)) zeta(s) - 1 cancels
+    den = 45.0 * 2.0 ** -(1.0 + epsilon) * zeta(1.0 + epsilon, 1.5)
+    if not den > 0.0:
+        raise InputError(f"epsilon = {epsilon!r} is too large: the odd sum underflows")
+    return num / den
+
+
+def deviation_cap(n: int, epsilon: float, budget: float) -> float:
+    """Largest admissible max(alpha, beta) for odd index n under the budget."""
+    if _index(n) < 3 or n % 2 == 0:
+        raise InputError("the cap applies to odd indices n >= 3")
+    epsilon = _real(epsilon, "epsilon")
+    budget = _real(budget, "budget")
+    if not (epsilon > 0.0 and 0.0 <= budget < math.inf):
+        raise InputError("need epsilon > 0 and a finite nonnegative budget")
+    root = n + math.sqrt(budget) * n ** ((1.0 - epsilon) / 2.0)
+    return root * root

@@ -24,18 +24,18 @@ from reference import (
 from fucik.certify import (
     certify_system,
     constant_component,
-    deviation_budget,
-    deviation_cap,
     parse_system,
     profile_scaling,
     projection_defect_bound,
-    zeta,
 )
 from fucik.envelope import (
     coefficient_bound,
+    deviation_budget,
+    deviation_cap,
     envelope_root,
     envelope_value,
     envelope,
+    zeta,
 )
 from fucik.fourier import coefficient
 from fucik.gram import extremal_eigenvalues, gram_matrix

@@ -6,6 +6,24 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fucik"
 # the Gram layer, and the quadrature rule that only tests import
 NUMPY_MODULES = {"gram.py", "quadrature.py"}
+# the layers that load on first use of a name of _LAZY, not with the package
+LAZY_LAYERS = {"certify", "eigenfunction", "gram"}
+
+
+def _tree(name):
+    return ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+
+
+def defined_names(layer):
+    """The names that the top level of fucik.<layer> binds by def, class or assignment."""
+    names = set()
+    for node in _tree(f"{layer}.py").body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(target.id for target in targets if isinstance(target, ast.Name))
+    return names
 
 
 def _imports(tree):
@@ -68,3 +86,30 @@ def test_the_moment_kernel_is_written_once():
     kernel = "sin(counts * delta)"
     found = {path.name: path.read_text(encoding="utf-8").count(kernel) for path in PACKAGE.glob("*.py")}
     assert sum(found.values()) == 1 and found["eigenfunction.py"] == 1, found
+
+
+def _imported_modules(tree):
+    """Every dotted name that an import of the module may load, relative ones under fucik."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("fucik" if node.level else None, node.module)))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_lazy_layers_load_only_through_the_table():
+    # the package and the CLI reach these layers through _LAZY alone, so that
+    # a subcommand loads only the layers it runs
+    lazy = {f"fucik.{layer}" for layer in LAZY_LAYERS}
+    for name in ("__init__.py", "cli.py"):
+        assert not lazy & set(_imported_modules(_tree(name))), name
+    table = ast.literal_eval(next(
+        node.value
+        for node in _tree("__init__.py").body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_LAZY"
+    ))
+    assert set(table.values()) == LAZY_LAYERS
+    for name, layer in table.items():
+        assert name in defined_names(layer), (name, layer)

@@ -31,17 +31,21 @@ from fucik.certify import (
     SystemSpec,
     certify_system,
     constant_component,
-    deviation_budget,
-    deviation_cap,
     parse_system,
     profile_scaling,
     projection_defect,
     projection_defect_bound,
     shape_coefficients,
-    zeta,
 )
 from fucik.eigenfunction import moments
-from fucik.envelope import GAMMA_MAX, envelope_root, envelope_value
+from fucik.envelope import (
+    GAMMA_MAX,
+    deviation_budget,
+    deviation_cap,
+    envelope_root,
+    envelope_value,
+    zeta,
+)
 from fucik.gram import batch_moments, build_batch, gram_matrix
 from fucik.spectrum import (
     FucikPoint,

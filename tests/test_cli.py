@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_boundary import defined_names
 
 import fucik
 import fucik.cli
@@ -797,23 +798,34 @@ def test_exact_defect_is_clamped_at_zero(capsys, write_spec):
 
 
 ARRAY_LAYERS = ("numpy", "fucik.gram")
+# the float layers that load on first use, and the subcommands that run them
+FLOAT_LAYERS = ("fucik.certify", "fucik.eigenfunction")
+RUNS_FLOAT_LAYERS = {
+    "certify": set(FLOAT_LAYERS),
+    "coeffs": {"fucik.eigenfunction"},
+    "dump": {"fucik.eigenfunction"},
+}
 # what a dataclass would load at start-up; numpy loads inspect on its own
 INTROSPECTION = ("dataclasses", "inspect")
 # what an argparse parser would load at start-up
 PARSING = ("argparse", "gettext")
 
 
+def _run_fresh(code):
+    """The stdout of code run in a fresh interpreter, which must exit 0."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
 def _loaded_after(code, watched=ARRAY_LAYERS):
     """Which of the watched modules (numpy and the Gram layer unless given)
     are imported once code has run in a fresh interpreter."""
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     report = f"\nimport sys\nprint(*(m for m in {watched!r} if m in sys.modules))"
-    run = subprocess.run(
-        [sys.executable, "-c", code + report],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
-    assert run.returncode == 0, run.stderr
-    return set(run.stdout.splitlines()[-1].split())
+    return set(_run_fresh(code + report).splitlines()[-1].split())
 
 
 def test_scalar_subcommands_start_without_numpy(tmp_path, write_spec):
@@ -822,8 +834,10 @@ def test_scalar_subcommands_start_without_numpy(tmp_path, write_spec):
     absorbed = write_spec({"entries": [{"n": 2, "alpha": 6.4}, {"n": 4, "alpha": 25.0}]})
     # both entries are off their diagonal, so exact mode takes their defects
     odd = write_spec({"entries": [{"n": 3, "alpha": 10.0}, {"n": 7, "alpha": 50.5}]}, "odd.json")
-    # every subcommand but gram loads neither numpy nor the Gram layer, and
-    # none of these loads dataclasses, inspect, argparse or gettext
+    # every subcommand but gram loads neither numpy nor the Gram layer, only
+    # certify loads the certification engine, only certify, coeffs and dump
+    # the profile layer, and none of these loads dataclasses, inspect,
+    # argparse or gettext
     for argv in (
         ["envelope", "--gamma", "5"],
         ["root"],
@@ -846,11 +860,11 @@ def test_scalar_subcommands_start_without_numpy(tmp_path, write_spec):
         ["--help"],
         ["region", "--help"],
     ):
-        code = _as_main(argv)
-        assert _loaded_after(code, ARRAY_LAYERS + INTROSPECTION + PARSING) == set(), argv
-    # gram loads the array layers, but no argument parser either
+        watched = ARRAY_LAYERS + FLOAT_LAYERS + INTROSPECTION + PARSING
+        assert _loaded_after(_as_main(argv), watched) == RUNS_FLOAT_LAYERS.get(argv[0], set()), argv
+    # gram loads every layer, but no argument parser either
     code = _as_main(["gram", "--spec", absorbed, "--n", "16"])
-    assert _loaded_after(code, ARRAY_LAYERS + PARSING) == set(ARRAY_LAYERS)
+    assert _loaded_after(code, ARRAY_LAYERS + FLOAT_LAYERS + PARSING) == {*ARRAY_LAYERS, *FLOAT_LAYERS}
 
 
 def _as_main(argv):
@@ -907,3 +921,22 @@ def test_every_export_resolves():
     assert callable(fucik.envelope)
     with pytest.raises(AttributeError, match="no_such_name"):
         fucik.no_such_name
+
+
+def test_every_export_is_its_layers_object_whichever_module_loads_first():
+    # loading a layer binds its submodule as a package attribute, which
+    # would hide a name of the same spelling: fucik.envelope is both a
+    # submodule and a function.  The lazy layers are checked first, so that
+    # each has loaded before the eager names are read
+    layers = ("certify", "eigenfunction", "gram", "spectrum", "fourier", "envelope")
+    owners = [(name, layer) for layer in layers for name in sorted(defined_names(layer) & set(fucik.__all__))]
+    assert sorted(name for name, _ in owners) == sorted(set(fucik.__all__) - {"__version__"})
+    check = (
+        "import importlib, types\nimport fucik\n"
+        f"for name, layer in {owners!r}:\n"
+        "    module = importlib.import_module('fucik.' + layer)\n"
+        "    assert getattr(fucik, name) is getattr(module, name), (name, layer)\n"
+        "assert not isinstance(fucik.envelope, types.ModuleType)\n"
+    )
+    for first in ("fucik.certify", "fucik.eigenfunction", "fucik.gram", "fucik.envelope", "fucik.cli"):
+        _run_fresh(f"import {first}\n" + check)

@@ -10,9 +10,16 @@ from reference import ParentPoint, parent_point_from_gamma, parent_solve_alpha, 
 import fucik
 import fucik.certify
 import fucik.spectrum
-from fucik.certify import SystemSpec, deviation_budget, deviation_cap
+from fucik.certify import SystemSpec
 from fucik.cli import region_rows
-from fucik.envelope import coefficient_bound, envelope, envelope_value, zeta
+from fucik.envelope import (
+    coefficient_bound,
+    deviation_budget,
+    deviation_cap,
+    envelope,
+    envelope_value,
+    zeta,
+)
 from fucik.fourier import coefficient, dilation_norm_bound
 from fucik.gram import gram_matrix
 from fucik.spectrum import (
