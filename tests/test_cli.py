@@ -838,6 +838,7 @@ def test_scalar_subcommands_start_without_numpy(tmp_path, write_spec):
     # certify loads the certification engine, only certify, coeffs and dump
     # the profile layer, and none of these loads dataclasses, inspect,
     # argparse or gettext
+    watched = ARRAY_LAYERS + FLOAT_LAYERS + INTROSPECTION + PARSING
     for argv in (
         ["envelope", "--gamma", "5"],
         ["root"],
@@ -860,7 +861,6 @@ def test_scalar_subcommands_start_without_numpy(tmp_path, write_spec):
         ["--help"],
         ["region", "--help"],
     ):
-        watched = ARRAY_LAYERS + FLOAT_LAYERS + INTROSPECTION + PARSING
         assert _loaded_after(_as_main(argv), watched) == RUNS_FLOAT_LAYERS.get(argv[0], set()), argv
     # gram loads every layer, but no argument parser either
     code = _as_main(["gram", "--spec", absorbed, "--n", "16"])
